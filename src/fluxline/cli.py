@@ -1,80 +1,225 @@
 """Command line driver for linking, phases, fields, gauges, interference.
 
-Exit codes: 0 success; 2 bad input (schema, validation, geometry); 3 a
-quadrature residual exceeded tol; 4 a clearance violation. Reports embed the
+Exit codes: 0 success; 2 bad input (schema, validation, geometry, files); 3
+a quadrature residual exceeded tol; 4 a clearance violation. Reports embed the
 fully resolved configuration and identical configs reproduce byte-identical
 outputs.
+
+Each subcommand's options are one table of `Opt` rows. The table alone gives
+the flags, the allowed `--config` keys, the defaults, the checks every value
+passes (from a flag, a config file or a default) and the embedded config.
 """
 import argparse
 import json
 import math
 import sys
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .abphase import (
-    PhaseParams,
-    ab_phase_circulation,
-    ab_phase_crossing,
-    ab_phase_flux,
-    ab_phase_solid_angle,
-    ab_phase_topological,
-    invariance_suite,
-)
-from .curves import ClosedCurve, DeformationSpec, load_curve, make_circle, make_torus_knot
-from .errors import ClearanceError, GeometryError, SchemaError, UnderResolvedError
+from .abphase import (PhaseParams, ab_phase_circulation, ab_phase_crossing, ab_phase_flux,
+                      ab_phase_solid_angle, ab_phase_topological, invariance_suite)
+from .curves import DeformationSpec, load_curve, make_circle, make_torus_knot
+from .errors import ClearanceError, FluxlineError, SchemaError, UnderResolvedError
 from .field import FluxLine, vector_potential
 from .gauge import SolenoidConfig, singular_gauge_closed_line_demo, solenoid_singular_gauge_demo
-from .interference import (
-    TwoSlitConfig,
-    ab_shift_analytic,
-    ab_shift_measured,
-    beam_geometry,
-    fringe_spacing,
-    pattern,
-    write_pattern,
-)
+from .interference import (TwoSlitConfig, ab_shift_analytic, ab_shift_measured, beam_geometry,
+                           fringe_spacing, pattern, write_pattern)
 from .topology import crossing_linking, gauss_linking, span_surface
+
+
+def _finite(val) -> bool:
+    try:
+        return math.isfinite(val)
+    except OverflowError:
+        return False
+
+
+@dataclass(frozen=True)
+class Opt:
+    """One option of a subcommand.
+
+    key: config key and report key. kind: "int", "real", "str", "bool" or
+    "choice". A null value is accepted only where the default is null.
+    at_least / above: inclusive / exclusive lower bound of a number. choices:
+    allowed values; argparse enforces them only for kind "choice". A choice
+    whose flags are one switch per value takes one help text per switch.
+    """
+
+    key: str
+    kind: str
+    default: object
+    help: object = None
+    flags: tuple = ()
+    at_least: float = None
+    above: float = None
+    choices: tuple = ()
+    metavar: str = None
+
+    def add_to(self, parser):
+        flags = self.flags or ("--" + self.key.replace("_", "-"),)
+        if self.kind == "bool":
+            parser.add_argument(*flags, dest=self.key, action="store_const",
+                                const=True, help=self.help)
+        elif self.kind == "choice" and len(flags) > 1:
+            group = parser.add_mutually_exclusive_group()
+            for flag, value, text in zip(flags, self.choices, self.help):
+                group.add_argument(flag, dest=self.key, action="store_const",
+                                   const=value, help=text)
+        else:
+            parser.add_argument(
+                *flags, dest=self.key, help=self.help, metavar=self.metavar,
+                type={"int": int, "real": float}.get(self.kind),
+                choices=self.choices if self.kind == "choice" else None)
+
+    def check(self, val):
+        """Raise SchemaError naming the key unless val suits this row."""
+        if val is None and self.default is None:
+            return
+        if self.kind == "int":
+            ok = isinstance(val, int) and not isinstance(val, bool)
+            what = "an integer"
+        elif self.kind == "real":
+            ok = (isinstance(val, (int, float)) and not isinstance(val, bool)
+                  and _finite(val))
+            what = "a finite number"
+        elif self.kind == "bool":
+            ok, what = isinstance(val, bool), "true or false"
+        elif self.choices:
+            ok, what = val in self.choices, "one of " + ", ".join(self.choices)
+        else:
+            ok, what = isinstance(val, str), "a string"
+        if self.at_least is not None:
+            ok = ok and val >= self.at_least
+            what += f" >= {self.at_least}"
+        if self.above is not None:
+            ok = ok and val > self.above
+            what += f" > {self.above}"
+        if not ok:
+            raise SchemaError(f"{self.key} must be {what}, got {val!r}")
+
+    def value(self, val):
+        """The checked value in the type the computation takes."""
+        return float(val) if self.kind == "real" and val is not None else val
+
+
+PRESETS = ("hopf", "unlinked", "l2")
+SEED = Opt("seed", "int", 0, "rng seed for seeded subcommands")
+SAMPLES = Opt("samples", "int", 1024, "points per generated curve",
+              at_least=8, metavar="N")
+TOL = Opt("tol", "real", 1e-3, "residual tolerance for linking quadrature",
+          above=0)
+THREADS = Opt("threads", "int", None,
+              "worker threads (default: FLUXLINE_THREADS or all cores)",
+              at_least=1)
+OUTPUT = Opt("output", "str", None, "write results here",
+             flags=("--output", "-o"), metavar="PATH")
+FLUX = Opt("flux", "real", 1.0, "flux carried by the line")
+TWO_SLIT = (
+    Opt("x0", "real", 0.5, "slit half-separation"),
+    Opt("b", "real", 0.1, "Gaussian slit width"),
+    Opt("t_a", "real", 1.0, "time at slit screen"),
+    Opt("t_b", "real", 3.0, "time at detection screen"),
+    Opt("m", "real", 1.0, flags=("--mass",)),
+    Opt("v", "real", 1.0, "longitudinal speed", flags=("--speed",)),
+    Opt("half_width", "real", None, "grid half width (default 20 broadenings)"),
+    Opt("n_grid", "int", 4096, "grid points", flags=("--grid",), at_least=64),
+)
+
+LINK = (
+    Opt("preset", "choice", None, choices=PRESETS),
+    Opt("curve_a", "str", None, "curve JSON file", metavar="FILE"),
+    Opt("curve_b", "str", None, "curve JSON file", metavar="FILE"),
+    SAMPLES, TOL, SEED, THREADS, OUTPUT,
+)
+PHASE = (
+    Opt("preset", "choice", "hopf", choices=PRESETS),
+    Opt("alpha", "real", 1.0, "dimensionless coupling"),
+    FLUX, SAMPLES, TOL, SEED, THREADS,
+    Opt("invariance", "bool", False,
+        "also run the four deformation-invariance suites"),
+    Opt("steps", "int", 20, "deformation steps", at_least=1),
+    Opt("amplitude", "real", 0.2, "deformation amplitude", at_least=0),
+    Opt("clearance", "real", 0.05, "minimum curve separation", above=0),
+    Opt("modes", "int", 3, "deformation Fourier modes", at_least=1),
+    OUTPUT,
+)
+FIELD = (
+    FLUX,
+    Opt("radius", "real", 1.0, "flux circle radius"),
+    Opt("start", "real", 0.0, flags=("--from",), metavar="Z0"),
+    Opt("stop", "real", 2.0, flags=("--to",), metavar="Z1"),
+    Opt("steps", "int", 64, "number of axis samples", at_least=2),
+    SAMPLES, SEED, TOL, THREADS, OUTPUT,
+)
+INTERFERE = (
+    Opt("alpha", "real", math.pi, "flux phase"),
+    *TWO_SLIT, SEED, THREADS,
+    replace(OUTPUT, default="."),
+)
+GAUGE_DEMO = (
+    Opt("mode", "choice", "solenoid", flags=("--solenoid", "--closed-line"),
+        choices=("solenoid", "closed-line"),
+        help=("infinite-solenoid demo (default)", "closed flux line demo")),
+    FLUX,
+    Opt("radius", "real", 1.0, "solenoid radius"),
+    Opt("rho0", "real", 2.0, "loop radius, > solenoid radius"),
+    Opt("turns", "int", 1, "loop winding count"),
+    replace(SAMPLES, at_least=16), SEED, TOL, THREADS, OUTPUT,
+)
+SWEEP = (
+    # checked by the table, not by argparse, so a bad name returns 2 from main
+    Opt("param", "str", "alpha", "parameter to sweep (alpha)", choices=("alpha",)),
+    Opt("start", "real", 0.0, flags=("--from",), metavar="A0"),
+    Opt("stop", "real", 2.0 * math.pi, flags=("--to",), metavar="A1"),
+    Opt("steps", "int", 8, "sweep points (inclusive ends)", at_least=2),
+    *TWO_SLIT, SEED, THREADS, OUTPUT,
+)
 
 
 def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _write(path, text):
-    with open(path, "w") as fh:
-        fh.write(text)
+def _resolve(args, table):
+    """Defaults, overridden by --config file values, overridden by flags.
 
-
-def _resolve(args, defaults: dict) -> dict:
-    """defaults, overridden by --config file values, overridden by flags."""
-    resolved = dict(defaults)
-    if getattr(args, "config", None):
+    Returns (values, config): every value checked and converted for use, and
+    the values as given, less `output`, for the report to embed.
+    """
+    resolved = {opt.key: opt.default for opt in table}
+    if args.config:
         try:
             with open(args.config) as fh:
                 file_cfg = json.load(fh)
-        except OSError as e:
-            raise SchemaError(f"cannot read config: {e}") from e
         except json.JSONDecodeError as e:
-            raise SchemaError(
-                f"{args.config}: line {e.lineno} column {e.colno}: {e.msg}"
-            ) from e
+            raise SchemaError(f"{args.config}: line {e.lineno} column {e.colno}: "
+                              f"{e.msg}") from e
         if not isinstance(file_cfg, dict):
             raise SchemaError(f"{args.config}: config must be a JSON object")
-        unknown = sorted(set(file_cfg) - set(defaults))
+        unknown = sorted(set(file_cfg) - set(resolved))
         if unknown:
             raise SchemaError(f"{args.config}: unknown config keys {unknown}")
         resolved.update(file_cfg)
-    for key in defaults:
-        val = getattr(args, key, None)
+    for opt in table:
+        val = getattr(args, opt.key)
         if val is not None:
-            resolved[key] = val
-    return resolved
+            resolved[opt.key] = val
+        opt.check(resolved[opt.key])
+    values = {opt.key: opt.value(resolved[opt.key]) for opt in table}
+    config = {k: v for k, v in resolved.items() if k != "output"}
+    return values, config
 
 
-def _embedded(resolved: dict) -> dict:
-    return {k: v for k, v in resolved.items() if k != "output"}
+def _emit(text, path=None, config=None):
+    """Print text; also write it to path, with a `.json` config sidecar if given."""
+    sys.stdout.write(text)
+    if path:
+        path = Path(path)
+        path.write_text(text)
+        if config is not None:
+            path.with_suffix(".json").write_text(_json_text({"config": config}))
 
 
 def _preset_curves(name: str, n: int):
@@ -84,88 +229,39 @@ def _preset_curves(name: str, n: int):
         return unit, make_circle((1.0, 0.0, 0.0), 1.0, (0.0, 1.0, 0.0), n)
     if name == "unlinked":
         return unit, make_circle((4.0, 0.0, 3.0), 1.0, (0.0, 0.0, 1.0), n)
-    if name == "l2":
-        return unit, make_torus_knot(1, 2, 1.0, 0.4, n)
-    raise SchemaError(f"unknown preset {name!r}; choose hopf, unlinked, or l2")
+    return unit, make_torus_knot(1, 2, 1.0, 0.4, n)
 
 
-def _integer(resolved, key):
-    val = resolved[key]
-    if not isinstance(val, (int, np.integer)) or isinstance(val, bool):
-        raise SchemaError(f"{key} must be an integer, got {val!r}")
-    return int(val)
-
-
-def _positive_int(resolved, key, minimum=1):
-    val = _integer(resolved, key)
-    if val < minimum:
-        raise SchemaError(f"{key} must be an integer >= {minimum}, got {val!r}")
-    return val
-
-
-def _finite_real(resolved, key):
-    val = resolved[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)) \
-            or not math.isfinite(float(val)):
-        raise SchemaError(f"{key} must be a finite number, got {val!r}")
-    return float(val)
-
-
-def cmd_link(args) -> int:
-    defaults = {
-        "preset": None, "curve_a": None, "curve_b": None,
-        "samples": 1024, "tol": 1e-3, "seed": 0, "threads": None,
-        "output": None,
-    }
-    resolved = _resolve(args, defaults)
-    n = _positive_int(resolved, "samples", 8)
-    tol = _finite_real(resolved, "tol")
-    if resolved["preset"]:
-        a, b = _preset_curves(resolved["preset"], n)
-    elif resolved["curve_a"] and resolved["curve_b"]:
-        a = load_curve(resolved["curve_a"])
-        b = load_curve(resolved["curve_b"])
+def cmd_link(o, config) -> int:
+    if o["preset"]:
+        a, b = _preset_curves(o["preset"], o["samples"])
+    elif o["curve_a"] and o["curve_b"]:
+        a, b = load_curve(o["curve_a"]), load_curve(o["curve_b"])
     else:
         raise SchemaError("need --preset or both --curve-a and --curve-b")
     code = 0
     try:
-        res = gauss_linking(a, b, tol=tol, threads=resolved["threads"])
+        res = gauss_linking(a, b, tol=o["tol"], threads=o["threads"])
     except UnderResolvedError as e:
-        res = e.result
-        code = 3
+        res, code = e.result, 3
     crossing = crossing_linking(a, span_surface(b))
-    report = {
+    _emit(_json_text({
         "raw": res.raw,
         "rounded": res.rounded,
         "residual": res.residual,
         "crossing_count": crossing,
         "agree": bool(res.rounded == crossing and code == 0),
-        "config": _embedded(resolved),
-    }
-    text = _json_text(report)
-    sys.stdout.write(text)
-    if resolved["output"]:
-        _write(resolved["output"], text)
+        "config": config,
+    }), o["output"])
     return code
 
 
-def cmd_phase(args) -> int:
-    defaults = {
-        "preset": "hopf", "alpha": 1.0, "flux": 1.0,
-        "samples": 1024, "tol": 1e-3, "seed": 0, "threads": None,
-        "invariance": False, "steps": 20, "amplitude": 0.2,
-        "clearance": 0.05, "modes": 3, "output": None,
-    }
-    resolved = _resolve(args, defaults)
-    n = _positive_int(resolved, "samples", 8)
-    tol = _finite_real(resolved, "tol")
-    alpha = _finite_real(resolved, "alpha")
-    flux = _finite_real(resolved, "flux")
-    flux_curve, path = _preset_curves(resolved["preset"], n)
-    f = FluxLine(curve=flux_curve, flux=flux)
-    p = PhaseParams(alpha=alpha)
-    threads = resolved["threads"]
-    link = gauss_linking(path, flux_curve, tol=tol, threads=threads)
+def cmd_phase(o, config) -> int:
+    flux_curve, path = _preset_curves(o["preset"], o["samples"])
+    f = FluxLine(curve=flux_curve, flux=o["flux"])
+    p = PhaseParams(alpha=o["alpha"])
+    threads = o["threads"]
+    link = gauss_linking(path, flux_curve, tol=o["tol"], threads=threads)
     forms = {
         "topological": ab_phase_topological(p, link.rounded),
         "circulation": ab_phase_circulation(p, f, path, threads=threads),
@@ -173,72 +269,37 @@ def cmd_phase(args) -> int:
         "solid_angle": ab_phase_solid_angle(p, path, f, threads=threads),
         "crossing": ab_phase_crossing(p, f, path),
     }
-    spread = max(forms.values()) - min(forms.values())
     report = {
         "forms": forms,
         "linking": link.rounded,
-        "max_spread": spread,
-        "config": _embedded(resolved),
+        "max_spread": max(forms.values()) - min(forms.values()),
+        "config": config,
     }
-    if resolved["invariance"]:
-        spec = DeformationSpec(
-            amplitude=_finite_real(resolved, "amplitude"),
-            n_modes=_positive_int(resolved, "modes"),
-            seed=_integer(resolved, "seed"),
-            steps=_positive_int(resolved, "steps"),
-            clearance=_finite_real(resolved, "clearance"),
-        )
+    if o["invariance"]:
+        spec = DeformationSpec(amplitude=o["amplitude"], n_modes=o["modes"],
+                               seed=o["seed"], steps=o["steps"],
+                               clearance=o["clearance"])
         report["invariance"] = invariance_suite(p, f, path, spec, threads=threads)
-    text = _json_text(report)
-    sys.stdout.write(text)
-    if resolved["output"]:
-        _write(resolved["output"], text)
+    _emit(_json_text(report), o["output"])
     return 0
 
 
-def cmd_field(args) -> int:
-    defaults = {
-        "flux": 1.0, "radius": 1.0, "start": 0.0, "stop": 2.0, "steps": 64,
-        "samples": 1024, "seed": 0, "tol": 1e-3, "threads": None,
-        "output": None,
-    }
-    resolved = _resolve(args, defaults)
-    n = _positive_int(resolved, "samples", 8)
-    steps = _positive_int(resolved, "steps", 2)
-    flux = _finite_real(resolved, "flux")
-    radius = _finite_real(resolved, "radius")
-    z0 = _finite_real(resolved, "start")
-    z1 = _finite_real(resolved, "stop")
-    curve = make_circle((0.0, 0.0, 0.0), radius, (0.0, 0.0, 1.0), n)
+def cmd_field(o, config) -> int:
+    flux, radius = o["flux"], o["radius"]
+    curve = make_circle((0.0, 0.0, 0.0), radius, (0.0, 0.0, 1.0), o["samples"])
     f = FluxLine(curve=curve, flux=flux)
     lines = ["z,A_x,A_y,A_z,A_axial_analytic"]
-    for z in np.linspace(z0, z1, steps):
-        a = vector_potential(f, (0.0, 0.0, float(z)), threads=resolved["threads"])
+    for z in np.linspace(o["start"], o["stop"], o["steps"]):
+        a = vector_potential(f, (0.0, 0.0, float(z)), threads=o["threads"])
         analytic = flux * radius ** 2 / (2.0 * (radius ** 2 + z ** 2) ** 1.5)
-        lines.append(
-            f"{z:.15g},{a[0]:.15g},{a[1]:.15g},{a[2]:.15g},{analytic:.15g}"
-        )
-    csv_text = "\n".join(lines) + "\n"
-    sys.stdout.write(csv_text)
-    if resolved["output"]:
-        out = Path(resolved["output"])
-        _write(out, csv_text)
-        _write(out.with_suffix(".json"), _json_text({"config": _embedded(resolved)}))
+        lines.append(f"{z:.15g},{a[0]:.15g},{a[1]:.15g},{a[2]:.15g},{analytic:.15g}")
+    _emit("\n".join(lines) + "\n", o["output"], config)
     return 0
 
 
-def _two_slit_config(resolved) -> TwoSlitConfig:
-    try:
-        return TwoSlitConfig(
-            x0=_finite_real(resolved, "x0"),
-            b=_finite_real(resolved, "b"),
-            t_a=_finite_real(resolved, "t_a"),
-            t_b=_finite_real(resolved, "t_b"),
-            m=_finite_real(resolved, "m"),
-            v=_finite_real(resolved, "v"),
-        )
-    except GeometryError as e:
-        raise SchemaError(str(e)) from e
+def _two_slit_config(o) -> TwoSlitConfig:
+    return TwoSlitConfig(x0=o["x0"], b=o["b"], t_a=o["t_a"], t_b=o["t_b"],
+                         m=o["m"], v=o["v"])
 
 
 def _shift_report(cfg: TwoSlitConfig, alpha: float, n_grid: int, half_width):
@@ -263,107 +324,50 @@ def _shift_report(cfg: TwoSlitConfig, alpha: float, n_grid: int, half_width):
     }
 
 
-def cmd_interfere(args) -> int:
-    defaults = {
-        "alpha": math.pi, "x0": 0.5, "b": 0.1, "t_a": 1.0, "t_b": 3.0,
-        "m": 1.0, "v": 1.0, "half_width": None, "n_grid": 4096,
-        "seed": 0, "threads": None, "output": ".",
-    }
-    resolved = _resolve(args, defaults)
-    cfg = _two_slit_config(resolved)
-    alpha = _finite_real(resolved, "alpha")
-    n_grid = _positive_int(resolved, "n_grid", 64)
-    half_width = resolved["half_width"]
-    if half_width is not None:
-        half_width = float(half_width)
-    off, on, report = _shift_report(cfg, alpha, n_grid, half_width)
-    report["config"] = _embedded(resolved)
-    out = Path(resolved["output"])
+def cmd_interfere(o, config) -> int:
+    off, on, report = _shift_report(_two_slit_config(o), o["alpha"],
+                                    o["n_grid"], o["half_width"])
+    report["config"] = config
+    out = Path(o["output"])
     out.mkdir(parents=True, exist_ok=True)
     write_pattern(off, out / "pattern_off.csv")
     write_pattern(on, out / "pattern_on.csv")
-    text = _json_text(report)
-    sys.stdout.write(text)
-    _write(out / "report.json", text)
+    _emit(_json_text(report), out / "report.json")
     return 0
 
 
-def cmd_gauge_demo(args) -> int:
-    defaults = {
-        "mode": "solenoid", "flux": 1.0, "radius": 1.0, "rho0": 2.0,
-        "turns": 1, "samples": 1024, "seed": 0, "tol": 1e-3,
-        "threads": None, "output": None,
-    }
-    resolved = _resolve(args, defaults)
-    n = _positive_int(resolved, "samples", 16)
-    flux = _finite_real(resolved, "flux")
-    if resolved["mode"] == "solenoid":
-        s = SolenoidConfig(R=_finite_real(resolved, "radius"), flux=flux)
-        record = solenoid_singular_gauge_demo(
-            s, _finite_real(resolved, "rho0"), _integer(resolved, "turns"), n=n,
-        )
-    elif resolved["mode"] == "closed-line":
-        flux_curve, path = _preset_curves("hopf", n)
-        f = FluxLine(curve=flux_curve, flux=flux)
-        record = singular_gauge_closed_line_demo(f, path, threads=resolved["threads"])
+def cmd_gauge_demo(o, config) -> int:
+    if o["mode"] == "solenoid":
+        s = SolenoidConfig(R=o["radius"], flux=o["flux"])
+        record = solenoid_singular_gauge_demo(s, o["rho0"], o["turns"],
+                                              n=o["samples"])
     else:
-        raise SchemaError(f"unknown gauge-demo mode {resolved['mode']!r}")
-    record = dict(record)
-    record["config"] = _embedded(resolved)
-    text = _json_text(record)
-    sys.stdout.write(text)
-    if resolved["output"]:
-        _write(resolved["output"], text)
+        flux_curve, path = _preset_curves("hopf", o["samples"])
+        f = FluxLine(curve=flux_curve, flux=o["flux"])
+        record = singular_gauge_closed_line_demo(f, path, threads=o["threads"])
+    _emit(_json_text({**record, "config": config}), o["output"])
     return 0
 
 
-def cmd_sweep(args) -> int:
-    defaults = {
-        "param": "alpha", "start": 0.0, "stop": 2.0 * math.pi, "steps": 8,
-        "x0": 0.5, "b": 0.1, "t_a": 1.0, "t_b": 3.0, "m": 1.0, "v": 1.0,
-        "half_width": None, "n_grid": 4096, "seed": 0, "threads": None,
-        "output": None,
-    }
-    resolved = _resolve(args, defaults)
-    if resolved["param"] != "alpha":
-        raise SchemaError(
-            f"unsupported sweep parameter {resolved['param']!r}; only 'alpha'"
-        )
-    steps = _positive_int(resolved, "steps", 2)
-    n_grid = _positive_int(resolved, "n_grid", 64)
-    cfg = _two_slit_config(resolved)
-    half_width = resolved["half_width"]
-    if half_width is not None:
-        half_width = float(half_width)
+def cmd_sweep(o, config) -> int:
+    cfg = _two_slit_config(o)
     lines = ["param,value,shift_measured,shift_analytic,rel_err"]
-    for val in np.linspace(_finite_real(resolved, "start"),
-                           _finite_real(resolved, "stop"), steps):
-        _, _, rep = _shift_report(cfg, float(val), n_grid, half_width)
-        lines.append(
-            "alpha,{:.15g},{:.15g},{:.15g},{:.15g}".format(
-                val, rep["shift_measured"], rep["shift_analytic"], rep["rel_err"]
-            )
-        )
-    csv_text = "\n".join(lines) + "\n"
-    sys.stdout.write(csv_text)
-    if resolved["output"]:
-        out = Path(resolved["output"])
-        _write(out, csv_text)
-        _write(out.with_suffix(".json"), _json_text({"config": _embedded(resolved)}))
+    for val in np.linspace(o["start"], o["stop"], o["steps"]):
+        _, _, rep = _shift_report(cfg, float(val), o["n_grid"], o["half_width"])
+        lines.append("alpha,{:.15g},{:.15g},{:.15g},{:.15g}".format(
+            val, rep["shift_measured"], rep["shift_analytic"], rep["rel_err"]))
+    _emit("\n".join(lines) + "\n", o["output"], config)
     return 0
 
 
-def _add_common(sub):
-    sub.add_argument("--config", metavar="FILE",
-                     help="JSON file of option overrides (flags still win)")
-    sub.add_argument("--seed", type=int, help="rng seed for seeded subcommands")
-    sub.add_argument("--samples", type=int, metavar="N",
-                     help="points per generated curve")
-    sub.add_argument("--tol", type=float,
-                     help="residual tolerance for linking quadrature")
-    sub.add_argument("--threads", type=int,
-                     help="worker threads (default: FLUXLINE_THREADS or all cores)")
-    sub.add_argument("--output", "-o", metavar="PATH", help="write results here")
+COMMANDS = {
+    "link": (cmd_link, LINK, "linking number of two closed curves"),
+    "phase": (cmd_phase, PHASE, "flux phase in its five forms"),
+    "field": (cmd_field, FIELD, "on-axis potential sweep (CSV)"),
+    "interfere": (cmd_interfere, INTERFERE, "two-slit patterns and the measured fringe shift"),
+    "gauge-demo": (cmd_gauge_demo, GAUGE_DEMO, "singular-gauge demonstrations (JSON)"),
+    "sweep": (cmd_sweep, SWEEP, "shift vs a swept parameter (CSV)"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -371,105 +375,29 @@ def build_parser() -> argparse.ArgumentParser:
         prog="fluxline",
         description="Linking numbers, flux-line potentials, phases, and "
                     "two-slit interference shifts.",
-        epilog="Exit codes: 0 success, 2 bad input or geometry, "
+        epilog="Exit codes: 0 success, 2 bad input, geometry or file, "
                "3 under-resolved quadrature residual, 4 clearance violation.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    link = subs.add_parser("link", help="linking number of two closed curves")
-    _add_common(link)
-    link.add_argument("--preset", choices=["hopf", "unlinked", "l2"])
-    link.add_argument("--curve-a", metavar="FILE", help="curve JSON file")
-    link.add_argument("--curve-b", metavar="FILE", help="curve JSON file")
-    link.set_defaults(func=cmd_link)
-
-    phase = subs.add_parser("phase", help="flux phase in its five forms")
-    _add_common(phase)
-    phase.add_argument("--preset", choices=["hopf", "unlinked", "l2"])
-    phase.add_argument("--alpha", type=float, help="dimensionless coupling")
-    phase.add_argument("--flux", type=float, help="flux carried by the line")
-    phase.add_argument("--invariance", action="store_const", const=True,
-                       help="also run the four deformation-invariance suites")
-    phase.add_argument("--steps", type=int, help="deformation steps")
-    phase.add_argument("--amplitude", type=float, help="deformation amplitude")
-    phase.add_argument("--clearance", type=float, help="minimum curve separation")
-    phase.add_argument("--modes", type=int, help="deformation Fourier modes")
-    phase.set_defaults(func=cmd_phase)
-
-    field = subs.add_parser("field", help="on-axis potential sweep (CSV)")
-    _add_common(field)
-    field.add_argument("--flux", type=float)
-    field.add_argument("--radius", type=float, help="flux circle radius")
-    field.add_argument("--from", dest="start", type=float, metavar="Z0")
-    field.add_argument("--to", dest="stop", type=float, metavar="Z1")
-    field.add_argument("--steps", type=int, help="number of axis samples")
-    field.set_defaults(func=cmd_field)
-
-    interfere = subs.add_parser(
-        "interfere", help="two-slit patterns and the measured fringe shift")
-    _add_common(interfere)
-    interfere.add_argument("--alpha", type=float, help="flux phase")
-    interfere.add_argument("--x0", type=float, help="slit half-separation")
-    interfere.add_argument("--b", type=float, help="Gaussian slit width")
-    interfere.add_argument("--t-a", type=float, help="time at slit screen")
-    interfere.add_argument("--t-b", type=float, help="time at detection screen")
-    interfere.add_argument("--mass", dest="m", type=float)
-    interfere.add_argument("--speed", dest="v", type=float,
-                           help="longitudinal speed")
-    interfere.add_argument("--half-width", type=float,
-                           help="grid half width (default 20 broadenings)")
-    interfere.add_argument("--grid", dest="n_grid", type=int,
-                           help="grid points")
-    interfere.set_defaults(func=cmd_interfere)
-
-    gauge = subs.add_parser("gauge-demo",
-                            help="singular-gauge demonstrations (JSON)")
-    _add_common(gauge)
-    mode = gauge.add_mutually_exclusive_group()
-    mode.add_argument("--solenoid", dest="mode", action="store_const",
-                      const="solenoid", help="infinite-solenoid demo (default)")
-    mode.add_argument("--closed-line", dest="mode", action="store_const",
-                      const="closed-line", help="closed flux line demo")
-    gauge.add_argument("--flux", type=float)
-    gauge.add_argument("--radius", type=float, help="solenoid radius")
-    gauge.add_argument("--rho0", type=float, help="loop radius, > solenoid radius")
-    gauge.add_argument("--turns", type=int, help="loop winding count")
-    gauge.set_defaults(func=cmd_gauge_demo)
-
-    sweep = subs.add_parser("sweep", help="shift vs a swept parameter (CSV)")
-    _add_common(sweep)
-    sweep.add_argument("--param", help="parameter to sweep (alpha)")
-    sweep.add_argument("--from", dest="start", type=float, metavar="A0")
-    sweep.add_argument("--to", dest="stop", type=float, metavar="A1")
-    sweep.add_argument("--steps", type=int, help="sweep points (inclusive ends)")
-    sweep.add_argument("--x0", type=float)
-    sweep.add_argument("--b", type=float)
-    sweep.add_argument("--t-a", type=float)
-    sweep.add_argument("--t-b", type=float)
-    sweep.add_argument("--mass", dest="m", type=float)
-    sweep.add_argument("--speed", dest="v", type=float)
-    sweep.add_argument("--half-width", type=float)
-    sweep.add_argument("--grid", dest="n_grid", type=int)
-    sweep.set_defaults(func=cmd_sweep)
+    for name, (func, table, text) in COMMANDS.items():
+        sub = subs.add_parser(name, help=text)
+        sub.add_argument("--config", metavar="FILE",
+                         help="JSON file of option overrides (flags still win)")
+        for opt in table:
+            opt.add_to(sub)
+        sub.set_defaults(func=func, table=table)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except SchemaError as e:
+        return args.func(*_resolve(args, args.table))
+    except (FluxlineError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ClearanceError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
-    except UnderResolvedError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except GeometryError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        if isinstance(e, ClearanceError):
+            return 4
+        return 3 if isinstance(e, UnderResolvedError) else 2
 
 
 if __name__ == "__main__":

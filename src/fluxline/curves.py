@@ -162,12 +162,17 @@ def _min_nonadjacent_self_distance(points) -> float:
     pts = np.asarray(points, dtype=float)
     n = pts.shape[0]
     u = np.roll(pts, -1, axis=0) - pts
-    dmat = _segment_pair_distance(pts, u, pts, u)
-    i = np.arange(n)
-    dmat[i, i] = np.inf
-    dmat[i, (i + 1) % n] = np.inf
-    dmat[i, (i - 1) % n] = np.inf
-    return float(dmat.min())
+
+    def block(i0, i1):
+        dmat = _segment_pair_distance(pts[i0:i1], u[i0:i1], pts, u)
+        rows = np.arange(i1 - i0)
+        i = np.arange(i0, i1)
+        dmat[rows, i] = np.inf
+        dmat[rows, (i + 1) % n] = np.inf
+        dmat[rows, (i - 1) % n] = np.inf
+        return float(dmat.min())
+
+    return float(parallel.ordered_chunk_min(block, n))
 
 
 def _check_self_avoiding(points, label):

@@ -254,13 +254,25 @@ def ab_shift_measured(off: Pattern, on: Pattern) -> float:
     pattern sampled further toward +x_b. Windowed cross-correlation of the
     normalized fringe signals with sub-grid parabolic peak refinement;
     shifts are reported modulo one fringe by construction of the lag
-    window.
+    window. Raises GeometryError when that window of +-0.55 fringes is wider
+    than the grid or spans under 2 grid steps on each side.
     """
     if off.x.shape != on.x.shape or not np.array_equal(off.x, on.x):
         raise GeometryError("patterns must share one grid")
     x = off.x
     dx = float(x[1] - x[0])
     fringe = fringe_spacing(off.config)
+    max_lag = int(round(0.55 * fringe / dx))
+    if 2 * max_lag >= x.size:
+        raise GeometryError(
+            f"grid of {x.size} points over {x[-1] - x[0]:.6g} cannot hold the lag"
+            f" window of +-0.55 fringes (fringe spacing {fringe:.6g}); widen it"
+        )
+    if max_lag < 2:
+        raise GeometryError(
+            f"grid step {dx:.6g} leaves the lag window of +-0.55 fringes (fringe"
+            f" spacing {fringe:.6g}) under 2 steps; refine or narrow the grid"
+        )
     u_off = _fringe_signal(off.values, dx, fringe)
     u_on = _fringe_signal(on.values, dx, fringe)
     # Hann taper confined to a few central fringes; the envelope peak region
@@ -274,7 +286,6 @@ def ab_shift_measured(off: Pattern, on: Pattern) -> float:
     # by a lag-dependent overlap factor and drag the peak toward zero lag
     a = u_on * win
     b = u_off
-    max_lag = int(round(0.55 * fringe / dx))
     lags = np.arange(-max_lag, max_lag + 1)
     scores = np.empty(lags.size)
     for idx, k in enumerate(lags):

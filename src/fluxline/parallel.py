@@ -8,6 +8,8 @@ goes, so plain threads give real speedup on the O(N^2) pair loops.
 import os
 from concurrent.futures import ThreadPoolExecutor
 
+from .errors import SchemaError
+
 CHUNK_ROWS = 256
 
 
@@ -17,7 +19,11 @@ def thread_count(explicit=None) -> int:
         return max(1, int(explicit))
     env = os.environ.get("FLUXLINE_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise SchemaError(
+                f"FLUXLINE_THREADS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 

@@ -7,8 +7,6 @@ closed line integrals of smooth kernels converge spectrally in the vertex
 count instead of at the O(N^-2) rate of chord midpoints. For polyline data
 that is not smooth the linking-type integrals below are still protected by
 their integer-valued limits.
-
-Open polylines get the plain chord midpoint rule; no periodicity to exploit.
 """
 import numpy as np
 
@@ -34,13 +32,3 @@ def periodic_midpoints(points):
     tangents = np.fft.irfft(coef * (1j * k)[:, None] * half, n, axis=0)
     return mids, tangents * (2.0 * np.pi / n)
 
-
-def chord_midpoints(points):
-    """Chord midpoints and chord vectors of an open polyline.
-
-    points: (m, 3) with m >= 2. Returns (mids, chords), both (m-1, 3);
-    sum(F(mids) . chords) is the O(h^2) midpoint rule for the path integral.
-    """
-    pts = np.asarray(points, dtype=float)
-    chords = pts[1:] - pts[:-1]
-    return 0.5 * (pts[1:] + pts[:-1]), chords

@@ -258,3 +258,135 @@ def test_help_lists_subcommands_and_exit_codes():
     for word in ("link", "phase", "field", "interfere", "gauge-demo",
                  "sweep", "Exit codes"):
         assert word in proc.stdout
+
+
+# Every config key of every subcommand, by the report's embedded config;
+# `output` is a config key too, but reports leave it out.
+EMBEDDED_KEYS = {
+    "link": {"preset", "curve_a", "curve_b", "samples", "tol", "seed",
+             "threads"},
+    "phase": {"preset", "alpha", "flux", "samples", "tol", "seed", "threads",
+              "invariance", "steps", "amplitude", "clearance", "modes"},
+    "field": {"flux", "radius", "start", "stop", "steps", "samples", "seed",
+              "tol", "threads"},
+    "interfere": {"alpha", "x0", "b", "t_a", "t_b", "m", "v", "half_width",
+                  "n_grid", "seed", "threads"},
+    "gauge-demo": {"mode", "flux", "radius", "rho0", "turns", "samples",
+                   "seed", "tol", "threads"},
+    "sweep": {"param", "start", "stop", "steps", "x0", "b", "t_a", "t_b",
+              "m", "v", "half_width", "n_grid", "seed", "threads"},
+}
+STRING_KEYS = {"preset", "curve_a", "curve_b", "output", "mode", "param"}
+NULL_DEFAULT = {"threads", "output", "half_width", "curve_a", "curve_b"}
+
+
+def _wrong_values():
+    for command, keys in EMBEDDED_KEYS.items():
+        for key in sorted(keys | {"output"}):
+            yield command, key, 5 if key in STRING_KEYS else "x"
+            yield command, key, [1]
+            nullable = key in NULL_DEFAULT or (command, key) == ("link", "preset")
+            if not nullable:
+                yield command, key, None
+
+
+@pytest.mark.parametrize("command,key,value", list(_wrong_values()))
+def test_config_wrong_type_exits_2_naming_the_key(tmp_path, capsys, command, key,
+                                                  value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    code, out, err = run([command, "--config", str(cfg)], capsys)
+    assert code == 2
+    assert out == ""
+    assert key in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("argv", [
+    ["link", "--preset", "hopf", "--samples", "64"],
+    ["phase", "--samples", "64"],
+    ["field", "--steps", "2", "--samples", "64"],
+    ["interfere", "--grid", "256"],
+    ["gauge-demo", "--samples", "64"],
+    ["sweep", "--steps", "2", "--grid", "256"],
+])
+def test_embedded_config_keys(tmp_path, capsys, argv):
+    out_path = tmp_path / "out.csv"
+    code, out, _ = run(argv + ["-o", str(tmp_path if argv[0] == "interfere"
+                                         else out_path)], capsys)
+    assert code == 0
+    if argv[0] in ("field", "sweep"):
+        rep = json.loads(out_path.with_suffix(".json").read_text())
+    else:
+        rep = json.loads(out)
+    assert set(rep["config"]) == EMBEDDED_KEYS[argv[0]]
+
+
+def test_config_values_embedded_as_given(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tol": 1, "alpha": 2, "samples": 64}))
+    code, out, _ = run(["phase", "--config", str(cfg)], capsys)
+    assert code == 0
+    rep = json.loads(out)
+    assert type(rep["config"]["tol"]) is int and type(rep["config"]["alpha"]) is int
+    assert '"topological": 2.0' in out
+
+
+@pytest.mark.parametrize("argv,word", [
+    (["link", "--preset", "hopf", "--samples", "64", "--tol", "-1"], "tol"),
+    (["link", "--preset", "hopf", "--samples", "64", "--tol", "0"], "tol"),
+    (["link", "--preset", "hopf", "--samples", "64", "--threads", "0"], "threads"),
+    (["phase", "--samples", "64", "--steps", "0"], "steps"),
+    (["phase", "--samples", "64", "--modes", "0"], "modes"),
+    (["phase", "--samples", "64", "--amplitude", "-0.1"], "amplitude"),
+    (["gauge-demo", "--samples", "8"], "samples"),
+    (["field", "--steps", "1"], "steps"),
+    (["interfere", "--grid", "32"], "n_grid"),
+])
+def test_out_of_range_flag_exits_2(capsys, argv, word):
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert word in err
+
+
+@pytest.mark.parametrize("command", ["interfere", "sweep"])
+@pytest.mark.parametrize("flag", ["--samples", "--tol"])
+def test_unused_linking_flags_rejected(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, "5"])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("half_width", ["0.3", "1e5", "1e-9"])
+def test_interfere_grid_that_misses_the_fringe_exits_2(tmp_path, capsys, half_width):
+    code, out, err = run(["interfere", "--half-width", half_width,
+                          "-o", str(tmp_path / "out")], capsys)
+    assert code == 2
+    assert out == ""
+    assert "lag window" in err
+
+
+def test_threads_env_var_not_an_integer(monkeypatch, capsys):
+    monkeypatch.setenv("FLUXLINE_THREADS", "abc")
+    code, _, err = run(["link", "--preset", "hopf", "--samples", "64"], capsys)
+    assert code == 2
+    assert "FLUXLINE_THREADS" in err
+
+
+def test_link_missing_curve_file(tmp_path, capsys):
+    good = tmp_path / "good.json"
+    fl.save_curve(fl.make_circle((0, 0, 0), 1.0, (0, 0, 1), 64), good)
+    code, _, err = run(["link", "--curve-a", str(tmp_path / "missing.json"),
+                        "--curve-b", str(good)], capsys)
+    assert code == 2
+    assert "missing.json" in err
+
+
+def test_unwritable_output_path(tmp_path, capsys):
+    target = tmp_path / "no" / "such" / "dir" / "x.json"
+    code, _, err = run(["link", "--preset", "hopf", "--samples", "64",
+                        "-o", str(target)], capsys)
+    assert code == 2
+    assert "x.json" in err

@@ -55,6 +55,19 @@ def test_torus_knot_degenerate_is_planar_circle():
     assert np.ptp(c.points[:, 2]) < 1e-12
 
 
+def test_self_distance_scan_matches_unchunked_minimum():
+    from fluxline.curves import _min_nonadjacent_self_distance, _segment_pair_distance
+
+    rng = np.random.default_rng(7)
+    pts = np.cumsum(rng.normal(size=(600, 3)), axis=0)
+    u = np.roll(pts, -1, axis=0) - pts
+    dmat = _segment_pair_distance(pts, u, pts, u)
+    i = np.arange(600)
+    for j in (i, (i + 1) % 600, (i - 1) % 600):
+        dmat[i, j] = np.inf
+    assert _min_nonadjacent_self_distance(pts) == float(dmat.min())
+
+
 def test_trefoil_self_avoiding():
     c = fl.make_torus_knot(2, 3, 2.0, 0.5, 512)
     pts = c.points

@@ -195,6 +195,16 @@ def test_shift_grid_mismatch_rejected():
                           pattern(CFG, 0.0, n_grid=128))
 
 
+@pytest.mark.parametrize("half_width", [0.3, 1e5])
+def test_shift_rejects_grid_that_cannot_hold_or_resolve_the_lag_window(half_width):
+    # 0.3: the +-0.55-fringe window is wider than the grid; 1e5: the window
+    # is under 2 grid steps, so the shift would read 0 with no error
+    off = pattern(CFG, 0.0, half_width=half_width)
+    on = pattern(CFG, np.pi, half_width=half_width)
+    with pytest.raises(fl.GeometryError, match="lag window"):
+        ab_shift_measured(off, on)
+
+
 def test_shift_linear_in_alpha():
     off = pattern(CFG, 0.0)
     L, lam_bar, d = beam_geometry(CFG)
