@@ -9,11 +9,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .curves import ClosedCurve, DeformationSpec, fourier_displacement, min_distance
+from .curves import (ClosedCurve, DeformationSpec, deform_homotopy, fourier_displacement,
+                     min_distance)
 from .errors import ClearanceError, GeometryError
 from .field import FluxLine, _guard, circulation
-from .quadrature import periodic_midpoints
-from .topology import crossing_linking, grad_solid_angle_many, span_surface
+from .quadrature import linking_integral
+from .topology import crossing_linking, span_surface
 
 DEFAULT_SUITE_TOL = 1e-3
 
@@ -66,9 +67,7 @@ def ab_phase_solid_angle(p: PhaseParams, path: ClosedCurve, f: FluxLine,
     """
     if min_distance(path, f.curve, threads=threads) <= _guard(f):
         raise GeometryError("path touches or nearly touches the flux line")
-    mids, w = periodic_midpoints(path.points)
-    g = grad_solid_angle_many(mids, f.curve, threads=threads)
-    return (p.alpha / (4.0 * np.pi)) * float(np.einsum("ij,ij->", g, w))
+    return p.alpha * linking_integral(path.points, f.curve.points, threads=threads)
 
 
 def ab_phase_crossing(p: PhaseParams, f: FluxLine, path: ClosedCurve) -> float:
@@ -141,8 +140,6 @@ def invariance_suite(p: PhaseParams, f: FluxLine, path: ClosedCurve,
     circulation-form phase at every step; a step whose phase strays from the
     initial value by tol or more is flagged with its index.
     """
-    from .curves import deform_homotopy
-
     base = ab_phase_circulation(p, f, path, threads=threads)
     suites = {}
 

@@ -21,7 +21,7 @@ import numpy as np
 from .abphase import (PhaseParams, ab_phase_circulation, ab_phase_crossing, ab_phase_flux,
                       ab_phase_solid_angle, ab_phase_topological, invariance_suite)
 from .curves import DeformationSpec, load_curve, make_circle, make_torus_knot
-from .errors import ClearanceError, FluxlineError, SchemaError, UnderResolvedError
+from .errors import ClearanceError, FluxlineError, SchemaError, UnderResolvedError, read_json
 from .field import FluxLine, vector_potential
 from .gauge import SolenoidConfig, singular_gauge_closed_line_demo, solenoid_singular_gauge_demo
 from .interference import (TwoSlitConfig, ab_shift_analytic, ab_shift_measured, beam_geometry,
@@ -42,7 +42,8 @@ class Opt:
 
     key: config key and report key. kind: "int", "real", "str", "bool" or
     "choice". A null value is accepted only where the default is null.
-    at_least / above: inclusive / exclusive lower bound of a number. choices:
+    at_least / above: inclusive / exclusive lower bound of a number; at_most:
+    inclusive upper bound, on options that size an array up front. choices:
     allowed values; argparse enforces them only for kind "choice". A choice
     whose flags are one switch per value takes one help text per switch.
     """
@@ -54,6 +55,7 @@ class Opt:
     flags: tuple = ()
     at_least: float = None
     above: float = None
+    at_most: float = None
     choices: tuple = ()
     metavar: str = None
 
@@ -96,6 +98,9 @@ class Opt:
         if self.above is not None:
             ok = ok and val > self.above
             what += f" > {self.above}"
+        if self.at_most is not None:
+            ok = ok and val <= self.at_most
+            what += f" <= {self.at_most}"
         if not ok:
             raise SchemaError(f"{self.key} must be {what}, got {val!r}")
 
@@ -107,7 +112,7 @@ class Opt:
 PRESETS = ("hopf", "unlinked", "l2")
 SEED = Opt("seed", "int", 0, "rng seed for seeded subcommands")
 SAMPLES = Opt("samples", "int", 1024, "points per generated curve",
-              at_least=8, metavar="N")
+              at_least=8, at_most=16384, metavar="N")
 TOL = Opt("tol", "real", 1e-3, "residual tolerance for linking quadrature",
           above=0)
 THREADS = Opt("threads", "int", None,
@@ -124,7 +129,8 @@ TWO_SLIT = (
     Opt("m", "real", 1.0, flags=("--mass",)),
     Opt("v", "real", 1.0, "longitudinal speed", flags=("--speed",)),
     Opt("half_width", "real", None, "grid half width (default 20 broadenings)"),
-    Opt("n_grid", "int", 4096, "grid points", flags=("--grid",), at_least=64),
+    Opt("n_grid", "int", 4096, "grid points", flags=("--grid",), at_least=64,
+        at_most=1048576),
 )
 
 LINK = (
@@ -150,7 +156,7 @@ FIELD = (
     Opt("radius", "real", 1.0, "flux circle radius"),
     Opt("start", "real", 0.0, flags=("--from",), metavar="Z0"),
     Opt("stop", "real", 2.0, flags=("--to",), metavar="Z1"),
-    Opt("steps", "int", 64, "number of axis samples", at_least=2),
+    Opt("steps", "int", 64, "number of axis samples", at_least=2, at_most=1048576),
     SAMPLES, SEED, TOL, THREADS, OUTPUT,
 )
 INTERFERE = (
@@ -173,7 +179,8 @@ SWEEP = (
     Opt("param", "str", "alpha", "parameter to sweep (alpha)", choices=("alpha",)),
     Opt("start", "real", 0.0, flags=("--from",), metavar="A0"),
     Opt("stop", "real", 2.0 * math.pi, flags=("--to",), metavar="A1"),
-    Opt("steps", "int", 8, "sweep points (inclusive ends)", at_least=2),
+    Opt("steps", "int", 8, "sweep points (inclusive ends)", at_least=2,
+        at_most=1048576),
     *TWO_SLIT, SEED, THREADS, OUTPUT,
 )
 
@@ -190,12 +197,7 @@ def _resolve(args, table):
     """
     resolved = {opt.key: opt.default for opt in table}
     if args.config:
-        try:
-            with open(args.config) as fh:
-                file_cfg = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise SchemaError(f"{args.config}: line {e.lineno} column {e.colno}: "
-                              f"{e.msg}") from e
+        file_cfg = read_json(args.config)
         if not isinstance(file_cfg, dict):
             raise SchemaError(f"{args.config}: config must be a JSON object")
         unknown = sorted(set(file_cfg) - set(resolved))

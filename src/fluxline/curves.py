@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import parallel
-from .errors import ClearanceError, GeometryError, SchemaError
+from .errors import ClearanceError, GeometryError, SchemaError, read_json
 
 DEFAULT_N = 1024
 
@@ -307,19 +307,13 @@ def save_curve(c: ClosedCurve, path):
 
 def load_curve(path) -> ClosedCurve:
     """Read a curve JSON file; best-effort geometry validation."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as e:
-        raise SchemaError(f"{path}: line {e.lineno} column {e.colno}: {e.msg}") from e
+    data = read_json(path)
     if not isinstance(data, dict) or "points" not in data:
         raise SchemaError(f"{path}: expected an object with a 'points' field")
-    pts = np.asarray(data["points"], dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 3:
-        raise SchemaError(f"{path}: 'points' must be an (n >= 3, 3) array")
     try:
-        curve = ClosedCurve(pts)
-        _check_self_avoiding(pts, path)
-    except GeometryError as e:
+        curve = ClosedCurve(data["points"])
+        _check_self_avoiding(curve.points, path)
+    except (GeometryError, ValueError, TypeError, OverflowError) as e:
+        # ValueError, TypeError, OverflowError: 'points' is not an array of floats
         raise SchemaError(f"{path}: {e}") from e
     return curve

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the JSON file reader."""
+import json
 
 
 class FluxlineError(Exception):
@@ -27,3 +28,14 @@ class UnderResolvedError(FluxlineError):
 
 class SchemaError(FluxlineError):
     """Malformed input file, config, or data layout."""
+
+
+def read_json(path):
+    """Parse a UTF-8 JSON file; bad text is a SchemaError, OSError passes through."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as e:
+        raise SchemaError(f"{path}: line {e.lineno} column {e.colno}: {e.msg}") from e
+    except UnicodeDecodeError as e:
+        raise SchemaError(f"{path}: not UTF-8 text: {e.reason} at byte {e.start}") from e

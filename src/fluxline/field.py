@@ -5,10 +5,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import parallel
 from .curves import ClosedCurve, distance_to_curve, min_distance
 from .errors import GeometryError
-from .quadrature import periodic_midpoints
+from .quadrature import biot_savart, linking_integral, periodic_midpoints
 from .topology import Surface, crossing_linking, grad_solid_angle
 
 GUARD_FACTOR = 1e-6
@@ -39,17 +38,8 @@ def potential_at(f: FluxLine, xs, threads=None):
     A(x) = (flux/4pi) integral of dx' x (x - x') / |x - x'|^3 over the line,
     evaluated at spectral parameter midpoints.
     """
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
     mids, w = periodic_midpoints(f.curve.points)
-
-    def block(i0, i1):
-        r = xs[i0:i1, None, :] - mids[None, :, :]
-        r3 = np.einsum("ijk,ijk->ij", r, r) ** 1.5
-        cr = np.cross(np.broadcast_to(w, r.shape), r)
-        return (cr / r3[:, :, None]).sum(axis=1)
-
-    out = parallel.ordered_chunk_map(block, xs.shape[0], threads=threads)
-    return out * (f.flux / (4.0 * np.pi))
+    return biot_savart(mids, w, xs, threads=threads) * (f.flux / (4.0 * np.pi))
 
 
 def vector_potential(f: FluxLine, x, threads=None):
@@ -64,9 +54,7 @@ def circulation(f: FluxLine, path: ClosedCurve, threads=None) -> float:
     """Closed line integral of A along path; equals flux times linking number."""
     if min_distance(path, f.curve, threads=threads) <= _guard(f):
         raise GeometryError("path touches or nearly touches the flux line")
-    mids, w = periodic_midpoints(path.points)
-    a = potential_at(f, mids, threads=threads)
-    return float(np.einsum("ij,ij->", a, w))
+    return f.flux * linking_integral(path.points, f.curve.points, threads=threads)
 
 
 def flux_through(f: FluxLine, surf: Surface) -> float:

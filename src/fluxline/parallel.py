@@ -8,6 +8,8 @@ goes, so plain threads give real speedup on the O(N^2) pair loops.
 import os
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
+
 from .errors import SchemaError
 
 CHUNK_ROWS = 256
@@ -52,8 +54,6 @@ def ordered_chunk_sum(partial, n_rows, threads=None, chunk=CHUNK_ROWS):
 
 def ordered_chunk_map(partial, n_rows, threads=None, chunk=CHUNK_ROWS):
     """Concatenate per-chunk row blocks partial(i0, i1) back in row order."""
-    import numpy as np
-
     return np.concatenate(_run_chunks(partial, n_rows, threads, chunk), axis=0)
 
 

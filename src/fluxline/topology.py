@@ -5,8 +5,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import parallel
-from .curves import ClosedCurve
-from .errors import GeometryError, SchemaError, UnderResolvedError
+from .curves import ClosedCurve, min_distance, point_segment_distance
+from .errors import GeometryError, SchemaError, UnderResolvedError, read_json
+from .quadrature import biot_savart, linking_integral, periodic_midpoints
 
 TOUCH_GUARD = 1e-9
 DEFAULT_LINK_TOL = 1e-3
@@ -23,26 +24,14 @@ def gauss_linking(c: ClosedCurve, k: ClosedCurve, tol: float = DEFAULT_LINK_TOL,
                   threads=None) -> LinkingResult:
     """Linking number of two disjoint closed curves by the double line integral.
 
-    (1/4pi) sum over segment pairs of (x - x') . (dx x dx') / |x - x'|^3,
+    (1/4pi) sum over node pairs of (x - x') . (dx x dx') / |x - x'|^3,
     with both curves evaluated at spectral parameter midpoints so smooth
     inputs converge far faster than the segment count suggests.
     """
-    from .curves import min_distance
-    from .quadrature import periodic_midpoints
-
     scale = max(c.diameter(), k.diameter(), 1e-30)
     if min_distance(c, k, threads=threads) < TOUCH_GUARD * scale:
         raise GeometryError("curves touch or nearly touch; linking is undefined")
-    mc, wc = periodic_midpoints(c.points)
-    mk, wk = periodic_midpoints(k.points)
-
-    def block(i0, i1):
-        r = mc[i0:i1, None, :] - mk[None, :, :]
-        cr = np.cross(wc[i0:i1, None, :], wk[None, :, :])
-        r3 = np.einsum("ijk,ijk->ij", r, r) ** 1.5
-        return float(np.einsum("ijk,ijk->ij", r, cr / r3[:, :, None]).sum())
-
-    raw = parallel.ordered_chunk_sum(block, mc.shape[0], threads=threads) / (4.0 * np.pi)
+    raw = linking_integral(c.points, k.points, threads=threads)
     rounded = int(np.rint(raw))
     residual = abs(raw - rounded)
     result = LinkingResult(raw=float(raw), rounded=rounded, residual=float(residual))
@@ -207,8 +196,6 @@ def crossing_linking(path: ClosedCurve, surf: Surface) -> int:
 
 def surface_point_distance(x, surf: Surface) -> float:
     """Euclidean distance from a point to a triangle mesh."""
-    from .curves import point_segment_distance
-
     x = np.asarray(x, dtype=float)
     a, b, c = surf.corners()
     nrm = surf.normals()
@@ -267,22 +254,6 @@ def solid_angle(x, surf: Surface, threads=None) -> float:
     return float(parallel.ordered_chunk_sum(block, a.shape[0], threads=threads))
 
 
-def grad_solid_angle_many(xs, c: ClosedCurve, threads=None):
-    """grad_solid_angle at many points; (m, 3)."""
-    from .quadrature import periodic_midpoints
-
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    mids, w = periodic_midpoints(c.points)
-
-    def block(i0, i1):
-        r = mids[None, :, :] - xs[i0:i1, None, :]
-        r3 = np.einsum("ijk,ijk->ij", r, r) ** 1.5
-        cr = np.cross(r, np.broadcast_to(w, r.shape))
-        return (cr / r3[:, :, None]).sum(axis=1)
-
-    return parallel.ordered_chunk_map(block, xs.shape[0], threads=threads)
-
-
 def grad_solid_angle(x, c: ClosedCurve, threads=None):
     """Gradient of the solid angle subtended by any surface spanning c.
 
@@ -291,7 +262,8 @@ def grad_solid_angle(x, c: ClosedCurve, threads=None):
     midpoint rule as the linking integral. This is the smooth branch: its
     closed line integrals give 4pi times the linking number directly.
     """
-    return grad_solid_angle_many(np.asarray(x, dtype=float), c, threads=threads)[0]
+    mids, w = periodic_midpoints(c.points)
+    return biot_savart(mids, w, x, threads=threads)[0]
 
 
 def save_surface(surf: Surface, path):
@@ -305,15 +277,11 @@ def save_surface(surf: Surface, path):
 
 
 def load_surface(path) -> Surface:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as e:
-        raise SchemaError(f"{path}: line {e.lineno} column {e.colno}: {e.msg}") from e
+    data = read_json(path)
     if not isinstance(data, dict) or "vertices" not in data or "triangles" not in data:
         raise SchemaError(f"{path}: expected an object with 'vertices' and 'triangles'")
     try:
         return Surface(np.asarray(data["vertices"], dtype=float),
                        np.asarray(data["triangles"], dtype=int))
-    except (GeometryError, ValueError) as e:
+    except (GeometryError, ValueError, TypeError, OverflowError) as e:
         raise SchemaError(f"{path}: {e}") from e

@@ -5,8 +5,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fluxline as fl
+from fluxline import cli
 from fluxline.cli import main
 
 
@@ -342,12 +345,57 @@ def test_config_values_embedded_as_given(tmp_path, capsys):
     (["gauge-demo", "--samples", "8"], "samples"),
     (["field", "--steps", "1"], "steps"),
     (["interfere", "--grid", "32"], "n_grid"),
+    (["link", "--preset", "hopf", "--samples", "100000000000"], "samples"),
+    (["link", "--preset", "hopf", "--samples", "16385"], "samples"),
+    (["phase", "--samples", "100000000000"], "samples"),
+    (["field", "--samples", "100000000000"], "samples"),
+    (["gauge-demo", "--samples", "100000000000"], "samples"),
+    (["field", "--steps", "1048577"], "steps"),
+    (["sweep", "--steps", "100000000000"], "steps"),
+    (["interfere", "--grid", "100000000000"], "n_grid"),
+    (["sweep", "--grid", "1048577"], "n_grid"),
 ])
 def test_out_of_range_flag_exits_2(capsys, argv, word):
     code, out, err = run(argv, capsys)
     assert code == 2
     assert out == ""
     assert word in err
+
+
+def test_config_over_the_samples_bound_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"samples": 100000000000}))
+    code, out, err = run(["link", "--preset", "hopf", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "samples must be an integer >= 8 <= 16384" in err
+
+
+@pytest.mark.parametrize("content", [
+    b'{"points": [["a", 0, 0], [1, 0, 0], [0, 1, 0]]}',
+    b'{"points": [[{"x": 1}, 0, 0], [1, 0, 0], [0, 1, 0]]}',
+    b'{"points": [[0, 0, 0], [1, 0], [0, 1, 0]]}',
+    b'\xff\xfe{"points": []}',
+], ids=["string", "object", "ragged", "utf16-bom"])
+def test_undecodable_curve_file_exits_2(tmp_path, capsys, content):
+    bad = tmp_path / "bad_curve.json"
+    bad.write_bytes(content)
+    good = tmp_path / "good.json"
+    fl.save_curve(fl.make_circle((0, 0, 0), 1.0, (0, 0, 1), 64), good)
+    code, out, err = run(["link", "--curve-a", str(bad), "--curve-b", str(good)],
+                         capsys)
+    assert code == 2
+    assert out == ""
+    assert "bad_curve.json" in err and "Traceback" not in err
+
+
+def test_config_file_not_utf8_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "bin.json"
+    cfg.write_bytes(b'\xff\xfe{"alpha": 2}')
+    code, out, err = run(["phase", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "bin.json" in err and "UTF-8" in err
 
 
 @pytest.mark.parametrize("command", ["interfere", "sweep"])
@@ -390,3 +438,46 @@ def test_unwritable_output_path(tmp_path, capsys):
                         "-o", str(target)], capsys)
     assert code == 2
     assert "x.json" in err
+
+
+def _configs(table):
+    """JSON objects of table keys and unknown keys; values are nested JSON with
+    huge ints, NaN and +-Infinity, or a default, choice or bound +-1 of the key."""
+    junk = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.text(max_size=6)
+        | st.floats(allow_nan=True, allow_infinity=True)
+        | st.sampled_from([10 ** 400, -(10 ** 400), 2 ** 63, 100000000000, 1e308]),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        max_leaves=6)
+
+    def entry(opt):
+        bounds = [b for b in (opt.at_least, opt.above, opt.at_most) if b is not None]
+        edges = [opt.default, *opt.choices, *bounds, *(b + d for b in bounds for d in (-1, 1))]
+        return st.tuples(st.just(opt.key), st.sampled_from(edges) | junk)
+
+    unknown = st.tuples(st.sampled_from(["alfa", "hbar", "config", ""]), junk)
+    return st.lists(st.one_of(*map(entry, table), unknown), max_size=6).map(dict)
+
+
+@pytest.mark.parametrize("name", sorted(cli.COMMANDS))
+def test_any_json_config_exits_0_or_2(tmp_path, monkeypatch, name):
+    _, table, text = cli.COMMANDS[name]
+
+    def stub(o, config):
+        for opt in table:
+            opt.check(o[opt.key])
+            if opt.key in config:
+                opt.check(config[opt.key])
+        return 0
+
+    monkeypatch.setitem(cli.COMMANDS, name, (stub, table, text))
+    cfg_path = tmp_path / "cfg.json"
+
+    @settings(max_examples=200, deadline=None)
+    @given(_configs(table))
+    def check(cfg):
+        cfg_path.write_text(json.dumps(cfg))
+        assert main([name, "--config", str(cfg_path)]) in (0, 2)
+
+    check()

@@ -303,6 +303,13 @@ def test_surface_io_roundtrip(tmp_path):
     assert np.array_equal(back.triangles, surf.triangles)
 
 
+def test_surface_file_not_utf8(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"vertices": [], "triangles": [], "name": "\u00e9"}'.encode("latin-1"))
+    with pytest.raises(fl.SchemaError, match="latin1.json"):
+        fl.load_surface(path)
+
+
 def test_surface_io_malformed(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"vertices": [[0,0,0]], "triangles": [[0, 1, 2]]}')
