@@ -7,11 +7,8 @@ sets the shape-independent scale and cancels out of every phase.
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
-from .curves import (ClosedCurve, DeformationSpec, deform_homotopy, fourier_displacement,
-                     min_distance)
-from .errors import ClearanceError, GeometryError
+from .curves import ClosedCurve, DeformationSpec, _deform, deform_homotopy, min_distance
+from .errors import GeometryError
 from .field import FluxLine, _guard, circulation
 from .quadrature import linking_integral
 from .topology import crossing_linking, span_surface
@@ -79,46 +76,6 @@ def ab_phase_crossing(p: PhaseParams, f: FluxLine, path: ClosedCurve) -> float:
     return p.alpha * crossing_linking(path, span_surface(f.curve))
 
 
-def _lockstep_deform(path: ClosedCurve, flux_curve: ClosedCurve,
-                     spec: DeformationSpec, threads=None):
-    """Deform both curves together, keeping their mutual clearance.
-
-    Each curve moves at most a quarter of the clearance per step, so the
-    relative motion between accepted states stays below half the clearance
-    and the pair cannot pass through each other between steps.
-    """
-    d0 = min_distance(path, flux_curve, threads=threads)
-    if d0 <= spec.clearance:
-        raise ClearanceError(
-            f"initial clearance {d0:.6g} is not above the required {spec.clearance:.6g}"
-        )
-    rng = np.random.default_rng(spec.seed)
-    th_p = 2.0 * np.pi * np.arange(path.n) / path.n
-    th_f = 2.0 * np.pi * np.arange(flux_curve.n) / flux_curve.n
-    step = min(spec.amplitude / spec.steps, 0.25 * spec.clearance)
-    states = [(path, flux_curve)]
-    cur_p, cur_f = path, flux_curve
-    for _ in range(spec.steps):
-        for attempt in range(spec.max_tries + 1):
-            if attempt == spec.max_tries:
-                raise ClearanceError(
-                    f"no clearance-respecting step found in {spec.max_tries} tries"
-                )
-            dp = fourier_displacement(rng, th_p, spec.n_modes)
-            df = fourier_displacement(rng, th_f, spec.n_modes)
-            pk_p = float(np.sqrt(np.max(np.einsum("ij,ij->i", dp, dp))))
-            pk_f = float(np.sqrt(np.max(np.einsum("ij,ij->i", df, df))))
-            if pk_p == 0.0 or pk_f == 0.0:
-                continue
-            cand_p = ClosedCurve(cur_p.points + (step / pk_p) * dp)
-            cand_f = ClosedCurve(cur_f.points + (step / pk_f) * df)
-            if min_distance(cand_p, cand_f, threads=threads) > spec.clearance:
-                break
-        states.append((cand_p, cand_f))
-        cur_p, cur_f = cand_p, cand_f
-    return states
-
-
 def _suite_entry(phases, base, tol):
     devs = [abs(ph - base) for ph in phases]
     failed = next((i for i, d in enumerate(devs) if d >= tol), None)
@@ -141,46 +98,30 @@ def invariance_suite(p: PhaseParams, f: FluxLine, path: ClosedCurve,
     initial value by tol or more is flagged with its index.
     """
     base = ab_phase_circulation(p, f, path, threads=threads)
-    suites = {}
 
+    def phase(flux_curve, c):
+        # every deformed state is more than spec.clearance apart, so when the
+        # clearance exceeds circulation's guard, its distance check cannot fire
+        if spec.clearance > _guard(FluxLine(flux_curve, 1.0)):
+            return p.alpha * linking_integral(c.points, flux_curve.points, threads=threads)
+        return ab_phase_circulation(p, FluxLine(curve=flux_curve, flux=f.flux), c,
+                                    threads=threads)
+
+    suites = {}
     path_steps = deform_homotopy(path, f.curve, spec, threads=threads)
-    suites["path"] = _suite_entry(
-        [ab_phase_circulation(p, f, c, threads=threads) for c in path_steps],
-        base, tol,
-    )
+    suites["path"] = _suite_entry([phase(f.curve, c) for c in path_steps], base, tol)
 
     flux_spec = replace(spec, seed=spec.seed + 1)
     flux_steps = deform_homotopy(f.curve, path, flux_spec, threads=threads)
-    suites["flux_curve"] = _suite_entry(
-        [
-            ab_phase_circulation(p, FluxLine(curve=c, flux=f.flux), path,
-                                 threads=threads)
-            for c in flux_steps
-        ],
-        base, tol,
-    )
+    suites["flux_curve"] = _suite_entry([phase(c, path) for c in flux_steps], base, tol)
 
     both_spec = replace(spec, seed=spec.seed + 2)
-    states = _lockstep_deform(path, f.curve, both_spec, threads=threads)
-    suites["simultaneous"] = _suite_entry(
-        [
-            ab_phase_circulation(p, FluxLine(curve=fc, flux=f.flux), pc,
-                                 threads=threads)
-            for pc, fc in states
-        ],
-        base, tol,
-    )
+    states = _deform(path, f.curve, both_spec, True, threads=threads)
+    suites["simultaneous"] = _suite_entry([phase(fc, pc) for pc, fc in states], base, tol)
 
     # role swap: the linking integrand is symmetric under exchanging the
     # curves, so using the path as the flux line must reproduce the phase
-    suites["swap"] = _suite_entry(
-        [
-            ab_phase_circulation(p, FluxLine(curve=pc, flux=f.flux), fc,
-                                 threads=threads)
-            for pc, fc in states
-        ],
-        base, tol,
-    )
+    suites["swap"] = _suite_entry([phase(pc, fc) for pc, fc in states], base, tol)
 
     passed = all(s["failed_step"] is None for s in suites.values())
     return {

@@ -148,7 +148,8 @@ PHASE = (
     Opt("steps", "int", 20, "deformation steps", at_least=1),
     Opt("amplitude", "real", 0.2, "deformation amplitude", at_least=0),
     Opt("clearance", "real", 0.05, "minimum curve separation", above=0),
-    Opt("modes", "int", 3, "deformation Fourier modes", at_least=1),
+    # a mode above half the curve's samples aliases; 8192 is half the largest
+    Opt("modes", "int", 3, "deformation Fourier modes", at_least=1, at_most=8192),
     OUTPUT,
 )
 FIELD = (

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import parallel
-from .errors import ClearanceError, GeometryError, SchemaError, read_json
+from .errors import ClearanceError, GeometryError, SchemaError, check_numbers, read_json
 
 DEFAULT_N = 1024
 
@@ -260,6 +260,47 @@ def fourier_displacement(rng, theta, n_modes: int):
     return disp
 
 
+def _deform(a: ClosedCurve, b: ClosedCurve, spec: DeformationSpec, move_b: bool,
+            threads=None):
+    """Seeded rejection loop: deform a, and b too when move_b, keeping clearance.
+
+    Returns spec.steps + 1 pairs (a_i, b_i), the first being (a, b), each
+    more than spec.clearance apart. Every attempt draws one displacement per
+    moving curve, a first. Each moving curve steps at most half the clearance
+    split among the moving curves, so the relative motion between accepted
+    states stays below half the clearance and the pair cannot pass through
+    each other between steps.
+    """
+    d0 = min_distance(a, b, threads=threads)
+    if d0 <= spec.clearance:
+        raise ClearanceError(
+            f"initial clearance {d0:.6g} is not above the required {spec.clearance:.6g}"
+        )
+    rng = np.random.default_rng(spec.seed)
+    moving = [a, b] if move_b else [a]
+    thetas = [2.0 * np.pi * np.arange(c.n) / c.n for c in moving]
+    step = min(spec.amplitude / spec.steps, 0.5 * spec.clearance / len(moving))
+    out = [(a, b)]
+    for _ in range(spec.steps):
+        for attempt in range(spec.max_tries + 1):
+            if attempt == spec.max_tries:
+                raise ClearanceError(
+                    f"no clearance-respecting step found in {spec.max_tries} tries"
+                )
+            disps = [fourier_displacement(rng, th, spec.n_modes) for th in thetas]
+            peaks = [float(np.sqrt(np.max(np.einsum("ij,ij->i", d, d)))) for d in disps]
+            if 0.0 in peaks:
+                continue
+            cand = [ClosedCurve(c.points + (step / pk) * d)
+                    for c, d, pk in zip(moving, disps, peaks)]
+            pair = (cand[0], cand[1] if move_b else b)
+            if min_distance(*pair, threads=threads) > spec.clearance:
+                break
+        out.append(pair)
+        moving = cand
+    return out
+
+
 def deform_homotopy(c: ClosedCurve, obstacle: ClosedCurve, spec: DeformationSpec, threads=None):
     """Deform c in spec.steps random smooth steps while keeping clearance.
 
@@ -270,32 +311,7 @@ def deform_homotopy(c: ClosedCurve, obstacle: ClosedCurve, spec: DeformationSpec
     cannot jump across the obstacle, so the homotopy class relative to the
     obstacle is preserved, not just sampled.
     """
-    d0 = min_distance(c, obstacle, threads=threads)
-    if d0 <= spec.clearance:
-        raise ClearanceError(
-            f"initial clearance {d0:.6g} is not above the required {spec.clearance:.6g}"
-        )
-    rng = np.random.default_rng(spec.seed)
-    theta = 2.0 * np.pi * np.arange(c.n) / c.n
-    step_size = min(spec.amplitude / spec.steps, 0.5 * spec.clearance)
-    out = [c]
-    cur = c
-    for _ in range(spec.steps):
-        for attempt in range(spec.max_tries + 1):
-            if attempt == spec.max_tries:
-                raise ClearanceError(
-                    f"no clearance-respecting step found in {spec.max_tries} tries"
-                )
-            disp = fourier_displacement(rng, theta, spec.n_modes)
-            peak = float(np.sqrt(np.max(np.einsum("ij,ij->i", disp, disp))))
-            if peak == 0.0:
-                continue
-            cand = ClosedCurve(cur.points + (step_size / peak) * disp)
-            if min_distance(cand, obstacle, threads=threads) > spec.clearance:
-                break
-        out.append(cand)
-        cur = cand
-    return out
+    return [a for a, _ in _deform(c, obstacle, spec, False, threads=threads)]
 
 
 def save_curve(c: ClosedCurve, path):
@@ -310,6 +326,7 @@ def load_curve(path) -> ClosedCurve:
     data = read_json(path)
     if not isinstance(data, dict) or "points" not in data:
         raise SchemaError(f"{path}: expected an object with a 'points' field")
+    check_numbers(path, data["points"], "coordinates")
     try:
         curve = ClosedCurve(data["points"])
         _check_self_avoiding(curve.points, path)

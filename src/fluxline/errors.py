@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the JSON file reader."""
+"""Exception types shared across the package, the JSON file reader and its number check."""
 import json
 
 
@@ -39,3 +39,22 @@ def read_json(path):
         raise SchemaError(f"{path}: line {e.lineno} column {e.colno}: {e.msg}") from e
     except UnicodeDecodeError as e:
         raise SchemaError(f"{path}: not UTF-8 text: {e.reason} at byte {e.start}") from e
+
+
+def check_numbers(path, value, what, integral=False):
+    """Raise SchemaError naming path unless every leaf of value is a JSON number.
+
+    value is parsed JSON, nested lists walked to their leaves. With integral
+    set, each leaf must also be a whole number; an integral float such as 2.0
+    counts. true and false are not numbers here, though Python and numpy
+    read them as 1 and 0.
+    """
+    stack = [value]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, list):
+            stack.extend(v)
+        elif type(v) not in (int, float) or (
+                integral and type(v) is float and not v.is_integer()):
+            kind = "integers" if integral else "numbers"
+            raise SchemaError(f"{path}: {what} must be {kind}, got {json.dumps(v)}")

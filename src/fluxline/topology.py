@@ -6,7 +6,7 @@ import numpy as np
 
 from . import parallel
 from .curves import ClosedCurve, min_distance, point_segment_distance
-from .errors import GeometryError, SchemaError, UnderResolvedError, read_json
+from .errors import GeometryError, SchemaError, UnderResolvedError, check_numbers, read_json
 from .quadrature import biot_savart, linking_integral, periodic_midpoints
 
 TOUCH_GUARD = 1e-9
@@ -157,15 +157,16 @@ def crossing_linking(path: ClosedCurve, surf: Surface) -> int:
     nrm = surf.normals()
     areas = np.linalg.norm(nrm, axis=1)
     good = areas > 0.0
+    nrm_g, a_g, areas_g = nrm[good], a[good], areas[good]
     # a path segment lying in a face plane and overlapping the face has no
     # well-defined crossing parity
     for i in range(pts.shape[0]):
         p, q = pts[i], pts[(i + 1) % pts.shape[0]]
         d = q - p
-        dn = np.abs(nrm[good] @ d)
-        plane = np.abs(np.einsum("tj,tj->t", nrm[good], p - a[good])) / areas[good]
-        planeq = np.abs(np.einsum("tj,tj->t", nrm[good], q - a[good])) / areas[good]
-        flat = (dn <= 1e-12 * areas[good] * max(np.linalg.norm(d), 1e-30)) \
+        dn = np.abs(nrm_g @ d)
+        plane = np.abs(np.einsum("tj,tj->t", nrm_g, p - a_g)) / areas_g
+        planeq = np.abs(np.einsum("tj,tj->t", nrm_g, q - a_g)) / areas_g
+        flat = (dn <= 1e-12 * areas_g * max(np.linalg.norm(d), 1e-30)) \
             & (plane < 1e-12 * scale) & (planeq < 1e-12 * scale)
         if np.any(flat):
             mid = 0.5 * (p + q)
@@ -280,6 +281,8 @@ def load_surface(path) -> Surface:
     data = read_json(path)
     if not isinstance(data, dict) or "vertices" not in data or "triangles" not in data:
         raise SchemaError(f"{path}: expected an object with 'vertices' and 'triangles'")
+    check_numbers(path, data["vertices"], "vertex coordinates")
+    check_numbers(path, data["triangles"], "triangle indices", integral=True)
     try:
         return Surface(np.asarray(data["vertices"], dtype=float),
                        np.asarray(data["triangles"], dtype=int))

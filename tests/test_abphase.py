@@ -163,6 +163,27 @@ def test_invariance_requires_clearance():
         invariance_suite(PhaseParams(1.0), f, path, suite_spec(clearance=2.0))
 
 
+@pytest.mark.parametrize("clearance,calls", [(0.05, 10), (1e-9, 22)])
+def test_invariance_suite_measures_each_pair_once(monkeypatch, clearance, calls):
+    from fluxline import abphase, curves, field
+
+    count = [0]
+    measure = curves.min_distance
+
+    def counted(*args, **kw):
+        count[0] += 1
+        return measure(*args, **kw)
+
+    for module in (curves, field, abphase):
+        monkeypatch.setattr(module, "min_distance", counted)
+    flux_curve, path = hopf_pair(64)
+    invariance_suite(PhaseParams(1.0), fl.FluxLine(flux_curve, 1.0), path,
+                     suite_spec(amplitude=0.0, steps=2, clearance=clearance))
+    # 1 for the base phase and 3 per deformed family; below the guard
+    # (2e-6 here) each of the 12 evaluated states is measured again
+    assert count[0] == calls
+
+
 def test_shift_recomputed_from_suite_phases_is_stable():
     from fluxline.interference import TwoSlitConfig, ab_shift_analytic, beam_geometry
 

@@ -354,6 +354,7 @@ def test_config_values_embedded_as_given(tmp_path, capsys):
     (["sweep", "--steps", "100000000000"], "steps"),
     (["interfere", "--grid", "100000000000"], "n_grid"),
     (["sweep", "--grid", "1048577"], "n_grid"),
+    (["phase", "--samples", "64", "--modes", "8193"], "modes"),
 ])
 def test_out_of_range_flag_exits_2(capsys, argv, word):
     code, out, err = run(argv, capsys)
@@ -371,12 +372,23 @@ def test_config_over_the_samples_bound_exits_2(tmp_path, capsys):
     assert "samples must be an integer >= 8 <= 16384" in err
 
 
+def test_config_over_the_modes_bound_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"modes": 100000000000}))
+    code, out, err = run(["phase", "--preset", "hopf", "--samples", "64", "--invariance",
+                          "--steps", "1", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "modes must be an integer >= 1 <= 8192" in err
+
+
 @pytest.mark.parametrize("content", [
     b'{"points": [["a", 0, 0], [1, 0, 0], [0, 1, 0]]}',
     b'{"points": [[{"x": 1}, 0, 0], [1, 0, 0], [0, 1, 0]]}',
     b'{"points": [[0, 0, 0], [1, 0], [0, 1, 0]]}',
     b'\xff\xfe{"points": []}',
-], ids=["string", "object", "ragged", "utf16-bom"])
+    b'{"points": [[true, 0, 5], [0, 1, 5], [-1, 0, 5]]}',
+], ids=["string", "object", "ragged", "utf16-bom", "bool"])
 def test_undecodable_curve_file_exits_2(tmp_path, capsys, content):
     bad = tmp_path / "bad_curve.json"
     bad.write_bytes(content)

@@ -202,6 +202,34 @@ def test_deform_hopf_keeps_linking_each_step():
         assert res.residual < 1e-3
 
 
+def _largest_moves(curves):
+    return [float(np.max(np.linalg.norm(b.points - a.points, axis=1)))
+            for a, b in zip(curves, curves[1:])]
+
+
+def test_deform_step_capped_at_half_the_clearance():
+    path, obstacle = hopf_pair(128)
+    spec = fl.DeformationSpec(amplitude=5.0, n_modes=3, seed=4, steps=6,
+                              clearance=0.05)
+    for move in _largest_moves(fl.deform_homotopy(path, obstacle, spec)):
+        assert move == pytest.approx(0.025, rel=1e-9)
+
+
+def test_simultaneous_deform_moves_each_curve_a_quarter_clearance():
+    from fluxline.curves import _deform
+
+    path, flux_curve = hopf_pair(128)
+    spec = fl.DeformationSpec(amplitude=5.0, n_modes=3, seed=4, steps=6,
+                              clearance=0.05)
+    states = _deform(path, flux_curve, spec, True)
+    assert len(states) == 7
+    for curves in zip(*states):
+        for move in _largest_moves(curves):
+            assert move == pytest.approx(0.0125, rel=1e-9)
+    for a, b in states:
+        assert fl.min_distance(a, b) > 0.05
+
+
 def test_deform_initial_clearance_violation_raises():
     inner = circle((0, 0, 0), 1.0, Z, 128)
     outer = circle((0, 0, 0), 1.05, Z, 128)
@@ -256,6 +284,14 @@ def test_curve_io_wrong_shape(tmp_path):
     path = tmp_path / "flat.json"
     path.write_text(json.dumps({"points": [[0.0, 0.0], [1.0, 0.0]]}))
     with pytest.raises(fl.SchemaError):
+        fl.load_curve(path)
+
+
+@pytest.mark.parametrize("coordinate", [True, False, "1.5"])
+def test_curve_io_rejects_coerced_coordinates(tmp_path, coordinate):
+    path = tmp_path / "coerced.json"
+    path.write_text(json.dumps({"points": [[coordinate, 0, 0], [1, 0, 0], [0, 1, 0]]}))
+    with pytest.raises(fl.SchemaError, match="coerced.json: coordinates must be numbers"):
         fl.load_curve(path)
 
 

@@ -303,6 +303,25 @@ def test_surface_io_roundtrip(tmp_path):
     assert np.array_equal(back.triangles, surf.triangles)
 
 
+@pytest.mark.parametrize("vertices,triangles,match", [
+    ([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0.9, 1.2, 2.7]], "triangle indices must be integers"),
+    ([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[True, 1, 2]], "triangle indices must be integers"),
+    ([[0, 0, 0], [True, 0, 0], [0, 1, 0]], [[0, 1, 2]], "vertex coordinates must be numbers"),
+], ids=["fractional-index", "bool-index", "bool-vertex"])
+def test_surface_io_rejects_coerced_values(tmp_path, vertices, triangles, match):
+    path = tmp_path / "coerced.json"
+    path.write_text(json.dumps({"vertices": vertices, "triangles": triangles}))
+    with pytest.raises(fl.SchemaError, match="coerced.json: " + match):
+        fl.load_surface(path)
+
+
+def test_surface_io_accepts_integral_float_indices(tmp_path):
+    path = tmp_path / "floats.json"
+    path.write_text(json.dumps({"vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0]],
+                                "triangles": [[0.0, 1.0, 2.0]]}))
+    assert fl.load_surface(path).triangles.tolist() == [[0, 1, 2]]
+
+
 def test_surface_file_not_utf8(tmp_path):
     path = tmp_path / "latin1.json"
     path.write_bytes('{"vertices": [], "triangles": [], "name": "\u00e9"}'.encode("latin-1"))
