@@ -145,7 +145,9 @@ PHASE = (
     FLUX, SAMPLES, TOL, SEED, THREADS,
     Opt("invariance", "bool", False,
         "also run the four deformation-invariance suites"),
-    Opt("steps", "int", 20, "deformation steps", at_least=1),
+    # the suite keeps steps + 1 states of three families, four curves a
+    # state in all, 393 KB a curve at the largest samples: 1024 steps is 1.6 GB
+    Opt("steps", "int", 20, "deformation steps", at_least=1, at_most=1024),
     Opt("amplitude", "real", 0.2, "deformation amplitude", at_least=0),
     Opt("clearance", "real", 0.05, "minimum curve separation", above=0),
     # a mode above half the curve's samples aliases; 8192 is half the largest

@@ -130,15 +130,18 @@ def _segment_pair_distance(p0, u, q0, v):
     return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 
 
-def min_distance(a: ClosedCurve, b: ClosedCurve, threads=None) -> float:
-    """Minimum Euclidean distance over all segment pairs of two closed curves."""
-    p0, u = a.segments()
-    q0, v = b.segments()
+def _min_segment_distance(p0, u, q0, v, threads=None) -> float:
+    """Minimum of _segment_pair_distance(p0, u, q0, v), scanned in row blocks."""
 
     def block(i0, i1):
         return float(_segment_pair_distance(p0[i0:i1], u[i0:i1], q0, v).min())
 
     return float(parallel.ordered_chunk_min(block, p0.shape[0], threads=threads))
+
+
+def min_distance(a: ClosedCurve, b: ClosedCurve, threads=None) -> float:
+    """Minimum Euclidean distance over all segment pairs of two closed curves."""
+    return _min_segment_distance(*a.segments(), *b.segments(), threads=threads)
 
 
 def point_segment_distance(x, p0, d):

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import ClosedCurve, _segment_pair_distance
+from .curves import ClosedCurve, _min_segment_distance
 from .errors import GeometryError
 from .field import FluxLine, _guard, circulation, potential_at
 from .topology import (
@@ -63,8 +63,7 @@ def open_path_gauge_shift(f: FluxLine, gamma, threads=None):
     happen to match: open-path phases are gauge dependent.
     """
     pts, seg = _open_polyline(gamma)
-    p0, u = f.curve.segments()
-    if float(_segment_pair_distance(pts[:-1], seg, p0, u).min()) <= _guard(f):
+    if _min_segment_distance(pts[:-1], seg, *f.curve.segments(), threads=threads) <= _guard(f):
         raise GeometryError("open path touches or nearly touches the flux line")
     surf = span_surface(f.curve)
     scale = max(f.curve.diameter(), 1e-30)

@@ -326,8 +326,8 @@ def write_pattern(pat: Pattern, csv_path):
     csv_path = _Path(csv_path)
     with open(csv_path, "w") as fh:
         fh.write("x_b,density\n")
-        for xi, vi in zip(pat.x, pat.values):
-            fh.write(f"{xi:.15g},{vi:.15g}\n")
+        fh.write("".join(f"{x:.15g},{v:.15g}\n"
+                         for x, v in zip(pat.x.tolist(), pat.values.tolist())))
     meta = {"alpha": pat.alpha, "config": pat.config.as_dict(),
             "n_grid": int(pat.x.size), "half_width": float(pat.x[-1])}
     with open(csv_path.with_suffix(".json"), "w") as fh:

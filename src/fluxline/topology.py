@@ -109,77 +109,42 @@ def span_surface(c: ClosedCurve) -> Surface:
     return surf
 
 
-def _segment_triangle_crossings(p0, d, surf: Surface):
-    """Signed crossing total of directed segments (p0, d) through the mesh.
+def _min_barycentric(x, a, b, c):
+    """Smallest barycentric weight of each point x[i] in triangle (a[i], b[i], c[i]).
 
-    Half-open parameter range t in [0, 1) so a path vertex lying exactly on
-    the surface is counted once, not twice. Returns (total, hit_vertex) where
-    hit_vertex flags an intersection too close to a triangle edge or corner
-    to classify.
+    All arrays are (k, 3). The weights are signed areas over the full normal
+    (b - a) x (c - a), so a point in the triangle's plane is inside when the
+    result is positive and on an edge or corner when it is 0.
     """
-    a, b, c = surf.corners()
-    nrm = 2.0 * surf.normals()
-    total = 0
-    eps = 1e-12
-    suspicious = False
-    for i in range(p0.shape[0]):
-        den = nrm @ d[i]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.einsum("tj,tj->t", nrm, a - p0[i]) / den
-        cand = np.nonzero((np.abs(den) > 0.0) & (t >= 0.0) & (t < 1.0))[0]
-        if cand.size == 0:
-            continue
-        x = p0[i] + t[cand, None] * d[i]
-        va, vb, vc = a[cand], b[cand], c[cand]
-        n2 = np.einsum("tj,tj->t", nrm[cand], nrm[cand])
-        w0 = np.einsum("tj,tj->t", np.cross(vb - x, vc - x), nrm[cand]) / n2
-        w1 = np.einsum("tj,tj->t", np.cross(vc - x, va - x), nrm[cand]) / n2
-        w2 = 1.0 - w0 - w1
-        wmin = np.minimum(np.minimum(w0, w1), w2)
-        inside = wmin > eps
-        if np.any((wmin > -eps) & ~inside):
-            suspicious = True
-        total += int(np.sign(den[cand[inside]]).sum())
-    return total, suspicious
+    n = np.cross(b - a, c - a)
+    n2 = np.einsum("ij,ij->i", n, n)
+    w0 = np.einsum("ij,ij->i", np.cross(b - x, c - x), n) / n2
+    w1 = np.einsum("ij,ij->i", np.cross(c - x, a - x), n) / n2
+    return np.minimum(np.minimum(w0, w1), 1.0 - w0 - w1)
 
 
 def crossing_linking(path: ClosedCurve, surf: Surface) -> int:
     """Signed count of path crossings through an oriented spanning surface.
 
     Equal to the linking number of the path with the surface boundary.
-    Crossing along the face normal counts +1, against it -1. Path vertices
-    that land on the surface are nudged by 1e-9 of the path scale along the
-    local tangent before counting; genuinely coplanar path segments raise.
+    Crossing along the face normal counts +1, against it -1. A segment
+    crosses a triangle at parameter t in [0, 1), so a path vertex lying
+    exactly on the surface is counted once, not twice. Path segments that
+    lie in a face plane and overlap the face raise. A crossing too close to
+    a triangle edge or corner to classify moves the whole path by
+    1e-9 * 3^k of its scale, k = 1..11, in a fixed generic direction, and
+    the count is repeated.
     """
     pts = path.points
     scale = max(path.diameter(), 1e-30)
-    a, _, _ = surf.corners()
-    nrm = surf.normals()
-    areas = np.linalg.norm(nrm, axis=1)
-    good = areas > 0.0
-    nrm_g, a_g, areas_g = nrm[good], a[good], areas[good]
-    # a path segment lying in a face plane and overlapping the face has no
-    # well-defined crossing parity
-    for i in range(pts.shape[0]):
-        p, q = pts[i], pts[(i + 1) % pts.shape[0]]
-        d = q - p
-        dn = np.abs(nrm_g @ d)
-        plane = np.abs(np.einsum("tj,tj->t", nrm_g, p - a_g)) / areas_g
-        planeq = np.abs(np.einsum("tj,tj->t", nrm_g, q - a_g)) / areas_g
-        flat = (dn <= 1e-12 * areas_g * max(np.linalg.norm(d), 1e-30)) \
-            & (plane < 1e-12 * scale) & (planeq < 1e-12 * scale)
-        if np.any(flat):
-            mid = 0.5 * (p + q)
-            which = np.nonzero(good)[0][flat]
-            va, vb, vc = (surf.vertices[surf.triangles[which, k]] for k in range(3))
-            n2 = np.einsum("tj,tj->t", nrm[which], nrm[which])
-            w0 = np.einsum("tj,tj->t", np.cross(vb - mid, vc - mid), nrm[which]) / n2
-            w1 = np.einsum("tj,tj->t", np.cross(vc - mid, va - mid), nrm[which]) / n2
-            w2 = 1.0 - w0 - w1
-            if np.any(np.minimum(np.minimum(w0, w1), w2) > -1e-9):
-                raise GeometryError(
-                    "path segment lies in the surface; crossings are undefined"
-                )
+    a, b, c = surf.corners()
+    nrm = np.cross(b - a, c - a)
+    nlen = np.linalg.norm(nrm, axis=1)
+    # s = n.(a - o) - n.(p - o) about the path centroid o: n.a - n.p loses
+    # the digits of t far from the origin and miscounts there
+    o = path.centroid()
+    na = np.einsum("tj,tj->t", nrm, a - o)
+    eps = 1e-12
     # crossings that land on a triangle edge or vertex (fan apex hits are
     # common for symmetric inputs) are escaped by translating the whole path
     # a hair in a fixed generic direction; a translation far smaller than the
@@ -189,7 +154,29 @@ def crossing_linking(path: ClosedCurve, surf: Surface) -> int:
     for attempt in range(12):
         work = pts + (1e-9 * scale * 3.0 ** attempt) * generic if attempt else pts
         d = np.roll(work, -1, axis=0) - work
-        total, suspicious = _segment_triangle_crossings(work, d, surf)
+        total, suspicious = 0, False
+        for i0 in range(0, pts.shape[0], parallel.CHUNK_ROWS):
+            p, u = work[i0:i0 + parallel.CHUNK_ROWS], d[i0:i0 + parallel.CHUNK_ROWS]
+            # den = n.d and s = n.(a - p), so n.(q - a) = den - s
+            den = u @ nrm.T
+            s = na - (p - o) @ nrm.T
+            if not attempt:
+                # a segment in a face plane, overlapping the face, has no
+                # well-defined crossing parity
+                i, j = np.nonzero(np.abs(s) < eps * scale * nlen)
+                flat = (np.abs(den[i, j]) <= eps * nlen[j] * np.linalg.norm(u[i], axis=1)) \
+                    & (np.abs(den[i, j] - s[i, j]) < eps * scale * nlen[j])
+                i, j = i[flat], j[flat]
+                if np.any(_min_barycentric(p[i] + 0.5 * u[i], a[j], b[j], c[j]) > -1e-9):
+                    raise GeometryError(
+                        "path segment lies in the surface; crossings are undefined")
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t = s / den
+            i, j = np.nonzero((den != 0.0) & (t >= 0.0) & (t < 1.0))
+            wmin = _min_barycentric(p[i] + t[i, j, None] * u[i], a[j], b[j], c[j])
+            inside = wmin > eps
+            suspicious |= bool(np.any((wmin > -eps) & ~inside))
+            total += int(np.sign(den[i[inside], j[inside]]).sum())
         if not suspicious:
             return total
     raise GeometryError("could not resolve crossings away from triangle edges")
@@ -207,10 +194,7 @@ def surface_point_distance(x, surf: Surface) -> float:
         nhat = nrm[good] / areas[good][:, None]
         off = np.einsum("tj,tj->t", x[None, :] - a[good], nhat)
         proj = x[None, :] - off[:, None] * nhat
-        w0 = np.einsum("tj,tj->t", np.cross(b[good] - proj, c[good] - proj), nhat)
-        w1 = np.einsum("tj,tj->t", np.cross(c[good] - proj, a[good] - proj), nhat)
-        w2 = np.einsum("tj,tj->t", np.cross(a[good] - proj, b[good] - proj), nhat)
-        inside = (w0 >= 0.0) & (w1 >= 0.0) & (w2 >= 0.0)
+        inside = _min_barycentric(proj, a[good], b[good], c[good]) >= 0.0
         if np.any(inside):
             best = float(np.min(np.abs(off[inside])))
     for p, q in ((a, b), (b, c), (c, a)):

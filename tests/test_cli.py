@@ -355,6 +355,7 @@ def test_config_values_embedded_as_given(tmp_path, capsys):
     (["interfere", "--grid", "100000000000"], "n_grid"),
     (["sweep", "--grid", "1048577"], "n_grid"),
     (["phase", "--samples", "64", "--modes", "8193"], "modes"),
+    (["phase", "--samples", "64", "--invariance", "--steps", "100000000000"], "steps"),
 ])
 def test_out_of_range_flag_exits_2(capsys, argv, word):
     code, out, err = run(argv, capsys)
@@ -370,6 +371,16 @@ def test_config_over_the_samples_bound_exits_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "samples must be an integer >= 8 <= 16384" in err
+
+
+def test_config_over_the_steps_bound_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"steps": 1025}))
+    code, out, err = run(["phase", "--preset", "hopf", "--samples", "64", "--invariance",
+                          "--config", str(cfg)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "steps must be an integer >= 1 <= 1024" in err
 
 
 def test_config_over_the_modes_bound_exits_2(tmp_path, capsys):

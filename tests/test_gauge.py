@@ -89,6 +89,15 @@ def test_open_path_touching_curve_rejected(unit_flux_line):
         open_path_gauge_shift(unit_flux_line, gamma)
 
 
+def test_open_path_touching_curve_in_last_block_rejected(unit_flux_line):
+    # 299 segments from z = 5 down to z = -0.1 through the flux line's vertex
+    # (1, 0, 0), which segment 293 reaches: only the second 256-row block touches
+    gamma = np.column_stack([np.ones(300), np.zeros(300), np.linspace(5.0, -0.1, 300)])
+    open_path_gauge_shift(unit_flux_line, gamma[:257])
+    with pytest.raises(fl.GeometryError, match="touches"):
+        open_path_gauge_shift(unit_flux_line, gamma)
+
+
 def test_open_path_validation(unit_flux_line):
     with pytest.raises(fl.GeometryError):
         open_path_gauge_shift(unit_flux_line, np.zeros((1, 3)))

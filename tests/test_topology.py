@@ -154,6 +154,13 @@ def test_crossing_single_pierce_plus_one(unit_disk):
     loop = rectangle_loop(2.0, 1.0, (0.3, 0, 0))
     assert fl.crossing_linking(loop, unit_disk) == -1
     assert fl.crossing_linking(loop.reversed(), unit_disk) == 1
+    # 320 segments: the pierce lands on vertex 280, which relabelling moves
+    # to 256, the first row of the second 256-row block, and into the first
+    long = rectangle_loop(2.0, 1.0, (0.3, 0, 0), n_per_side=80)
+    assert np.all(long.points[280] == [-0.7, 0.0, 0.0])
+    for shift in (0, -24, -25, -40, 100):
+        relabelled = fl.ClosedCurve(np.roll(long.points, shift, axis=0))
+        assert fl.crossing_linking(relabelled, unit_disk) == -1
 
 
 def test_crossing_outside_loop_zero(unit_disk):
@@ -164,6 +171,28 @@ def test_crossing_outside_loop_zero(unit_disk):
 def test_crossing_twice_opposite_cancels(unit_disk):
     loop = circle((0.3, 0, 0), 0.2, Y, 128)
     assert fl.crossing_linking(loop, unit_disk) == 0
+
+
+def test_crossing_coplanar_path_inside_fan_raises():
+    # every segment lies in the fan, most with their midpoints in the half
+    # of a triangle away from the apex
+    disk = fl.span_surface(circle((0, 0, 0), 1.0, Z, 64))
+    path = circle((0.2, 0, 0), 0.3, Z, 64)
+    with pytest.raises(fl.GeometryError, match="lies in the surface"):
+        fl.crossing_linking(path, disk)
+
+
+def test_crossing_count_survives_translation_far_from_origin():
+    # a rotation leaves no coordinate exact; 1e7 from the origin n.a - n.p
+    # loses the digits that the crossing parameter needs
+    rot = np.linalg.qr(np.random.default_rng(1024).normal(size=(3, 3)))[0]
+    path, flux_curve = hopf_pair(1024)
+    cancel = circle((1.3, 0, 0), 0.2, Z, 1024)
+    for off in (1e4, 1e5, 1e6, 1e7):
+        shift = off * np.array([1.0, -0.7, 0.3])
+        surf = fl.span_surface(fl.ClosedCurve(flux_curve.points @ rot.T + shift))
+        assert fl.crossing_linking(fl.ClosedCurve(path.points @ rot.T + shift), surf) == 1
+        assert fl.crossing_linking(fl.ClosedCurve(cancel.points @ rot.T + shift), surf) == 0
 
 
 def test_crossing_through_fan_apex_resolved(unit_disk):
