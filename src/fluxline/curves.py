@@ -136,7 +136,7 @@ def _min_segment_distance(p0, u, q0, v, threads=None) -> float:
     def block(i0, i1):
         return float(_segment_pair_distance(p0[i0:i1], u[i0:i1], q0, v).min())
 
-    return float(parallel.ordered_chunk_min(block, p0.shape[0], threads=threads))
+    return min(parallel.blocks(block, p0.shape[0], threads=threads))
 
 
 def min_distance(a: ClosedCurve, b: ClosedCurve, threads=None) -> float:
@@ -175,7 +175,7 @@ def _min_nonadjacent_self_distance(points) -> float:
         dmat[rows, (i - 1) % n] = np.inf
         return float(dmat.min())
 
-    return float(parallel.ordered_chunk_min(block, n))
+    return min(parallel.blocks(block, n))
 
 
 def _check_self_avoiding(points, label):

@@ -106,27 +106,14 @@ def _demo_loop(s: SolenoidConfig, rho0: float, n_turns: int, n: int):
     """
     tm = (np.arange(n) + 0.5) / n
     tv = np.arange(n) / n
-    if n_turns == 0:
-        r = 0.5 * (rho0 - s.R)
-        phim, phiv = 2.0 * np.pi * tm, 2.0 * np.pi * tv
-        mids = np.column_stack(
-            [rho0 + r * np.cos(phim), r * np.sin(phim), np.zeros(n)]
-        )
-        tangents = (
-            np.column_stack([-r * np.sin(phim), r * np.cos(phim), np.zeros(n)])
-            * (2.0 * np.pi / n)
-        )
-        verts = np.column_stack([rho0 + r * np.cos(phiv), r * np.sin(phiv), np.zeros(n)])
-    else:
-        phim = 2.0 * np.pi * n_turns * tm
-        phiv = 2.0 * np.pi * n_turns * tv
-        mids = rho0 * np.column_stack([np.cos(phim), np.sin(phim), np.zeros(n)])
-        tangents = (
-            rho0
-            * np.column_stack([-np.sin(phim), np.cos(phim), np.zeros(n)])
-            * (2.0 * np.pi * n_turns / n)
-        )
-        verts = rho0 * np.column_stack([np.cos(phiv), np.sin(phiv), np.zeros(n)])
+    cx, r, turns = (rho0, 0.5 * (rho0 - s.R), 1) if n_turns == 0 else (0.0, rho0, n_turns)
+    phim = 2.0 * np.pi * turns * tm
+    phiv = 2.0 * np.pi * turns * tv
+    zero = np.zeros(n)
+    mids = np.column_stack([cx + r * np.cos(phim), r * np.sin(phim), zero])
+    tangents = (np.column_stack([-r * np.sin(phim), r * np.cos(phim), zero])
+                * (2.0 * np.pi * turns / n))
+    verts = np.column_stack([cx + r * np.cos(phiv), r * np.sin(phiv), zero])
     return mids, tangents, verts
 
 

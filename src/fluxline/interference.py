@@ -222,10 +222,13 @@ def pattern(cfg: TwoSlitConfig, alpha_AB: float, half_width: float = None,
 
 def ab_shift_analytic(L: float, lambda_bar: float, d: float,
                       alpha_AB: float) -> float:
-    """Analytic fringe shift (L * lambda_bar / d) * alpha_AB."""
+    """Analytic fringe shift (L * lambda_bar / d) * alpha_AB; raises on overflow."""
     if not d > 0.0:
         raise GeometryError("slit separation d must be positive")
-    return L * lambda_bar / d * alpha_AB
+    shift = L * lambda_bar / d * alpha_AB
+    if not math.isfinite(shift):
+        raise GeometryError(f"analytic fringe shift overflows at alpha_AB = {alpha_AB:.6g}")
+    return shift
 
 
 def _fringe_signal(values, dx, fringe):

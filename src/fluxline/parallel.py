@@ -1,14 +1,13 @@
-"""Deterministic chunked parallelism.
+"""Deterministic block parallelism.
 
-Row ranges are fixed-size chunks and partial results are combined in chunk
-order, so a result never depends on how many worker threads ran. numpy
+Every pair kernel runs over fixed blocks of CHUNK_ROWS rows. `blocks`
+returns the per-block results in block order and the caller reduces them in
+that order, so a result never depends on how many worker threads ran. numpy
 releases the GIL inside large array kernels, which is where all the time
 goes, so plain threads give real speedup on the O(N^2) pair loops.
 """
 import os
 from concurrent.futures import ThreadPoolExecutor
-
-import numpy as np
 
 from .errors import SchemaError
 
@@ -29,39 +28,17 @@ def thread_count(explicit=None) -> int:
     return os.cpu_count() or 1
 
 
-def _spans(n_rows, chunk):
-    return [(i, min(i + chunk, n_rows)) for i in range(0, n_rows, chunk)]
+def blocks(partial, n_rows, threads=None):
+    """[partial(i0, i1) for each CHUNK_ROWS block of range(n_rows)], in block order.
 
-
-def _run_chunks(partial, n_rows, threads, chunk):
-    spans = _spans(n_rows, chunk)
+    Serial for one thread or one block, otherwise one thread pool. An error
+    raised by a block surfaces at that block's place in the order, so the
+    first raising block wins, as it does serially.
+    """
+    spans = [(i, min(i + CHUNK_ROWS, n_rows)) for i in range(0, n_rows, CHUNK_ROWS)]
     nt = thread_count(threads)
     if nt == 1 or len(spans) == 1:
         return [partial(i0, i1) for i0, i1 in spans]
     with ThreadPoolExecutor(max_workers=nt) as ex:
         futures = [ex.submit(partial, i0, i1) for i0, i1 in spans]
         return [f.result() for f in futures]
-
-
-def ordered_chunk_sum(partial, n_rows, threads=None, chunk=CHUNK_ROWS):
-    """Sum partial(i0, i1) over row chunks, combining strictly in chunk order."""
-    parts = _run_chunks(partial, n_rows, threads, chunk)
-    total = parts[0]
-    for p in parts[1:]:
-        total = total + p
-    return total
-
-
-def ordered_chunk_map(partial, n_rows, threads=None, chunk=CHUNK_ROWS):
-    """Concatenate per-chunk row blocks partial(i0, i1) back in row order."""
-    return np.concatenate(_run_chunks(partial, n_rows, threads, chunk), axis=0)
-
-
-def ordered_chunk_min(partial, n_rows, threads=None, chunk=CHUNK_ROWS):
-    """Minimum of partial(i0, i1) over row chunks."""
-    parts = _run_chunks(partial, n_rows, threads, chunk)
-    best = parts[0]
-    for p in parts[1:]:
-        if p < best:
-            best = p
-    return best

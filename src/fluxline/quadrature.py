@@ -42,7 +42,7 @@ def biot_savart(mids, weights, xs, threads=None):
     """sum_j weights[j] x (x - mids[j]) / |x - mids[j]|^3 at every x; (m, 3).
 
     mids, weights: the (n, 3) nodes of `periodic_midpoints`; xs: (m, 3)
-    points, taken in fixed 256-row chunks so the result is thread
+    points, taken in fixed 256-row blocks so the result is thread
     independent. Callers keep xs off the curve.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
@@ -52,7 +52,7 @@ def biot_savart(mids, weights, xs, threads=None):
         inv_r3 = np.einsum("ijk,ijk->ij", r, r) ** -1.5
         return np.einsum("ijk,ij->ik", np.cross(weights[None, :, :], r), inv_r3)
 
-    return parallel.ordered_chunk_map(block, xs.shape[0], threads=threads)
+    return np.concatenate(parallel.blocks(block, xs.shape[0], threads=threads))
 
 
 def linking_integral(path_points, curve_points, threads=None) -> float:

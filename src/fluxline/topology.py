@@ -128,12 +128,13 @@ def crossing_linking(path: ClosedCurve, surf: Surface) -> int:
 
     Equal to the linking number of the path with the surface boundary.
     Crossing along the face normal counts +1, against it -1. A segment
-    crosses a triangle at parameter t in [0, 1), so a path vertex lying
-    exactly on the surface is counted once, not twice. Path segments that
-    lie in a face plane and overlap the face raise. A crossing too close to
-    a triangle edge or corner to classify moves the whole path by
-    1e-9 * 3^k of its scale, k = 1..11, in a fixed generic direction, and
-    the count is repeated.
+    crosses a triangle at parameter t in [0, 1). Path segments that lie in
+    a face plane and overlap the face raise. A crossing too close to a
+    triangle edge or corner to classify, or a path vertex lying exactly on
+    a face, where the path may touch the surface and turn back, moves the
+    whole path by 1e-9 * 3^k of its scale, k = 1..11, in a fixed generic
+    direction, and the count is repeated. The path's segments are counted
+    in `parallel.blocks` at the default thread count.
     """
     pts = path.points
     scale = max(path.diameter(), 1e-30)
@@ -154,9 +155,9 @@ def crossing_linking(path: ClosedCurve, surf: Surface) -> int:
     for attempt in range(12):
         work = pts + (1e-9 * scale * 3.0 ** attempt) * generic if attempt else pts
         d = np.roll(work, -1, axis=0) - work
-        total, suspicious = 0, False
-        for i0 in range(0, pts.shape[0], parallel.CHUNK_ROWS):
-            p, u = work[i0:i0 + parallel.CHUNK_ROWS], d[i0:i0 + parallel.CHUNK_ROWS]
+
+        def block(i0, i1):
+            p, u = work[i0:i1], d[i0:i1]
             # den = n.d and s = n.(a - p), so n.(q - a) = den - s
             den = u @ nrm.T
             s = na - (p - o) @ nrm.T
@@ -175,10 +176,14 @@ def crossing_linking(path: ClosedCurve, surf: Surface) -> int:
             i, j = np.nonzero((den != 0.0) & (t >= 0.0) & (t < 1.0))
             wmin = _min_barycentric(p[i] + t[i, j, None] * u[i], a[j], b[j], c[j])
             inside = wmin > eps
-            suspicious |= bool(np.any((wmin > -eps) & ~inside))
-            total += int(np.sign(den[i[inside], j[inside]]).sum())
-        if not suspicious:
-            return total
+            # a path vertex on a face may touch the surface and turn back,
+            # which the half-open rule would count; nudge it off like an edge
+            suspicious = np.any((wmin > -eps) & ~inside) or np.any(inside & (t[i, j] == 0.0))
+            return int(np.sign(den[i[inside], j[inside]]).sum()), bool(suspicious)
+
+        parts = parallel.blocks(block, pts.shape[0])
+        if not any(suspicious for _, suspicious in parts):
+            return sum(count for count, _ in parts)
     raise GeometryError("could not resolve crossings away from triangle edges")
 
 
@@ -213,30 +218,25 @@ def solid_angle(x, surf: Surface, threads=None) -> float:
     Sum of per-triangle signed angles; positive when the face normals point
     away from x. Follows the convention of accumulating (x' - x) . dS' /
     |x' - x|^3, so a viewer on the side the normals point toward sees a
-    negative value.
+    negative value. One vectorised pass over the triangles; `threads` is
+    accepted for the API and unused.
     """
     x = np.asarray(x, dtype=float)
     if surface_point_distance(x, surf) <= 1e-9 * _mesh_scale(surf):
         raise GeometryError("point lies on the surface; the solid angle jumps there")
     a, b, c = surf.corners()
-
-    def block(i0, i1):
-        r1 = a[i0:i1] - x
-        r2 = b[i0:i1] - x
-        r3 = c[i0:i1] - x
-        n1 = np.linalg.norm(r1, axis=1)
-        n2 = np.linalg.norm(r2, axis=1)
-        n3 = np.linalg.norm(r3, axis=1)
-        num = np.einsum("ij,ij->i", r1, np.cross(r2, r3))
-        den = (
-            n1 * n2 * n3
-            + np.einsum("ij,ij->i", r1, r2) * n3
-            + np.einsum("ij,ij->i", r1, r3) * n2
-            + np.einsum("ij,ij->i", r2, r3) * n1
-        )
-        return float(np.sum(2.0 * np.arctan2(num, den)))
-
-    return float(parallel.ordered_chunk_sum(block, a.shape[0], threads=threads))
+    r1, r2, r3 = a - x, b - x, c - x
+    n1 = np.linalg.norm(r1, axis=1)
+    n2 = np.linalg.norm(r2, axis=1)
+    n3 = np.linalg.norm(r3, axis=1)
+    num = np.einsum("ij,ij->i", r1, np.cross(r2, r3))
+    den = (
+        n1 * n2 * n3
+        + np.einsum("ij,ij->i", r1, r2) * n3
+        + np.einsum("ij,ij->i", r1, r3) * n2
+        + np.einsum("ij,ij->i", r2, r3) * n1
+    )
+    return float(np.sum(2.0 * np.arctan2(num, den)))
 
 
 def grad_solid_angle(x, c: ClosedCurve, threads=None):

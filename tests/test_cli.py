@@ -132,6 +132,23 @@ def test_phase_report_forms(capsys):
     assert rep["max_spread"] < 1e-3
 
 
+def test_plain_phase_measures_the_pair_once(monkeypatch, capsys):
+    from fluxline import abphase, field, topology
+
+    calls = {"min_distance": 0, "linking_integral": 0}
+    for mod in (topology, field, abphase):
+        for name in calls:
+            def counted(*args, _fn=getattr(mod, name), _name=name, **kw):
+                calls[_name] += 1
+                return _fn(*args, **kw)
+            monkeypatch.setattr(mod, name, counted)
+    code, out, _ = run(["phase", "--preset", "hopf", "--samples", "256"], capsys)
+    forms = json.loads(out)["forms"]
+    assert code == 0
+    assert calls == {"min_distance": 1, "linking_integral": 1}
+    assert forms["circulation"] == forms["solid_angle"]
+
+
 def test_phase_invariance_clearance_violation(capsys):
     code, _, err = run(
         ["phase", "--preset", "hopf", "--samples", "128", "--invariance",
@@ -170,6 +187,22 @@ def test_interfere_artifacts(tmp_path, capsys):
     off_lines = (tmp_path / "pattern_off.csv").read_text().splitlines()
     assert off_lines[0] == "x_b,density"
     assert len(off_lines) == rep["config"]["n_grid"] + 1
+
+
+@pytest.mark.parametrize("alpha, turns", [("30", 5), ("-40", -6)])
+def test_interfere_unwraps_more_than_three_fringes(tmp_path, capsys, alpha, turns):
+    code, out, _ = run(["interfere", "--alpha", alpha, "-o", str(tmp_path)], capsys)
+    rep = json.loads(out)
+    assert code == 0
+    assert rep["wrap_turns"] == turns
+    assert rep["rel_err"] < 1e-3
+
+
+def test_interfere_overflowing_shift_exits_2(tmp_path, capsys):
+    code, out, err = run(["interfere", "--alpha", "1e308", "-o", str(tmp_path)], capsys)
+    assert code == 2
+    assert "overflows" in err
+    assert out == ""
 
 
 def test_gauge_demo_solenoid_defaults(capsys):

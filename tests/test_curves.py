@@ -68,6 +68,17 @@ def test_self_distance_scan_matches_unchunked_minimum():
     assert _min_nonadjacent_self_distance(pts) == float(dmat.min())
 
 
+def test_self_distance_scan_thread_independent(monkeypatch):
+    from fluxline.curves import _min_nonadjacent_self_distance
+
+    pts = np.cumsum(np.random.default_rng(7).normal(size=(600, 3)), axis=0)
+    found = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("FLUXLINE_THREADS", threads)
+        found.append(_min_nonadjacent_self_distance(pts))
+    assert found[0] == found[1]
+
+
 def test_trefoil_self_avoiding():
     c = fl.make_torus_knot(2, 3, 2.0, 0.5, 512)
     pts = c.points

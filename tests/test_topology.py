@@ -104,6 +104,23 @@ def test_linking_thread_count_invariant():
     assert r1.raw == r4.raw
 
 
+def test_crossing_count_thread_count_invariant(monkeypatch, unit_disk):
+    # every path has more than one 256-row block, so two threads pool them
+    long = rectangle_loop(2.0, 1.0, (0.3, 0, 0), n_per_side=80)
+    apex = circle((1, 0, 0), 1.0, Y, 1024)  # hits the fan apex: nudged
+    coplanar = circle((0.2, 0, 0), 0.3, Z, 600)
+    small_disk = fl.span_surface(circle((0, 0, 0), 1.0, Z, 64))
+    found = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("FLUXLINE_THREADS", threads)
+        with pytest.raises(fl.GeometryError) as err:
+            fl.crossing_linking(coplanar, small_disk)
+        found.append((fl.crossing_linking(long, unit_disk),
+                      fl.crossing_linking(apex, unit_disk), str(err.value)))
+    assert found[0] == found[1] == (
+        -1, 1, "path segment lies in the surface; crossings are undefined")
+
+
 def test_span_disk_area():
     surf = fl.span_surface(circle((0, 0, 0), 1.0, Z, 1024))
     assert len(surf.triangles) == 1024
@@ -202,6 +219,20 @@ def test_crossing_through_fan_apex_resolved(unit_disk):
     assert fl.crossing_linking(path, unit_disk) in (-1, 1)
     assert fl.crossing_linking(path, unit_disk) == fl.gauss_linking(
         path, circle((0, 0, 0), 1.0, Z, 1024)).rounded
+
+
+def test_crossing_vertex_touch_is_not_a_crossing(unit_disk):
+    # the path touches the disk at one vertex and turns back below it; the
+    # half-open rule t in [0, 1) alone would count the touch once
+    touch = fl.ClosedCurve(np.array(
+        [(0.5, 0, -1), (0.5, 0.1, 0), (0.5, 0.2, -1), (3, 0, -1)], dtype=float))
+    assert fl.crossing_linking(touch, unit_disk) == 0
+    assert fl.crossing_linking(touch.reversed(), unit_disk) == 0
+    # passing through the same vertex still counts once
+    through = fl.ClosedCurve(np.array(
+        [(0.5, 0, -1), (0.5, 0.1, 0), (0.5, 0.2, 1), (3, 0, 1), (3, 0, -1)], dtype=float))
+    assert fl.crossing_linking(through, unit_disk) == 1
+    assert fl.crossing_linking(through.reversed(), unit_disk) == -1
 
 
 def test_solid_angle_axial_closed_form(unit_disk):
