@@ -21,7 +21,8 @@ import numpy as np
 from .abphase import (PhaseParams, ab_phase_crossing, ab_phase_flux, ab_phase_topological,
                       invariance_suite)
 from .curves import DeformationSpec, load_curve, make_circle, make_torus_knot
-from .errors import ClearanceError, FluxlineError, SchemaError, UnderResolvedError, read_json
+from .errors import (ClearanceError, FluxlineError, GeometryError, SchemaError, UnderResolvedError,
+                     read_json)
 from .field import FluxLine, vector_potential
 from .gauge import SolenoidConfig, singular_gauge_closed_line_demo, solenoid_singular_gauge_demo
 from .interference import (TwoSlitConfig, ab_shift_analytic, ab_shift_measured, beam_geometry,
@@ -304,23 +305,28 @@ def cmd_field(o, config) -> int:
     return 0
 
 
-def _two_slit_config(o) -> TwoSlitConfig:
-    return TwoSlitConfig(x0=o["x0"], b=o["b"], t_a=o["t_a"], t_b=o["t_b"],
-                         m=o["m"], v=o["v"])
+def _pattern(o, alpha: float):
+    cfg = TwoSlitConfig(x0=o["x0"], b=o["b"], t_a=o["t_a"], t_b=o["t_b"],
+                        m=o["m"], v=o["v"])
+    return pattern(cfg, alpha, half_width=o["half_width"], n_grid=o["n_grid"])
 
 
-def _shift_report(cfg: TwoSlitConfig, alpha: float, n_grid: int, half_width):
-    off = pattern(cfg, 0.0, half_width=half_width, n_grid=n_grid)
-    on = pattern(cfg, alpha, half_width=half_width, n_grid=n_grid)
+def _shift_report(off, on) -> dict:
     measured = ab_shift_measured(off, on)
+    cfg, alpha = on.config, on.alpha
     L, lam, d = beam_geometry(cfg)
     analytic = ab_shift_analytic(L, lam, d, alpha)
     spacing = 2.0 * np.pi * L * lam / d
+    if math.ulp(analytic) > 0.01 * spacing:
+        # a double this large cannot place the shift within 1% of a fringe
+        raise GeometryError(
+            f"alpha_AB = {alpha:.6g} puts the fringe shift at {analytic:.6g}, where"
+            f" doubles are spaced wider than 1% of a fringe ({spacing:.6g})")
     # the measured shift is known modulo one fringe: unwrap by whole fringes
     k = round((analytic - measured) / spacing)
     err = abs(measured + k * spacing - analytic)
     rel = err / abs(analytic) if abs(analytic) > 1e-12 else err / spacing
-    return off, on, {
+    return {
         "shift_measured": measured,
         "shift_analytic": analytic,
         "rel_err": rel,
@@ -331,8 +337,8 @@ def _shift_report(cfg: TwoSlitConfig, alpha: float, n_grid: int, half_width):
 
 
 def cmd_interfere(o, config) -> int:
-    off, on, report = _shift_report(_two_slit_config(o), o["alpha"],
-                                    o["n_grid"], o["half_width"])
+    off, on = _pattern(o, 0.0), _pattern(o, o["alpha"])
+    report = _shift_report(off, on)
     report["config"] = config
     out = Path(o["output"])
     out.mkdir(parents=True, exist_ok=True)
@@ -356,10 +362,10 @@ def cmd_gauge_demo(o, config) -> int:
 
 
 def cmd_sweep(o, config) -> int:
-    cfg = _two_slit_config(o)
     lines = ["param,value,shift_measured,shift_analytic,rel_err"]
+    off = _pattern(o, 0.0)
     for val in np.linspace(o["start"], o["stop"], o["steps"]):
-        _, _, rep = _shift_report(cfg, float(val), o["n_grid"], o["half_width"])
+        rep = _shift_report(off, _pattern(o, float(val)))
         lines.append("alpha,{:.15g},{:.15g},{:.15g},{:.15g}".format(
             val, rep["shift_measured"], rep["shift_analytic"], rep["rel_err"]))
     _emit("\n".join(lines) + "\n", o["output"], config)

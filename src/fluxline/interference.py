@@ -232,78 +232,55 @@ def ab_shift_analytic(L: float, lambda_bar: float, d: float,
 
 
 def _fringe_signal(values, dx, fringe):
-    """Isolate and flatten the oscillatory fringe component of a pattern.
+    """One-sided complex fringe signal of a pattern.
 
-    One-sided Gaussian bandpass around the fringe frequency in the FFT
-    domain, then normalize the real part by the local oscillation magnitude
-    so the envelope cannot bias the correlation.
+    Gaussian bandpass of width 0.2 * f0 around the fringe frequency f0 in
+    the FFT domain, negative frequencies removed. A wider band passes part
+    of the non-oscillating envelope at f = 0 (1% at 0.33 * f0), which
+    biases the phase.
     """
-    n = values.size
-    freq = np.fft.fftfreq(n, d=dx)
+    freq = np.fft.fftfreq(values.size, d=dx)
     f0 = 1.0 / fringe
-    mask = np.exp(-0.5 * ((freq - f0) / (0.33 * f0)) ** 2)
+    mask = np.exp(-0.5 * ((freq - f0) / (0.2 * f0)) ** 2)
     mask[freq <= 0.0] = 0.0
-    z = np.fft.ifft(np.fft.fft(values) * mask * 2.0)
-    mag = np.abs(z)
-    floor = 1e-3 * float(mag.max())
-    return np.real(z) / np.maximum(mag, floor)
+    return np.fft.ifft(np.fft.fft(values) * mask)
 
 
 def ab_shift_measured(off: Pattern, on: Pattern) -> float:
     """Fringe displacement between a flux-off and a flux-on pattern.
 
-    Returns the smallest-magnitude t with on(x) approximately equal to
-    off(x + t): positive when the flux-on pattern matches the flux-off
-    pattern sampled further toward +x_b. Windowed cross-correlation of the
-    normalized fringe signals with sub-grid parabolic peak refinement;
-    shifts are reported modulo one fringe by construction of the lag
-    window. Raises GeometryError when that window of +-0.55 fringes is wider
-    than the grid or spans under 2 grid steps on each side.
+    Returns the t within half a fringe of zero with on(x) approximately
+    equal to off(x + t): positive when the flux-on pattern matches the
+    flux-off pattern sampled further toward +x_b. Complex demodulation
+    (Takeda, Ina & Kobayashi 1982): the phase of the flux-on fringe signal
+    against the flux-off one, times fringe / 2 pi. Raises GeometryError
+    unless the shared grid is evenly spaced, spans more than 1.1 fringes
+    and has at least 3 points per fringe.
     """
     if off.x.shape != on.x.shape or not np.array_equal(off.x, on.x):
         raise GeometryError("patterns must share one grid")
     x = off.x
-    dx = float(x[1] - x[0])
+    span = float(x[-1] - x[0])
+    dx = span / (x.size - 1)
+    # linspace rounding varies the step by far less than 1e-6 of it
+    if np.ptp(np.diff(x)) > 1e-6 * dx:
+        raise GeometryError("pattern grid must be evenly spaced for the FFT bandpass")
     fringe = fringe_spacing(off.config)
-    max_lag = int(round(0.55 * fringe / dx))
-    if 2 * max_lag >= x.size:
+    if span <= 1.1 * fringe:
         raise GeometryError(
-            f"grid of {x.size} points over {x[-1] - x[0]:.6g} cannot hold the lag"
-            f" window of +-0.55 fringes (fringe spacing {fringe:.6g}); widen it"
+            f"grid of {x.size} points over {span:.6g} cannot measure the fringe"
+            f" shift: it spans 1.1 fringes or less (fringe spacing {fringe:.6g});"
+            " widen it"
         )
-    if max_lag < 2:
+    if fringe < 3.0 * dx:
         raise GeometryError(
-            f"grid step {dx:.6g} leaves the lag window of +-0.55 fringes (fringe"
-            f" spacing {fringe:.6g}) under 2 steps; refine or narrow the grid"
+            f"grid step {dx:.6g} cannot measure the fringe shift: it gives under 3"
+            f" points per fringe (fringe spacing {fringe:.6g}); refine or narrow"
+            " the grid"
         )
-    u_off = _fringe_signal(off.values, dx, fringe)
-    u_on = _fringe_signal(on.values, dx, fringe)
-    # Hann taper confined to a few central fringes; the envelope peak region
-    # carries the cleanest oscillation
-    win = np.where(
-        np.abs(x) <= 3.0 * fringe,
-        np.cos(np.pi * x / (6.0 * fringe)) ** 2,
-        0.0,
-    )
-    # window one side only: a shared window would multiply the correlation
-    # by a lag-dependent overlap factor and drag the peak toward zero lag
-    a = u_on * win
-    b = u_off
-    lags = np.arange(-max_lag, max_lag + 1)
-    scores = np.empty(lags.size)
-    for idx, k in enumerate(lags):
-        if k >= 0:
-            scores[idx] = float(a[: a.size - k] @ b[k:])
-        else:
-            scores[idx] = float(a[-k:] @ b[: a.size + k])
-    best = int(np.argmax(scores))
-    shift = lags[best] * dx
-    if 0 < best < lags.size - 1:
-        s0, s1, s2 = scores[best - 1], scores[best], scores[best + 1]
-        denom = s0 - 2.0 * s1 + s2
-        if denom != 0.0:
-            shift += 0.5 * (s0 - s2) / denom * dx
-    return float(shift)
+    z_off = _fringe_signal(off.values, dx, fringe)
+    z_on = _fringe_signal(on.values, dx, fringe)
+    return float(np.angle(np.vdot(z_off, z_on))) * fringe / (2.0 * np.pi)
 
 
 def quantization_report(n_e: int, N: int, superconducting: bool) -> dict:

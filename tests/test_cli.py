@@ -198,6 +198,43 @@ def test_interfere_unwraps_more_than_three_fringes(tmp_path, capsys, alpha, turn
     assert rep["rel_err"] < 1e-3
 
 
+@pytest.mark.parametrize("argv", [["interfere", "--alpha", "1e300"],
+                                  ["sweep", "--to", "1e300"]])
+def test_alpha_too_large_to_place_the_shift_exits_2(tmp_path, capsys, argv):
+    # the double nearest 2e300 says nothing about the shift within a fringe
+    code, out, err = run(argv + ["-o", str(tmp_path / "out")], capsys)
+    assert code == 2
+    assert out == ""
+    assert "1% of a fringe" in err
+
+
+def test_interfere_at_three_points_per_fringe(tmp_path, capsys):
+    code, out, _ = run(["interfere", "--grid", "200", "-o", str(tmp_path)], capsys)
+    assert code == 0
+    assert json.loads(out)["rel_err"] < 1e-3
+
+
+def test_interfere_under_three_points_per_fringe_exits_2(tmp_path, capsys):
+    code, out, err = run(["interfere", "--grid", "190", "-o", str(tmp_path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "points per fringe" in err
+
+
+def test_sweep_builds_the_flux_off_pattern_once(monkeypatch, capsys):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return fl.pattern(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "pattern", counted)
+    code, _, _ = run(["sweep", "--steps", "8", "--grid", "256"], capsys)
+    assert code == 0
+    assert len(calls) == 9
+    assert calls.count(0.0) == 2
+
+
 def test_interfere_overflowing_shift_exits_2(tmp_path, capsys):
     code, out, err = run(["interfere", "--alpha", "1e308", "-o", str(tmp_path)], capsys)
     assert code == 2
@@ -469,7 +506,7 @@ def test_interfere_grid_that_misses_the_fringe_exits_2(tmp_path, capsys, half_wi
                           "-o", str(tmp_path / "out")], capsys)
     assert code == 2
     assert out == ""
-    assert "lag window" in err
+    assert "cannot measure the fringe shift" in err
 
 
 def test_threads_env_var_not_an_integer(monkeypatch, capsys):

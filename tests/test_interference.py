@@ -166,8 +166,31 @@ def test_shift_analytic_dipole_density_form():
 
 def test_shift_self_is_zero():
     off = pattern(CFG, 0.0)
-    dx = off.x[1] - off.x[0]
-    assert abs(ab_shift_measured(off, off)) < dx / 100.0
+    assert ab_shift_measured(off, off) == 0.0
+
+
+@pytest.mark.parametrize("n_grid", [200, 4096, 16384])
+def test_shift_is_the_pattern_phase_over_a_period(n_grid):
+    # the pattern's cosine carries alpha, so its own shift is
+    # alpha * fringe / 2 pi; 200 points is 3.1 per fringe
+    off = pattern(CFG, 0.0, n_grid=n_grid)
+    spacing = fringe_spacing(CFG)
+    for alpha in np.linspace(-3.1, 3.1, 13):
+        measured = ab_shift_measured(off, pattern(CFG, alpha, n_grid=n_grid))
+        assert abs(measured) <= spacing / 2.0
+        err = measured - alpha * spacing / (2.0 * np.pi)
+        assert abs(err - round(err / spacing) * spacing) < 1e-5
+
+
+def test_shift_rejects_uneven_grid():
+    # a smooth warp keeps the grid increasing; the FFT bandpass would
+    # read the warped fringe as a shift of the wrong size
+    u = np.linspace(-1.0, 1.0, 4096)
+    x = default_half_width(CFG) * (u + 0.1 * np.sin(np.pi * u))
+    off = fl.Pattern(x=x, values=density(CFG, x, 0.0), config=CFG, alpha=0.0)
+    on = fl.Pattern(x=x, values=density(CFG, x, 1.0), config=CFG, alpha=1.0)
+    with pytest.raises(fl.GeometryError, match="evenly spaced"):
+        ab_shift_measured(off, on)
 
 
 def test_shift_pi_matches_analytic():
@@ -197,11 +220,11 @@ def test_shift_grid_mismatch_rejected():
 
 @pytest.mark.parametrize("half_width", [0.3, 1e5])
 def test_shift_rejects_grid_that_cannot_hold_or_resolve_the_lag_window(half_width):
-    # 0.3: the +-0.55-fringe window is wider than the grid; 1e5: the window
-    # is under 2 grid steps, so the shift would read 0 with no error
+    # 0.3: the grid spans under 1.1 fringes; 1e5: it has under 3 points
+    # per fringe, so the fringe aliases
     off = pattern(CFG, 0.0, half_width=half_width)
     on = pattern(CFG, np.pi, half_width=half_width)
-    with pytest.raises(fl.GeometryError, match="lag window"):
+    with pytest.raises(fl.GeometryError, match="cannot measure the fringe shift"):
         ab_shift_measured(off, on)
 
 
