@@ -317,14 +317,21 @@ def _shift_report(off, on) -> dict:
     L, lam, d = beam_geometry(cfg)
     analytic = ab_shift_analytic(L, lam, d, alpha)
     spacing = 2.0 * np.pi * L * lam / d
+    fringe = fringe_spacing(cfg)
     if math.ulp(analytic) > 0.01 * spacing:
         # a double this large cannot place the shift within 1% of a fringe
         raise GeometryError(
             f"alpha_AB = {alpha:.6g} puts the fringe shift at {analytic:.6g}, where"
             f" doubles are spaced wider than 1% of a fringe ({spacing:.6g})")
-    # the measured shift is known modulo one fringe: unwrap by whole fringes
-    k = round((analytic - measured) / spacing)
-    err = abs(measured + k * spacing - analytic)
+    if abs(analytic) * abs(spacing - fringe) / spacing > 0.25 * fringe:
+        # the pattern shifts by alpha fringe / 2 pi, the analytic form by alpha
+        # spacing / 2 pi: a quarter fringe apart, the unwrap below may miscount
+        raise GeometryError(
+            f"alpha_AB = {alpha:.6g} puts the fringe shift at {analytic:.6g}, where the pattern's"
+            f" fringe ({fringe:.6g}) drifts over a quarter fringe from {spacing:.6g}")
+    # the measured shift is known modulo the pattern's fringe: unwrap by it
+    k = round((analytic - measured) / fringe)
+    err = abs(measured + k * fringe - analytic)
     rel = err / abs(analytic) if abs(analytic) > 1e-12 else err / spacing
     return {
         "shift_measured": measured,
@@ -332,7 +339,7 @@ def _shift_report(off, on) -> dict:
         "rel_err": rel,
         "wrap_turns": k,
         "fringe_spacing": spacing,
-        "fringe_spacing_pattern": fringe_spacing(cfg),
+        "fringe_spacing_pattern": fringe,
     }
 
 

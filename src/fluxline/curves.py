@@ -96,8 +96,10 @@ def _segment_pair_distance(p0, u, q0, v):
     """Distances between every segment of set one and every segment of set two.
 
     p0, u: (n1, 3) segment starts and direction vectors; q0, v: (n2, 3).
-    Returns (n1, n2). Standard clamped quadratic minimization; exact for
-    nondegenerate segments, parallel pairs handled by the flat-valley branch.
+    Returns (n1, n2). Closest points by one clamp of s, the t best for that
+    s, and one correction (Ericson, Real-Time Collision Detection, 5.1.9);
+    exact for nondegenerate segments. Parallel pairs start from s = 0, which
+    lies on their line of closest points.
     """
     w = p0[:, None, :] - q0[None, :, :]
     a = np.einsum("ij,ij->i", u, u)[:, None]
@@ -106,26 +108,13 @@ def _segment_pair_distance(p0, u, q0, v):
     d = np.einsum("ik,ijk->ij", u, w)
     e = np.einsum("jk,ijk->ij", v, w)
     den = a * c - b * b
-    par = den <= 1e-13 * a * c
-    s_num = np.where(par, 0.0, b * e - c * d)
-    s_den = np.where(par, 1.0, den)
-    t_num = np.where(par, e, a * e - b * d)
-    t_den = np.where(par, c, den)
-    # clamp s to [0, 1], moving t to its conditional optimum on the active edge
-    lo = s_num < 0.0
-    hi = s_num > s_den
-    s_num = np.where(lo, 0.0, np.where(hi, s_den, s_num))
-    t_num = np.where(lo, e, np.where(hi, e + b, t_num))
-    t_den = np.where(lo | hi, c, t_den)
-    # clamp t to [0, 1]; where t was clamped, s gets its own conditional optimum
-    lo = t_num < 0.0
-    hi = t_num > t_den
-    s = np.where(
-        lo,
-        np.clip(-d / a, 0.0, 1.0),
-        np.where(hi, np.clip((b - d) / a, 0.0, 1.0), s_num / s_den),
-    )
-    t = np.clip(np.where(lo, 0.0, np.where(hi, 1.0, t_num / t_den)), 0.0, 1.0)
+    s = np.divide(b * e - c * d, den, out=np.zeros_like(den), where=den > 1e-13 * a * c)
+    s = np.clip(s, 0.0, 1.0)
+    # where the t best for s leaves [0, 1], clamp it and re-pick s for that end
+    t = (b * s + e) / c
+    s = np.where(t < 0.0, np.clip(-d / a, 0.0, 1.0),
+                 np.where(t > 1.0, np.clip((b - d) / a, 0.0, 1.0), s))
+    t = np.clip(t, 0.0, 1.0)
     diff = w + s[:, :, None] * u[:, None, :] - t[:, :, None] * v[None, :, :]
     return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 

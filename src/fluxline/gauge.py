@@ -132,6 +132,9 @@ def solenoid_singular_gauge_demo(s: SolenoidConfig, rho0: float, n_turns: int,
         raise GeometryError("rho0 must exceed the solenoid radius")
     if n < 16:
         raise GeometryError("need at least 16 quadrature samples")
+    if n <= 2 * abs(int(n_turns)):
+        raise GeometryError(f"{n} samples cannot count {n_turns} turns: the winding"
+                            " needs more than 2 samples per turn")
     mids, tangents, verts = _demo_loop(s, rho0, int(n_turns), n)
     rho = np.hypot(mids[:, 0], mids[:, 1])
     mag = np.array([solenoid_potential(s, float(v)) for v in rho])
@@ -140,7 +143,7 @@ def solenoid_singular_gauge_demo(s: SolenoidConfig, rho0: float, n_turns: int,
     ang = np.angle(verts[:, 0] + 1j * verts[:, 1])
     dphi = np.diff(np.concatenate([ang, ang[:1]]))
     dphi = (dphi + np.pi) % (2.0 * np.pi) - np.pi
-    # vertex angular spacing stays below pi for n >= 16 per turn, so the
+    # vertex angular spacing 2 pi |n_turns| / n stays below pi, so the
     # per-step wrap cannot drop a revolution
     winding = int(np.rint(dphi.sum() / (2.0 * np.pi)))
     circ_aprime = 0.0

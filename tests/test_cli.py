@@ -198,6 +198,26 @@ def test_interfere_unwraps_more_than_three_fringes(tmp_path, capsys, alpha, turn
     assert rep["rel_err"] < 1e-3
 
 
+def test_interfere_unwraps_by_the_pattern_fringe(tmp_path, capsys):
+    # the pattern shifts by alpha * fringe_spacing_pattern / 2 pi; what is
+    # left against the analytic shift is the gap between the two spacings
+    code, out, _ = run(["interfere", "--alpha", "1000", "-o", str(tmp_path)], capsys)
+    rep = json.loads(out)
+    assert code == 0
+    gap = 1.0 - rep["fringe_spacing_pattern"] / rep["fringe_spacing"]
+    assert abs(gap - 2.25e-4) < 1e-6
+    assert abs(rep["rel_err"] - gap) < 1e-5
+
+
+@pytest.mark.parametrize("argv", [["interfere", "--alpha", "2e4"],
+                                  ["sweep", "--to", "2e4"]])
+def test_alpha_past_a_quarter_fringe_of_drift_exits_2(tmp_path, capsys, argv):
+    code, out, err = run(argv + ["-o", str(tmp_path / "out")], capsys)
+    assert code == 2
+    assert out == ""
+    assert "quarter fringe" in err
+
+
 @pytest.mark.parametrize("argv", [["interfere", "--alpha", "1e300"],
                                   ["sweep", "--to", "1e300"]])
 def test_alpha_too_large_to_place_the_shift_exits_2(tmp_path, capsys, argv):
@@ -260,6 +280,24 @@ def test_gauge_demo_solenoid_three_turns(capsys):
     assert abs(rep["circ_A"] - 1.5) < 1e-8
     assert abs(rep["string_flux"] + 1.5) < 1e-8
     assert rep["winding"] == 3
+
+
+@pytest.mark.parametrize("argv, turns", [(["--turns", "511"], 511),
+                                         (["--turns", "-511"], -511),
+                                         (["--turns", "7", "--samples", "16"], 7)])
+def test_gauge_demo_solenoid_many_turns(capsys, argv, turns):
+    code, out, _ = run(["gauge-demo", "--solenoid"] + argv, capsys)
+    assert code == 0
+    assert json.loads(out)["winding"] == turns
+
+
+@pytest.mark.parametrize("argv", [["--turns", "512"], ["--turns", "-512"],
+                                  ["--turns", "8", "--samples", "16"]])
+def test_gauge_demo_solenoid_too_many_turns_exits_2(capsys, argv):
+    code, out, err = run(["gauge-demo", "--solenoid"] + argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "samples per turn" in err
 
 
 def test_gauge_demo_closed_line(capsys):

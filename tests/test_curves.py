@@ -68,6 +68,51 @@ def test_self_distance_scan_matches_unchunked_minimum():
     assert _min_nonadjacent_self_distance(pts) == float(dmat.min())
 
 
+def _pair_distance_reference(p0, u, q0, v):
+    """Segment-pair distance of one pair: the smaller of the four endpoint-
+    segment distances and, if it lies inside both segments, the critical
+    point of the squared distance."""
+    def point_segment(x, a, d):
+        t = min(1.0, max(0.0, float(np.dot(x - a, d) / np.dot(d, d))))
+        return float(np.linalg.norm(x - a - t * d))
+
+    best = min(point_segment(p0, q0, v), point_segment(p0 + u, q0, v),
+               point_segment(q0, p0, u), point_segment(q0 + v, p0, u))
+    w = p0 - q0
+    m = np.array([[u @ u, -(u @ v)], [u @ v, -(v @ v)]])
+    if np.linalg.det(m) != 0.0:
+        s, t = np.linalg.solve(m, [-(u @ w), -(v @ w)])
+        if 0.0 <= s <= 1.0 and 0.0 <= t <= 1.0:
+            best = min(best, float(np.linalg.norm(w + s * u - t * v)))
+    return best
+
+
+def test_segment_pair_distance_on_degenerate_pairs():
+    from fluxline.curves import _segment_pair_distance
+
+    rng = np.random.default_rng(11)
+    pairs = []
+    for _ in range(30):
+        p0, x, gap = rng.normal(size=(3, 3))
+        u, v = rng.normal(size=(2, 3))
+        # exactly parallel and antiparallel (power-of-two scalings keep
+        # a*c - b*b at exactly 0), apart and overlapping along the line
+        pairs += [(p0, u, p0 + gap, 2.0 * u), (p0, u, p0 + gap, -0.5 * u),
+                  (p0, u, p0 + 0.25 * u, u), (p0, u, p0 + 1.5 * u, -u)]
+        # crossing at s = 0.3, t = 0.6
+        pairs.append((x - 0.3 * u, u, x - 0.6 * v, v))
+        # lengths 1e-3 against 1e3, either way round, skew and parallel
+        short, long_ = 1e-3 * u, 1e3 * v
+        pairs += [(p0, short, p0 + gap, long_), (p0, long_, p0 + gap, short),
+                  (p0, short, p0 + gap, 1e3 * u), (p0, long_, p0 + gap, 1e-3 * v)]
+    p0, u, q0, v = (np.array(col) for col in zip(*pairs))
+    got = np.diagonal(_segment_pair_distance(p0, u, q0, v))
+    for k, pair in enumerate(pairs):
+        scale = max(np.linalg.norm(pair[1]), np.linalg.norm(pair[3]),
+                    np.linalg.norm(pair[0] - pair[2]))
+        assert abs(got[k] - _pair_distance_reference(*pair)) <= 1e-12 * scale, (k, pair)
+
+
 def test_self_distance_scan_thread_independent(monkeypatch):
     from fluxline.curves import _min_nonadjacent_self_distance
 

@@ -149,6 +149,21 @@ def test_solenoid_demo_non_enclosing():
     assert rec["winding"] == 0
 
 
+@pytest.mark.parametrize("turns, n", [(511, 1024), (-511, 1024), (7, 16)])
+def test_solenoid_demo_winding_up_to_half_the_samples(turns, n):
+    rec = solenoid_singular_gauge_demo(SolenoidConfig(R=1.0, flux=1.0), 2.0, turns, n=n)
+    assert rec["winding"] == turns
+    assert abs(rec["circ_A"] - turns) < 1e-8 * abs(turns)
+
+
+@pytest.mark.parametrize("turns, n", [(512, 1024), (-512, 1024), (8, 16)])
+def test_solenoid_demo_rejects_half_a_turn_per_sample(turns, n):
+    # at half a turn per sample the vertex-angle unwrap cannot tell the
+    # direction of a step, and the winding count came out wrong
+    with pytest.raises(fl.GeometryError, match="samples per turn"):
+        solenoid_singular_gauge_demo(SolenoidConfig(R=1.0, flux=1.0), 2.0, turns, n=n)
+
+
 def test_solenoid_demo_inside_rejected():
     s = SolenoidConfig(R=1.0, flux=1.0)
     with pytest.raises(fl.GeometryError):
