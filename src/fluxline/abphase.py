@@ -43,13 +43,13 @@ def ab_phase_circulation(p: PhaseParams, f: FluxLine, path: ClosedCurve,
     return p.alpha * circulation(unit, path, threads=threads)
 
 
-def ab_phase_flux(p: PhaseParams, f: FluxLine, path: ClosedCurve) -> float:
+def ab_phase_flux(p: PhaseParams, f: FluxLine, path: ClosedCurve, threads=None) -> float:
     """Phase from the flux carried through a surface spanning the path.
 
     alpha times the signed count of flux-line crossings through that
     surface; the nonlocal counted-flux reading of the same number.
     """
-    return p.alpha * crossing_linking(f.curve, span_surface(path))
+    return p.alpha * crossing_linking(f.curve, span_surface(path), threads=threads)
 
 
 def ab_phase_solid_angle(p: PhaseParams, path: ClosedCurve, f: FluxLine,
@@ -67,13 +67,14 @@ def ab_phase_solid_angle(p: PhaseParams, path: ClosedCurve, f: FluxLine,
     return p.alpha * linking_integral(path.points, f.curve.points, threads=threads)
 
 
-def ab_phase_crossing(p: PhaseParams, f: FluxLine, path: ClosedCurve) -> float:
+def ab_phase_crossing(p: PhaseParams, f: FluxLine, path: ClosedCurve,
+                      threads=None) -> float:
     """Phase picked up discretely as the path crosses a spanning surface.
 
     alpha times the signed count of path crossings through a surface
     spanning the flux curve.
     """
-    return p.alpha * crossing_linking(path, span_surface(f.curve))
+    return p.alpha * crossing_linking(path, span_surface(f.curve), threads=threads)
 
 
 def _suite_entry(phases, base, tol):

@@ -5,10 +5,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import parallel
 from .errors import ClearanceError, GeometryError, SchemaError, check_numbers, read_json
 
 DEFAULT_N = 1024
+# segments per bounding sphere in the pruned distance scan
+SCAN_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -119,18 +120,66 @@ def _segment_pair_distance(p0, u, q0, v):
     return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 
 
-def _min_segment_distance(p0, u, q0, v, threads=None) -> float:
-    """Minimum of _segment_pair_distance(p0, u, q0, v), scanned in row blocks."""
+def _block_spheres(p0, u):
+    """Centre and radius of a sphere around each SCAN_BLOCK run of segments."""
+    starts = np.arange(0, p0.shape[0], SCAN_BLOCK)
+    q = p0 + u
+    centre = 0.5 * (np.minimum.reduceat(np.minimum(p0, q), starts)
+                    + np.maximum.reduceat(np.maximum(p0, q), starts))
+    own = centre[np.arange(p0.shape[0]) // SCAN_BLOCK]
+    far = np.maximum(np.einsum("ij,ij->i", p0 - own, p0 - own),
+                     np.einsum("ij,ij->i", q - own, q - own))
+    return centre, np.sqrt(np.maximum.reduceat(far, starts))
 
-    def block(i0, i1):
-        return float(_segment_pair_distance(p0[i0:i1], u[i0:i1], q0, v).min())
 
-    return min(parallel.blocks(block, p0.shape[0], threads=threads))
+def _min_segment_distance(p0, u, q0, v, skip_adjacent=False) -> float:
+    """Minimum of _segment_pair_distance(p0, u, q0, v), bit for bit, pruned.
+
+    Each set is cut into SCAN_BLOCK runs of consecutive segments with a
+    bounding sphere; |c_I - c_J| - r_I - r_J bounds the distances of a block
+    pair from below. The block pair of least bound is evaluated first, and
+    its minimum ub is an achieved distance; then every other block pair
+    bounded by ub is evaluated, one kernel call per row block over the
+    gathered columns. Serial: two threads gained nothing here.
+    skip_adjacent (q0, v are p0, u): the pairs i, i and i, i +- 1 mod n are
+    left out.
+    """
+    n = p0.shape[0]
+    cp, rp = _block_spheres(p0, u)
+    cq, rq = _block_spheres(q0, v)
+    gap = cp[:, None, :] - cq[None, :, :]
+    # the slack covers the rounding of the bounds and of the kernel's
+    # distances, so no pruned pair can hold a smaller computed distance
+    slack = 1e-12 * max(float(np.abs(p0).max()), float(np.abs(q0).max()),
+                        float(rp.max()), float(rq.max()))
+    bound = np.sqrt(np.einsum("ijk,ijk->ij", gap, gap)) - rp[:, None] - rq[None, :] - slack
+    col_block = np.arange(q0.shape[0]) // SCAN_BLOCK
+
+    def scan(take):
+        best = np.inf
+        for i, row_take in enumerate(take):
+            cols = np.flatnonzero(row_take[col_block])
+            if cols.size:
+                rows = np.arange(i * SCAN_BLOCK, min(i * SCAN_BLOCK + SCAN_BLOCK, n))
+                d = _segment_pair_distance(p0[rows], u[rows], q0[cols], v[cols])
+                if skip_adjacent:
+                    k = (cols[None, :] - rows[:, None]) % n
+                    d[(k <= 1) | (k == n - 1)] = np.inf
+                best = min(best, float(d.min()))
+        return best
+
+    first = np.zeros(bound.shape, dtype=bool)
+    first.flat[np.argmin(bound)] = True
+    ub = scan(first)
+    return min(ub, scan((bound <= ub) & ~first))
 
 
 def min_distance(a: ClosedCurve, b: ClosedCurve, threads=None) -> float:
-    """Minimum Euclidean distance over all segment pairs of two closed curves."""
-    return _min_segment_distance(*a.segments(), *b.segments(), threads=threads)
+    """Minimum Euclidean distance over all segment pairs of two closed curves.
+
+    `threads` is accepted for the API and unused: the pruned scan is serial.
+    """
+    return _min_segment_distance(*a.segments(), *b.segments())
 
 
 def point_segment_distance(x, p0, d):
@@ -152,19 +201,8 @@ def distance_to_curve(x, c: ClosedCurve):
 
 def _min_nonadjacent_self_distance(points) -> float:
     pts = np.asarray(points, dtype=float)
-    n = pts.shape[0]
     u = np.roll(pts, -1, axis=0) - pts
-
-    def block(i0, i1):
-        dmat = _segment_pair_distance(pts[i0:i1], u[i0:i1], pts, u)
-        rows = np.arange(i1 - i0)
-        i = np.arange(i0, i1)
-        dmat[rows, i] = np.inf
-        dmat[rows, (i + 1) % n] = np.inf
-        dmat[rows, (i - 1) % n] = np.inf
-        return float(dmat.min())
-
-    return min(parallel.blocks(block, n))
+    return _min_segment_distance(pts, u, pts, u, skip_adjacent=True)
 
 
 def _check_self_avoiding(points, label):

@@ -63,7 +63,7 @@ def open_path_gauge_shift(f: FluxLine, gamma, threads=None):
     happen to match: open-path phases are gauge dependent.
     """
     pts, seg = _open_polyline(gamma)
-    if _min_segment_distance(pts[:-1], seg, *f.curve.segments(), threads=threads) <= _guard(f):
+    if _min_segment_distance(pts[:-1], seg, *f.curve.segments()) <= _guard(f):
         raise GeometryError("open path touches or nearly touches the flux line")
     surf = span_surface(f.curve)
     scale = max(f.curve.diameter(), 1e-30)

@@ -1,10 +1,11 @@
 """Deterministic block parallelism.
 
-Every pair kernel runs over fixed blocks of CHUNK_ROWS rows. `blocks`
-returns the per-block results in block order and the caller reduces them in
-that order, so a result never depends on how many worker threads ran. numpy
-releases the GIL inside large array kernels, which is where all the time
-goes, so plain threads give real speedup on the O(N^2) pair loops.
+The Biot–Savart pair sum and the crossing count run over fixed blocks of
+CHUNK_ROWS rows. `blocks` returns the per-block results in block order and
+the caller reduces them in that order, so a result never depends on how
+many worker threads ran. numpy releases the GIL inside large array
+kernels, which is where all the time goes, so plain threads give real
+speedup on the O(N^2) pair loops.
 """
 import os
 from concurrent.futures import ThreadPoolExecutor

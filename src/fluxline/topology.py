@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import parallel
-from .curves import ClosedCurve, min_distance, point_segment_distance
+from .curves import ClosedCurve, _min_segment_distance, min_distance, point_segment_distance
 from .errors import GeometryError, SchemaError, UnderResolvedError, check_numbers, read_json
 from .quadrature import biot_savart, linking_integral, periodic_midpoints
 
@@ -123,7 +123,22 @@ def _min_barycentric(x, a, b, c):
     return np.minimum(np.minimum(w0, w1), 1.0 - w0 - w1)
 
 
-def crossing_linking(path: ClosedCurve, surf: Surface) -> int:
+def _boundary_distance(path: ClosedCurve, surf: Surface) -> float:
+    """Distance from the path to the mesh edges used by exactly one triangle."""
+    t = surf.triangles
+    edges = np.stack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]], axis=1).reshape(-1, 2)
+    _, first, count = np.unique(np.sort(edges, axis=1), axis=0,
+                                return_index=True, return_counts=True)
+    # in mesh order, so that runs of consecutive edges stay close together
+    # for the pruned scan's bounding spheres
+    start, end = edges[np.sort(first[count == 1])].T
+    if start.size == 0:
+        return np.inf
+    v = surf.vertices
+    return _min_segment_distance(*path.segments(), v[start], v[end] - v[start])
+
+
+def crossing_linking(path: ClosedCurve, surf: Surface, threads=None) -> int:
     """Signed count of path crossings through an oriented spanning surface.
 
     Equal to the linking number of the path with the surface boundary.
@@ -133,8 +148,9 @@ def crossing_linking(path: ClosedCurve, surf: Surface) -> int:
     triangle edge or corner to classify, or a path vertex lying exactly on
     a face, where the path may touch the surface and turn back, moves the
     whole path by 1e-9 * 3^k of its scale, k = 1..11, in a fixed generic
-    direction, and the count is repeated. The path's segments are counted
-    in `parallel.blocks` at the default thread count.
+    direction, and the count is repeated; a move that reaches half the
+    path's distance to the surface boundary raises instead. The path's
+    segments are counted in `parallel.blocks`.
     """
     pts = path.points
     scale = max(path.diameter(), 1e-30)
@@ -153,7 +169,14 @@ def crossing_linking(path: ClosedCurve, surf: Surface) -> int:
     generic = np.array([np.pi - 3.0, np.e - 2.0, np.sqrt(2.0) - 1.0])
     generic /= np.linalg.norm(generic)
     for attempt in range(12):
-        work = pts + (1e-9 * scale * 3.0 ** attempt) * generic if attempt else pts
+        nudge = 1e-9 * scale * 3.0 ** attempt
+        if attempt == 1:
+            clearance = _boundary_distance(path, surf)
+        if attempt and nudge >= 0.5 * clearance:
+            raise GeometryError(
+                f"crossing nudge {nudge:.3g} reaches half the path's distance "
+                f"{clearance:.3g} to the surface boundary")
+        work = pts + nudge * generic if attempt else pts
         d = np.roll(work, -1, axis=0) - work
 
         def block(i0, i1):
@@ -181,7 +204,7 @@ def crossing_linking(path: ClosedCurve, surf: Surface) -> int:
             suspicious = np.any((wmin > -eps) & ~inside) or np.any(inside & (t[i, j] == 0.0))
             return int(np.sign(den[i[inside], j[inside]]).sum()), bool(suspicious)
 
-        parts = parallel.blocks(block, pts.shape[0])
+        parts = parallel.blocks(block, pts.shape[0], threads=threads)
         if not any(suspicious for _, suspicious in parts):
             return sum(count for count, _ in parts)
     raise GeometryError("could not resolve crossings away from triangle edges")

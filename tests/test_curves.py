@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import fluxline as fl
-from conftest import X, Y, Z, brute_min_distance, circle, hopf_pair
+from conftest import X, Y, Z, brute_min_distance, circle, hopf_pair, perturbed, random_pair
+from fluxline import curves
 
 
 def test_make_circle_four_point_vertices():
@@ -66,6 +67,96 @@ def test_self_distance_scan_matches_unchunked_minimum():
     for j in (i, (i + 1) % 600, (i - 1) % 600):
         dmat[i, j] = np.inf
     assert _min_nonadjacent_self_distance(pts) == float(dmat.min())
+
+
+def _unpruned_min(p0, u, q0, v, skip_adjacent=False):
+    """Minimum of the full _segment_pair_distance matrix, built 256 rows at a
+    time; skip_adjacent leaves out the pairs i, i and i, i +- 1 mod n."""
+    n, best = p0.shape[0], np.inf
+    for i0 in range(0, n, 256):
+        d = curves._segment_pair_distance(p0[i0:i0 + 256], u[i0:i0 + 256], q0, v)
+        if skip_adjacent:
+            i = np.arange(i0, min(i0 + 256, n))
+            for j in (i, (i + 1) % n, (i - 1) % n):
+                d[i - i0, j] = np.inf
+        best = min(best, float(d.min()))
+    return best
+
+
+def _circle_pair(seed, n, linked):
+    """Perturbed unit circles, Hopf-linked or 2.3 apart, as the benchmark's."""
+    rng = np.random.default_rng(seed)
+    a = circle((0, 0, 0), 1.0, Z, n)
+    b = circle((1, 0, 0), 1.0, Y, n) if linked else circle((2.3, 0, 0), 1.0, X, n)
+    return perturbed(a, rng, 0.1, modes=2), perturbed(b, rng, 0.1, modes=2)
+
+
+def _figure_eight(n=256):
+    t = 2.0 * np.pi * np.arange(n) / n
+    return np.column_stack([np.cos(t), 0.5 * np.sin(2.0 * t), np.zeros(n)])
+
+
+@pytest.mark.parametrize("make, args", [
+    *((random_pair, (seed,)) for seed in (1000, 1001, 1010, 1051)),
+    *((_circle_pair, (seed, n, linked))
+      for n in (3, 31, 33, 1000, 2048) for seed, linked in ((0, True), (1, False))),
+])
+def test_pruned_scans_equal_the_full_scan(make, args):
+    a, b = make(*args)
+    assert fl.min_distance(a, b) == _unpruned_min(*a.segments(), *b.segments())
+    for c in (a, b):
+        assert curves._min_nonadjacent_self_distance(c.points) == _unpruned_min(
+            *c.segments(), *c.segments(), skip_adjacent=True)
+
+
+def test_pruned_scan_on_touching_curves_and_open_paths(tmp_path):
+    a = circle((0, 0, 0), 1.0, Z, 1024)
+    assert fl.min_distance(a, a) == 0.0
+    # point reflection through vertex 0: the curves share that vertex exactly
+    touching = fl.ClosedCurve(2.0 * a.points[0] - a.points)
+    assert fl.min_distance(a, touching) == 0.0
+    # the open-path clearance of gauge.open_path_gauge_shift
+    rng = np.random.default_rng(5)
+    for gamma in (np.column_stack([np.ones(300), np.zeros(300), np.linspace(5.0, -0.1, 300)]),
+                  np.cumsum(rng.normal(scale=0.2, size=(500, 3)), axis=0)):
+        seg = np.diff(gamma, axis=0)
+        assert curves._min_segment_distance(gamma[:-1], seg, *a.segments()) == \
+            _unpruned_min(gamma[:-1], seg, *a.segments())
+    # a figure-eight crosses itself at the origin; the pruned scan finds it
+    eight = _figure_eight()
+    u = np.roll(eight, -1, axis=0) - eight
+    assert curves._min_nonadjacent_self_distance(eight) == _unpruned_min(
+        eight, u, eight, u, skip_adjacent=True) < 1e-12
+    path = tmp_path / "eight.json"
+    path.write_text(json.dumps({"points": eight.tolist()}))
+    with pytest.raises(fl.SchemaError, match="non-adjacent segments intersect"):
+        fl.load_curve(path)
+
+
+@pytest.mark.parametrize("n", [33, 64, 96])
+def test_self_scan_skips_the_wrap_around_pair_at_a_block_border(n):
+    # segment n - 1 meets segment 0 at vertex 0; they sit in different
+    # blocks, so only the mod-n adjacency keeps the scan from reading 0
+    c = circle((0, 0, 0), 1.0, Z, n)
+    found = curves._min_nonadjacent_self_distance(c.points)
+    assert found == _unpruned_min(*c.segments(), *c.segments(), skip_adjacent=True)
+    assert found > 0.01
+
+
+def test_pruned_scan_skips_most_pairs_of_far_apart_circles(monkeypatch):
+    evaluated = []
+    kernel = curves._segment_pair_distance
+
+    def counting(*args):
+        d = kernel(*args)
+        evaluated.append(d.size)
+        return d
+
+    monkeypatch.setattr(curves, "_segment_pair_distance", counting)
+    a = circle((0, 0, 0), 1.0, Z, 1024)
+    b = circle((5, 0, 0), 1.0, Y, 1024)
+    assert abs(fl.min_distance(a, b) - 3.0) < 1e-5
+    assert 0 < sum(evaluated) < 0.1 * 1024 * 1024
 
 
 def _pair_distance_reference(p0, u, q0, v):

@@ -235,6 +235,20 @@ def test_crossing_vertex_touch_is_not_a_crossing(unit_disk):
     assert fl.crossing_linking(through.reversed(), unit_disk) == -1
 
 
+def test_crossing_nudge_next_to_the_boundary_raises(unit_disk):
+    # the path pierces the fan apex, which forces a nudge, and passes 3e-9
+    # above the rim vertex (1, 0, 0): the first nudge, 1e-9 * scale * 3,
+    # already reaches half that clearance
+    path = fl.ClosedCurve(np.array(
+        [(0, 0, -1), (0, 0, 1), (1, 0, 3e-9), (2, 0, 3e-9), (2, 0, -1)], dtype=float))
+    with pytest.raises(fl.GeometryError, match="half the path's distance"):
+        fl.crossing_linking(path, unit_disk)
+    # 0.1 above the rim the same nudge resolves the apex hit
+    clear = fl.ClosedCurve(np.array(
+        [(0, 0, -1), (0, 0, 1), (1, 0, 0.1), (2, 0, 0.1), (2, 0, -1)], dtype=float))
+    assert fl.crossing_linking(clear, unit_disk) == 1
+
+
 def test_solid_angle_axial_closed_form(unit_disk):
     for z in (0.25, 0.5, 1.0, 2.0):
         val = fl.solid_angle(np.array([0.0, 0.0, z]), unit_disk)
