@@ -62,7 +62,7 @@ def ab_phase_solid_angle(p: PhaseParams, path: ClosedCurve, f: FluxLine,
     particular spanning surface are bookkeeping of the multi-valued branch
     and carry no extra contribution here.
     """
-    if min_distance(path, f.curve, threads=threads) <= _guard(f):
+    if min_distance(path, f.curve) <= _guard(f):
         raise GeometryError("path touches or nearly touches the flux line")
     return p.alpha * linking_integral(path.points, f.curve.points, threads=threads)
 
@@ -109,15 +109,15 @@ def invariance_suite(p: PhaseParams, f: FluxLine, path: ClosedCurve,
                                     threads=threads)
 
     suites = {}
-    path_steps = deform_homotopy(path, f.curve, spec, threads=threads)
+    path_steps = deform_homotopy(path, f.curve, spec)
     suites["path"] = _suite_entry([phase(f.curve, c) for c in path_steps], base, tol)
 
     flux_spec = replace(spec, seed=spec.seed + 1)
-    flux_steps = deform_homotopy(f.curve, path, flux_spec, threads=threads)
+    flux_steps = deform_homotopy(f.curve, path, flux_spec)
     suites["flux_curve"] = _suite_entry([phase(c, path) for c in flux_steps], base, tol)
 
     both_spec = replace(spec, seed=spec.seed + 2)
-    states = _deform(path, f.curve, both_spec, True, threads=threads)
+    states = _deform(path, f.curve, both_spec, True)
     suites["simultaneous"] = _suite_entry([phase(fc, pc) for pc, fc in states], base, tol)
 
     # role swap: the linking integrand is symmetric under exchanging the

@@ -8,7 +8,7 @@ import numpy as np
 from .errors import ClearanceError, GeometryError, SchemaError, check_numbers, read_json
 
 DEFAULT_N = 1024
-# segments per bounding sphere in the pruned distance scan
+# segments per bounding box in the pruned distance scan
 SCAN_BLOCK = 32
 
 
@@ -120,39 +120,35 @@ def _segment_pair_distance(p0, u, q0, v):
     return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 
 
-def _block_spheres(p0, u):
-    """Centre and radius of a sphere around each SCAN_BLOCK run of segments."""
+def _run_boxes(p0, u):
+    """Lower and upper corner of the box around each SCAN_BLOCK run of segments."""
     starts = np.arange(0, p0.shape[0], SCAN_BLOCK)
     q = p0 + u
-    centre = 0.5 * (np.minimum.reduceat(np.minimum(p0, q), starts)
-                    + np.maximum.reduceat(np.maximum(p0, q), starts))
-    own = centre[np.arange(p0.shape[0]) // SCAN_BLOCK]
-    far = np.maximum(np.einsum("ij,ij->i", p0 - own, p0 - own),
-                     np.einsum("ij,ij->i", q - own, q - own))
-    return centre, np.sqrt(np.maximum.reduceat(far, starts))
+    return (np.minimum.reduceat(np.minimum(p0, q), starts),
+            np.maximum.reduceat(np.maximum(p0, q), starts))
 
 
 def _min_segment_distance(p0, u, q0, v, skip_adjacent=False) -> float:
     """Minimum of _segment_pair_distance(p0, u, q0, v), bit for bit, pruned.
 
-    Each set is cut into SCAN_BLOCK runs of consecutive segments with a
-    bounding sphere; |c_I - c_J| - r_I - r_J bounds the distances of a block
-    pair from below. The block pair of least bound is evaluated first, and
-    its minimum ub is an achieved distance; then every other block pair
+    Each set is cut into SCAN_BLOCK runs of consecutive segments with an
+    axis-aligned box; the gap between two boxes bounds the distances of a
+    block pair from below. The block pair of least bound is evaluated first,
+    and its minimum ub is an achieved distance; then every other block pair
     bounded by ub is evaluated, one kernel call per row block over the
     gathered columns. Serial: two threads gained nothing here.
     skip_adjacent (q0, v are p0, u): the pairs i, i and i, i +- 1 mod n are
     left out.
     """
     n = p0.shape[0]
-    cp, rp = _block_spheres(p0, u)
-    cq, rq = _block_spheres(q0, v)
-    gap = cp[:, None, :] - cq[None, :, :]
+    lo_p, hi_p = _run_boxes(p0, u)
+    lo_q, hi_q = _run_boxes(q0, v)
+    gap = np.maximum(np.maximum(lo_q[None, :, :] - hi_p[:, None, :],
+                                lo_p[:, None, :] - hi_q[None, :, :]), 0.0)
     # the slack covers the rounding of the bounds and of the kernel's
     # distances, so no pruned pair can hold a smaller computed distance
-    slack = 1e-12 * max(float(np.abs(p0).max()), float(np.abs(q0).max()),
-                        float(rp.max()), float(rq.max()))
-    bound = np.sqrt(np.einsum("ijk,ijk->ij", gap, gap)) - rp[:, None] - rq[None, :] - slack
+    slack = 1e-12 * max(float(np.abs(c).max()) for c in (lo_p, hi_p, lo_q, hi_q))
+    bound = np.sqrt(np.einsum("ijk,ijk->ij", gap, gap)) - slack
     col_block = np.arange(q0.shape[0]) // SCAN_BLOCK
 
     def scan(take):
@@ -290,8 +286,7 @@ def fourier_displacement(rng, theta, n_modes: int):
     return disp
 
 
-def _deform(a: ClosedCurve, b: ClosedCurve, spec: DeformationSpec, move_b: bool,
-            threads=None):
+def _deform(a: ClosedCurve, b: ClosedCurve, spec: DeformationSpec, move_b: bool):
     """Seeded rejection loop: deform a, and b too when move_b, keeping clearance.
 
     Returns spec.steps + 1 pairs (a_i, b_i), the first being (a, b), each
@@ -301,7 +296,7 @@ def _deform(a: ClosedCurve, b: ClosedCurve, spec: DeformationSpec, move_b: bool,
     states stays below half the clearance and the pair cannot pass through
     each other between steps.
     """
-    d0 = min_distance(a, b, threads=threads)
+    d0 = min_distance(a, b)
     if d0 <= spec.clearance:
         raise ClearanceError(
             f"initial clearance {d0:.6g} is not above the required {spec.clearance:.6g}"
@@ -324,7 +319,7 @@ def _deform(a: ClosedCurve, b: ClosedCurve, spec: DeformationSpec, move_b: bool,
             cand = [ClosedCurve(c.points + (step / pk) * d)
                     for c, d, pk in zip(moving, disps, peaks)]
             pair = (cand[0], cand[1] if move_b else b)
-            if min_distance(*pair, threads=threads) > spec.clearance:
+            if min_distance(*pair) > spec.clearance:
                 break
         out.append(pair)
         moving = cand
@@ -339,9 +334,10 @@ def deform_homotopy(c: ClosedCurve, obstacle: ClosedCurve, spec: DeformationSpec
     seeded generator, so the output is deterministic for a fixed seed. The
     per-step motion is capped at half the clearance: successive curves then
     cannot jump across the obstacle, so the homotopy class relative to the
-    obstacle is preserved, not just sampled.
+    obstacle is preserved, not just sampled. `threads` is accepted for the
+    API and unused: the clearance scan is serial.
     """
-    return [a for a, _ in _deform(c, obstacle, spec, False, threads=threads)]
+    return [a for a, _ in _deform(c, obstacle, spec, False)]
 
 
 def save_curve(c: ClosedCurve, path):

@@ -77,10 +77,7 @@ def open_path_gauge_shift(f: FluxLine, gamma, threads=None):
     a = potential_at(f, mids, threads=threads)
     plain = float(np.einsum("ij,ij->", a, seg))
     lam = -(f.flux / (4.0 * np.pi))
-    transformed = plain + lam * (
-        solid_angle(pts[-1], surf, threads=threads)
-        - solid_angle(pts[0], surf, threads=threads)
-    )
+    transformed = plain + lam * (solid_angle(pts[-1], surf) - solid_angle(pts[0], surf))
     return plain, transformed
 
 

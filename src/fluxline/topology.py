@@ -29,7 +29,7 @@ def gauss_linking(c: ClosedCurve, k: ClosedCurve, tol: float = DEFAULT_LINK_TOL,
     inputs converge far faster than the segment count suggests.
     """
     scale = max(c.diameter(), k.diameter(), 1e-30)
-    if min_distance(c, k, threads=threads) < TOUCH_GUARD * scale:
+    if min_distance(c, k) < TOUCH_GUARD * scale:
         raise GeometryError("curves touch or nearly touch; linking is undefined")
     raw = linking_integral(c.points, k.points, threads=threads)
     rounded = int(np.rint(raw))
@@ -130,7 +130,7 @@ def _boundary_distance(path: ClosedCurve, surf: Surface) -> float:
     _, first, count = np.unique(np.sort(edges, axis=1), axis=0,
                                 return_index=True, return_counts=True)
     # in mesh order, so that runs of consecutive edges stay close together
-    # for the pruned scan's bounding spheres
+    # for the pruned scan's bounding boxes
     start, end = edges[np.sort(first[count == 1])].T
     if start.size == 0:
         return np.inf

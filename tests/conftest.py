@@ -20,6 +20,22 @@ def hopf_pair(n=1024):
     return circle((0, 0, 0), 1.0, Z, n), circle((1, 0, 0), 1.0, Y, n)
 
 
+@pytest.fixture
+def opened_pools(monkeypatch):
+    """The max_workers of every thread pool that parallel opens in the test."""
+    from fluxline import parallel
+
+    pools = []
+
+    class Counting(parallel.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(parallel, "ThreadPoolExecutor", Counting)
+    return pools
+
+
 @pytest.fixture(scope="session")
 def unit_flux_line():
     return fl.FluxLine(circle((0, 0, 0), 1.0, Z, 1024), 1.0)

@@ -354,21 +354,11 @@ def test_thread_count_does_not_change_results(capsys):
 
 
 @pytest.mark.parametrize("command", ["link", "phase"])
-def test_threads_1_opens_no_pool(monkeypatch, capsys, command):
-    from fluxline import parallel
-
-    pools = []
-
-    class Counting(parallel.ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(kwargs.get("max_workers"))
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(parallel, "ThreadPoolExecutor", Counting)
+def test_threads_1_opens_no_pool(capsys, opened_pools, command):
     assert run([command, "--preset", "hopf", "--threads", "1"], capsys)[0] == 0
-    assert pools == []
+    assert opened_pools == []
     assert run([command, "--preset", "hopf", "--threads", "2"], capsys)[0] == 0
-    assert pools and set(pools) == {2}
+    assert opened_pools and set(opened_pools) == {2}
 
 
 def test_threads_env_var(monkeypatch, capsys):

@@ -91,6 +91,13 @@ def _circle_pair(seed, n, linked):
     return perturbed(a, rng, 0.1, modes=2), perturbed(b, rng, 0.1, modes=2)
 
 
+def _rotated(make, *args):
+    """make(*args) turned by one fixed random rotation, off the axes that
+    the run boxes are aligned to."""
+    rot = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))[0]
+    return tuple(fl.ClosedCurve(c.points @ rot.T) for c in make(*args))
+
+
 def _figure_eight(n=256):
     t = 2.0 * np.pi * np.arange(n) / n
     return np.column_stack([np.cos(t), 0.5 * np.sin(2.0 * t), np.zeros(n)])
@@ -100,6 +107,8 @@ def _figure_eight(n=256):
     *((random_pair, (seed,)) for seed in (1000, 1001, 1010, 1051)),
     *((_circle_pair, (seed, n, linked))
       for n in (3, 31, 33, 1000, 2048) for seed, linked in ((0, True), (1, False))),
+    *((_rotated, (_circle_pair, 0, n, True)) for n in (1000, 2048)),
+    (_rotated, (random_pair, 1001)),
 ])
 def test_pruned_scans_equal_the_full_scan(make, args):
     a, b = make(*args)
@@ -143,7 +152,8 @@ def test_self_scan_skips_the_wrap_around_pair_at_a_block_border(n):
     assert found > 0.01
 
 
-def test_pruned_scan_skips_most_pairs_of_far_apart_circles(monkeypatch):
+def _count_pairs(monkeypatch):
+    """List that collects the size of every _segment_pair_distance call."""
     evaluated = []
     kernel = curves._segment_pair_distance
 
@@ -153,10 +163,24 @@ def test_pruned_scan_skips_most_pairs_of_far_apart_circles(monkeypatch):
         return d
 
     monkeypatch.setattr(curves, "_segment_pair_distance", counting)
+    return evaluated
+
+
+def test_pruned_scan_skips_most_pairs_of_far_apart_circles(monkeypatch):
+    evaluated = _count_pairs(monkeypatch)
     a = circle((0, 0, 0), 1.0, Z, 1024)
     b = circle((5, 0, 0), 1.0, Y, 1024)
     assert abs(fl.min_distance(a, b) - 3.0) < 1e-5
     assert 0 < sum(evaluated) < 0.1 * 1024 * 1024
+
+
+def test_pruned_scan_skips_most_pairs_of_linked_circles(monkeypatch):
+    # around a Hopf-like pair most run pairs lie near the minimum, the hard
+    # case of the pruning; the run boxes evaluate 2.4% of the pairs here
+    evaluated = _count_pairs(monkeypatch)
+    a, b = _circle_pair(0, 2048, True)
+    assert fl.min_distance(a, b) > 0.0
+    assert 0 < sum(evaluated) < 0.035 * 2048 * 2048
 
 
 def _pair_distance_reference(p0, u, q0, v):
@@ -204,15 +228,14 @@ def test_segment_pair_distance_on_degenerate_pairs():
         assert abs(got[k] - _pair_distance_reference(*pair)) <= 1e-12 * scale, (k, pair)
 
 
-def test_self_distance_scan_thread_independent(monkeypatch):
-    from fluxline.curves import _min_nonadjacent_self_distance
-
+def test_self_distance_scan_thread_independent(monkeypatch, opened_pools):
+    # the scan is serial: FLUXLINE_THREADS opens no pool and changes nothing
+    monkeypatch.setenv("FLUXLINE_THREADS", "2")
     pts = np.cumsum(np.random.default_rng(7).normal(size=(600, 3)), axis=0)
-    found = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("FLUXLINE_THREADS", threads)
-        found.append(_min_nonadjacent_self_distance(pts))
-    assert found[0] == found[1]
+    u = np.roll(pts, -1, axis=0) - pts
+    assert curves._min_nonadjacent_self_distance(pts) == _unpruned_min(
+        pts, u, pts, u, skip_adjacent=True)
+    assert opened_pools == []
 
 
 def test_trefoil_self_avoiding():
@@ -406,9 +429,11 @@ def test_min_distance_hopf_positive_and_matches_brute_force():
     assert abs(d - brute_min_distance(a, b, samples=24)) < 1e-3
 
 
-def test_min_distance_thread_count_invariant():
+def test_min_distance_thread_count_invariant(opened_pools):
+    # threads is accepted and unused: the scan opens no pool
     a, b = hopf_pair(512)
-    assert fl.min_distance(a, b, threads=1) == fl.min_distance(a, b, threads=4)
+    assert fl.min_distance(a, b, threads=4) == _unpruned_min(*a.segments(), *b.segments())
+    assert opened_pools == []
 
 
 def test_curve_io_roundtrip(tmp_path):
