@@ -409,6 +409,96 @@ def test_deform_initial_clearance_violation_raises():
         fl.deform_homotopy(inner, outer, spec)
 
 
+def _counted(monkeypatch, name):
+    """A one-element list counting the calls made to curves.<name>."""
+    count = [0]
+    original = getattr(curves, name)
+
+    def counted(*args, **kw):
+        count[0] += 1
+        return original(*args, **kw)
+
+    monkeypatch.setattr(curves, name, counted)
+    return count
+
+
+def _deform_scanning_every_attempt(a, b, spec, move_b=False):
+    """curves._deform without the displacement bound: one scan per attempt."""
+    rng = np.random.default_rng(spec.seed)
+    moving = [a, b] if move_b else [a]
+    step = min(spec.amplitude / spec.steps, 0.5 * spec.clearance / len(moving))
+    out = [(a, b)]
+    for _ in range(spec.steps):
+        while True:
+            cand = []
+            for c in moving:
+                theta = 2.0 * np.pi * np.arange(c.n) / c.n
+                d = curves.fourier_displacement(rng, theta, spec.n_modes)
+                peak = float(np.sqrt(np.max(np.einsum("ij,ij->i", d, d))))
+                cand.append(fl.ClosedCurve(c.points + (step / peak) * d))
+            pair = (cand[0], cand[1] if move_b else b)
+            if fl.min_distance(*pair) > spec.clearance:
+                break
+        out.append(pair)
+        moving = cand
+    return out
+
+
+def _assert_same_states(states, expected):
+    assert len(states) == len(expected)
+    for (a, b), (ea, eb) in zip(states, expected):
+        assert np.array_equal(a.points, ea.points) and np.array_equal(b.points, eb.points)
+
+
+def test_deform_with_room_to_spare_scans_only_the_initial_pair(monkeypatch):
+    # the phase subcommand's default deformation of the hopf preset: the
+    # 20 steps of 0.01 cannot close the initial distance down to 0.05
+    obstacle, path = hopf_pair(128)
+    spec = fl.DeformationSpec(amplitude=0.2, n_modes=3, seed=0, steps=20,
+                              clearance=0.05)
+    scans = _counted(monkeypatch, "min_distance")
+    assert len(fl.deform_homotopy(path, obstacle, spec)) == 21
+    assert scans[0] == 1
+
+
+def test_deform_scans_every_attempt_near_the_clearance(monkeypatch):
+    obstacle = circle((0, 0, 0), 1.0, Z, 128)
+    knot = fl.make_torus_knot(1, 2, 1.0, 0.4, 128)
+    spec = fl.DeformationSpec(amplitude=0.2, n_modes=3, seed=0, steps=20,
+                              clearance=0.999 * fl.min_distance(knot, obstacle))
+    expected = _deform_scanning_every_attempt(knot, obstacle, spec)
+    scans = _counted(monkeypatch, "min_distance")
+    draws = _counted(monkeypatch, "fourier_displacement")
+    _assert_same_states(curves._deform(knot, obstacle, spec, False), expected)
+    assert draws[0] > spec.steps
+    assert scans[0] == 1 + draws[0]
+
+
+@pytest.mark.parametrize("move_b, scans_made", [(False, 49), (True, 37)])
+def test_deform_scans_again_once_the_bound_runs_out(monkeypatch, move_b, scans_made):
+    # 40 steps of 0.025 against an initial distance 0.0976 above the
+    # clearance: the loop scans, accepts or rejects, and runs on the bound
+    obstacle = circle((0, 0, 0), 1.0, Z, 64)
+    knot = fl.make_torus_knot(1, 2, 1.0, 0.4, 64)
+    spec = fl.DeformationSpec(amplitude=1.0, n_modes=3, seed=0, steps=40,
+                              clearance=0.3)
+    expected = _deform_scanning_every_attempt(knot, obstacle, spec, move_b)
+    scans = _counted(monkeypatch, "min_distance")
+    _assert_same_states(curves._deform(knot, obstacle, spec, move_b), expected)
+    assert scans[0] == scans_made
+
+
+def test_deform_far_from_the_origin_keeps_clearance():
+    shift = np.array([1e6, 0.0, 0.0])
+    obstacle, path = (fl.ClosedCurve(c.points + shift) for c in hopf_pair(128))
+    spec = fl.DeformationSpec(amplitude=0.2, n_modes=3, seed=2, steps=20,
+                              clearance=0.05)
+    states = curves._deform(path, obstacle, spec, False)
+    _assert_same_states(states, _deform_scanning_every_attempt(path, obstacle, spec))
+    for s, _ in states:
+        assert _unpruned_min(*s.segments(), *obstacle.segments()) > 0.05
+
+
 def test_min_distance_coaxial_circles():
     a = circle((0, 0, 0), 1.0, Z, 512)
     b = circle((0, 0, 5), 1.0, Z, 512)
