@@ -20,7 +20,7 @@ import numpy as np
 
 from .abphase import (PhaseParams, ab_phase_crossing, ab_phase_flux, ab_phase_topological,
                       invariance_suite)
-from .curves import DeformationSpec, load_curve, make_circle, make_torus_knot
+from .curves import MAX_POINTS, DeformationSpec, load_curve, make_circle, make_torus_knot
 from .errors import (ClearanceError, FluxlineError, GeometryError, SchemaError, UnderResolvedError,
                      read_json)
 from .field import FluxLine, vector_potential
@@ -113,7 +113,7 @@ class Opt:
 PRESETS = ("hopf", "unlinked", "l2")
 SEED = Opt("seed", "int", 0, "rng seed for seeded subcommands")
 SAMPLES = Opt("samples", "int", 1024, "points per generated curve",
-              at_least=8, at_most=16384, metavar="N")
+              at_least=8, at_most=MAX_POINTS, metavar="N")
 TOL = Opt("tol", "real", 1e-3, "residual tolerance for linking quadrature",
           above=0)
 THREADS = Opt("threads", "int", None,

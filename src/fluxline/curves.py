@@ -8,6 +8,9 @@ import numpy as np
 from .errors import ClearanceError, GeometryError, SchemaError, check_numbers, read_json
 
 DEFAULT_N = 1024
+# most points a curve file or the command line's --samples may give: the
+# measured memory and time of one Biot-Savart block are quoted at this size
+MAX_POINTS = 16384
 # segments per bounding box in the pruned distance scan
 SCAN_BLOCK = 32
 
@@ -363,10 +366,13 @@ def save_curve(c: ClosedCurve, path):
 
 
 def load_curve(path) -> ClosedCurve:
-    """Read a curve JSON file; best-effort geometry validation."""
+    """Read a curve JSON file of at most MAX_POINTS points; best-effort geometry validation."""
     data = read_json(path)
     if not isinstance(data, dict) or "points" not in data:
         raise SchemaError(f"{path}: expected an object with a 'points' field")
+    if isinstance(data["points"], list) and len(data["points"]) > MAX_POINTS:
+        raise SchemaError(
+            f"{path}: {len(data['points'])} points, more than the {MAX_POINTS} allowed")
     check_numbers(path, data["points"], "coordinates")
     try:
         curve = ClosedCurve(data["points"])

@@ -1,7 +1,9 @@
 """End-to-end command-line behavior: reports, artifacts, exit codes."""
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,6 +75,23 @@ def test_link_malformed_curve_file(tmp_path, capsys):
         ["link", "--curve-a", str(bad), "--curve-b", str(good)], capsys)
     assert code == 2
     assert "line 1" in err and "column" in err
+
+
+def test_link_rejects_curve_file_over_the_samples_bound(tmp_path, capsys, monkeypatch):
+    assert fl.curves.MAX_POINTS == cli.SAMPLES.at_most
+    big = tmp_path / "big.json"
+    fl.save_curve(fl.make_circle((0, 0, 0), 1.0, (0, 0, 1), fl.curves.MAX_POINTS + 1), big)
+    good = tmp_path / "good.json"
+    fl.save_curve(fl.make_circle((1, 0, 0), 1.0, (0, 1, 0), 64), good)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("an oversized file must be refused before it is built or scanned")
+
+    monkeypatch.setattr(fl.curves, "ClosedCurve", unreachable)
+    monkeypatch.setattr(fl.curves, "_check_self_avoiding", unreachable)
+    code, out, err = run(["link", "--curve-a", str(big), "--curve-b", str(good)], capsys)
+    assert code == 2 and out == ""
+    assert str(big) in err and f"{fl.curves.MAX_POINTS + 1} points" in err
 
 
 def test_link_under_resolved_still_reports(capsys):
@@ -351,6 +370,29 @@ def test_thread_count_does_not_change_results(capsys):
     rep1, rep4 = json.loads(out1), json.loads(out4)
     assert rep1["raw"] == rep4["raw"]
     assert rep1["residual"] == rep4["residual"]
+
+
+def test_worker_and_blas_threads_do_not_change_output():
+    """Byte-identical stdout over worker and OpenBLAS threads, on 3 blocks.
+
+    BLAS threads are fixed when numpy loads, so each setting is its own
+    process. The worker count comes from FLUXLINE_THREADS, as `--threads`
+    would show in the report's config.
+    """
+    script = ("from fluxline.cli import main\n"
+              "main(['link', '--preset', 'l2', '--samples', '600'])\n"
+              "main(['phase', '--preset', 'hopf', '--samples', '600', '--invariance',"
+              " '--steps', '2'])\n")
+    outs = []
+    for threads, blas in (("1", "1"), ("2", "1"), ("1", "2")):
+        env = dict(os.environ, FLUXLINE_THREADS=threads, OPENBLAS_NUM_THREADS=blas,
+                   PYTHONPATH=str(Path(fl.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert b'"rounded": 2' in outs[0] and b'"passed": true' in outs[0]
+    assert outs[1] == outs[0] and outs[2] == outs[0]
 
 
 @pytest.mark.parametrize("command", ["link", "phase"])

@@ -1,4 +1,6 @@
 """The one Biot-Savart kernel: every line-integral form reads the same sum."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,47 @@ def test_kernel_matches_a_plain_loop():
     want = [sum(np.cross(w[j], x - mids[j]) / np.linalg.norm(x - mids[j]) ** 3
                 for j in range(len(mids))) for x in xs]
     assert np.allclose(biot_savart(mids, w, xs), want, rtol=1e-13, atol=0.0)
+
+
+def long_double_sum(mids, w, xs):
+    """The pair sum taken directly, in np.longdouble."""
+    mids, w, xs = (np.asarray(a, dtype=np.longdouble) for a in (mids, w, xs))
+    r = xs[:, None, :] - mids[None, :, :]
+    inv_r3 = np.einsum("ijk,ijk->ij", r, r) ** np.longdouble(-1.5)
+    return np.einsum("ijk,ij->ik", np.cross(w[None, :, :], r), inv_r3)
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e7])
+def test_kernel_accuracy_near_the_far_side_of_the_curve(shift):
+    # the kernel factors the sum about mids[0]; its rounding is worst at
+    # points near the curve and far from that node
+    n = 1024
+    mids, w = periodic_midpoints(circle((shift, shift, shift), 1.0, Z, n).points)
+    far = np.arange(n // 4, 3 * n // 4)
+    outward = mids[far] - shift
+    outward /= np.linalg.norm(outward, axis=1)[:, None]
+    d_over_diameter = np.geomspace(1.0, 1e-4, 5)
+    xs = mids[far] + 2.0 * np.resize(d_over_diameter, far.size)[:, None] * outward
+    assert xs.shape[0] > 256
+    across = mids[n // 2] + 2e-4 * outward[n // 4]
+    for got, pts in ((biot_savart(mids, w, xs), xs), (biot_savart(mids, w, across), [across])):
+        want = long_double_sum(mids, w, pts)
+        rel = np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)
+        assert rel.max() <= 1e-10
+
+
+def test_one_kernel_block_builds_no_pair_by_3_array():
+    n = 4096
+    mids, w = periodic_midpoints(circle((0, 0, 0), 1.0, Z, n).points)
+    xs = mids[:256] * 1.5
+    tracemalloc.start()
+    try:
+        biot_savart(mids, w, xs, threads=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a (256, n, 3) float array alone is 24 MiB
+    assert peak < 40 * 2**20
 
 
 @pytest.mark.parametrize("name", ["hopf", "l2", "unlinked"])
