@@ -47,9 +47,10 @@ def ab_phase_flux(p: PhaseParams, f: FluxLine, path: ClosedCurve, threads=None) 
     """Phase from the flux carried through a surface spanning the path.
 
     alpha times the signed count of flux-line crossings through that
-    surface; the nonlocal counted-flux reading of the same number.
+    surface; the nonlocal counted-flux reading of the same number. `threads`
+    is accepted and unused.
     """
-    return p.alpha * crossing_linking(f.curve, span_surface(path), threads=threads)
+    return p.alpha * crossing_linking(f.curve, span_surface(path))
 
 
 def ab_phase_solid_angle(p: PhaseParams, path: ClosedCurve, f: FluxLine,
@@ -72,9 +73,9 @@ def ab_phase_crossing(p: PhaseParams, f: FluxLine, path: ClosedCurve,
     """Phase picked up discretely as the path crosses a spanning surface.
 
     alpha times the signed count of path crossings through a surface
-    spanning the flux curve.
+    spanning the flux curve. `threads` is accepted and unused.
     """
-    return p.alpha * crossing_linking(path, span_surface(f.curve), threads=threads)
+    return p.alpha * crossing_linking(path, span_surface(f.curve))
 
 
 def _suite_entry(phases, base, tol):

@@ -250,7 +250,7 @@ def cmd_link(o, config) -> int:
         res = gauss_linking(a, b, tol=o["tol"], threads=o["threads"])
     except UnderResolvedError as e:
         res, code = e.result, 3
-    crossing = crossing_linking(a, span_surface(b), threads=o["threads"])
+    crossing = crossing_linking(a, span_surface(b))
     _emit(_json_text({
         "raw": res.raw,
         "rounded": res.rounded,
@@ -273,9 +273,9 @@ def cmd_phase(o, config) -> int:
     forms = {
         "topological": ab_phase_topological(p, link.rounded),
         "circulation": p.alpha * link.raw,
-        "flux": ab_phase_flux(p, f, path, threads=threads),
+        "flux": ab_phase_flux(p, f, path),
         "solid_angle": p.alpha * link.raw,
-        "crossing": ab_phase_crossing(p, f, path, threads=threads),
+        "crossing": ab_phase_crossing(p, f, path),
     }
     report = {
         "forms": forms,

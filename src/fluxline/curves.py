@@ -123,12 +123,11 @@ def _segment_pair_distance(p0, u, q0, v):
     return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 
 
-def _run_boxes(p0, u):
-    """Lower and upper corner of the box around each SCAN_BLOCK run of segments."""
-    starts = np.arange(0, p0.shape[0], SCAN_BLOCK)
-    q = p0 + u
-    return (np.minimum.reduceat(np.minimum(p0, q), starts),
-            np.maximum.reduceat(np.maximum(p0, q), starts))
+def _run_boxes(*corners):
+    """Lower and upper corners of the boxes of SCAN_BLOCK runs of the corner arrays."""
+    starts = np.arange(0, corners[0].shape[0], SCAN_BLOCK)
+    return (np.minimum.reduceat(np.minimum.reduce(corners), starts),
+            np.maximum.reduceat(np.maximum.reduce(corners), starts))
 
 
 def _min_segment_distance(p0, u, q0, v, skip_adjacent=False) -> float:
@@ -144,8 +143,8 @@ def _min_segment_distance(p0, u, q0, v, skip_adjacent=False) -> float:
     left out.
     """
     n = p0.shape[0]
-    lo_p, hi_p = _run_boxes(p0, u)
-    lo_q, hi_q = _run_boxes(q0, v)
+    lo_p, hi_p = _run_boxes(p0, p0 + u)
+    lo_q, hi_q = _run_boxes(q0, q0 + v)
     gap = np.maximum(np.maximum(lo_q[None, :, :] - hi_p[:, None, :],
                                 lo_p[:, None, :] - hi_q[None, :, :]), 0.0)
     # the slack covers the rounding of the bounds and of the kernel's

@@ -1,13 +1,13 @@
-"""Deterministic block parallelism.
+"""Deterministic block parallelism for the Biot–Savart pair sum.
 
-The Biot–Savart pair sum and the crossing count run over fixed blocks of
+`quadrature.biot_savart`, the one pooled kernel, runs over fixed blocks of
 CHUNK_ROWS rows. `blocks` returns the per-block results in block order and
 the caller reduces them in that order, so a result never depends on how
 many worker threads ran. numpy releases the GIL inside large array
 kernels, which is where all the time goes, so plain threads give real
-speedup on the O(N^2) pair loops: the Biot-Savart sum of two 2048-node
-curves runs 2.1 times as fast on two threads as on one (median of five
-runs on a 2-core host; 96-121 ms against 51-62 ms).
+speedup: the pair sum of two 2048-node curves runs 2.1 times as fast on
+two threads as on one (median of five runs on a 2-core host; 96-121 ms
+against 51-62 ms). The pruned scans and the crossing count are serial.
 """
 import os
 from concurrent.futures import ThreadPoolExecutor

@@ -4,9 +4,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import parallel
-from .curves import ClosedCurve, _min_segment_distance, min_distance, point_segment_distance
+from .curves import (SCAN_BLOCK, ClosedCurve, _min_segment_distance, _run_boxes, min_distance,
+                     point_segment_distance)
 from .errors import GeometryError, SchemaError, UnderResolvedError, check_numbers, read_json
+from .parallel import CHUNK_ROWS
 from .quadrature import biot_savart, linking_integral, periodic_midpoints
 
 TOUCH_GUARD = 1e-9
@@ -92,11 +93,11 @@ def span_surface(c: ClosedCurve) -> Surface:
     i = np.arange(n)
     triangles = np.column_stack([np.zeros(n, dtype=int), i + 1, (i + 1) % n + 1])
     surf = Surface(vertices, triangles)
-    areas = np.linalg.norm(surf.normals(), axis=1)
+    nrm = surf.normals()
+    areas = np.linalg.norm(nrm, axis=1)
     scale = max(c.diameter(), 1e-30)
     if float(areas.sum()) < 1e-12 * scale * scale:
         raise GeometryError("degenerate spanning surface: total area vanishes")
-    nrm = surf.normals()
     good = areas > 1e-14 * scale * scale
     mean = nrm[good].sum(axis=0)
     mean_norm = np.linalg.norm(mean)
@@ -149,8 +150,9 @@ def crossing_linking(path: ClosedCurve, surf: Surface, threads=None) -> int:
     a face, where the path may touch the surface and turn back, moves the
     whole path by 1e-9 * 3^k of its scale, k = 1..11, in a fixed generic
     direction, and the count is repeated; a move that reaches half the
-    path's distance to the surface boundary raises instead. The path's
-    segments are counted in `parallel.blocks`.
+    path's distance to the surface boundary raises instead. Serial: a
+    CHUNK_ROWS block of segments meets only the triangles of the runs whose
+    padded `_run_boxes` overlap its own; `threads` is accepted and unused.
     """
     pts = path.points
     scale = max(path.diameter(), 1e-30)
@@ -162,6 +164,13 @@ def crossing_linking(path: ClosedCurve, surf: Surface, threads=None) -> int:
     o = path.centroid()
     na = np.einsum("tj,tj->t", nrm, a - o)
     eps = 1e-12
+    # a pair the body counts, flags or rejects has its hit point or midpoint
+    # within 1e-9 in barycentric weight (2e-9 of the mesh's extent) and
+    # eps * scale of the triangle; eps of the largest coordinate is rounding
+    lo, hi = _run_boxes(a, b, c)
+    pad = 2e-9 * float(np.max(hi.max(axis=0) - lo.min(axis=0))) \
+        + eps * (scale + max(float(np.abs(x).max()) for x in (lo, hi, pts)))
+    lo, hi, run = lo - pad, hi + pad, np.arange(a.shape[0]) // SCAN_BLOCK
     # crossings that land on a triangle edge or vertex (fan apex hits are
     # common for symmetric inputs) are escaped by translating the whole path
     # a hair in a fixed generic direction; a translation far smaller than the
@@ -178,35 +187,36 @@ def crossing_linking(path: ClosedCurve, surf: Surface, threads=None) -> int:
                 f"{clearance:.3g} to the surface boundary")
         work = pts + nudge * generic if attempt else pts
         d = np.roll(work, -1, axis=0) - work
-
-        def block(i0, i1):
-            p, u = work[i0:i1], d[i0:i1]
+        count, suspicious = 0, False
+        for i0 in range(0, pts.shape[0], CHUNK_ROWS):
+            p, u = work[i0:i0 + CHUNK_ROWS], d[i0:i0 + CHUNK_ROWS]
+            blo, bhi = _run_boxes(p, p + u)
+            near = np.all((lo[:, None] <= bhi) & (blo <= hi[:, None]), axis=2).any(axis=1)[run]
+            ta, tb, tc, tn, tl, tna = (x[near] for x in (a, b, c, nrm, nlen, na))
             # den = n.d and s = n.(a - p), so n.(q - a) = den - s
-            den = u @ nrm.T
-            s = na - (p - o) @ nrm.T
+            den = u @ tn.T
+            s = tna - (p - o) @ tn.T
             if not attempt:
                 # a segment in a face plane, overlapping the face, has no
                 # well-defined crossing parity
-                i, j = np.nonzero(np.abs(s) < eps * scale * nlen)
-                flat = (np.abs(den[i, j]) <= eps * nlen[j] * np.linalg.norm(u[i], axis=1)) \
-                    & (np.abs(den[i, j] - s[i, j]) < eps * scale * nlen[j])
+                i, j = np.nonzero(np.abs(s) < eps * scale * tl)
+                flat = (np.abs(den[i, j]) <= eps * tl[j] * np.linalg.norm(u[i], axis=1)) \
+                    & (np.abs(den[i, j] - s[i, j]) < eps * scale * tl[j])
                 i, j = i[flat], j[flat]
-                if np.any(_min_barycentric(p[i] + 0.5 * u[i], a[j], b[j], c[j]) > -1e-9):
+                if np.any(_min_barycentric(p[i] + 0.5 * u[i], ta[j], tb[j], tc[j]) > -1e-9):
                     raise GeometryError(
                         "path segment lies in the surface; crossings are undefined")
             with np.errstate(divide="ignore", invalid="ignore"):
                 t = s / den
             i, j = np.nonzero((den != 0.0) & (t >= 0.0) & (t < 1.0))
-            wmin = _min_barycentric(p[i] + t[i, j, None] * u[i], a[j], b[j], c[j])
+            wmin = _min_barycentric(p[i] + t[i, j, None] * u[i], ta[j], tb[j], tc[j])
             inside = wmin > eps
             # a path vertex on a face may touch the surface and turn back,
             # which the half-open rule would count; nudge it off like an edge
-            suspicious = np.any((wmin > -eps) & ~inside) or np.any(inside & (t[i, j] == 0.0))
-            return int(np.sign(den[i[inside], j[inside]]).sum()), bool(suspicious)
-
-        parts = parallel.blocks(block, pts.shape[0], threads=threads)
-        if not any(suspicious for _, suspicious in parts):
-            return sum(count for count, _ in parts)
+            suspicious |= np.any((wmin > -eps) & ~inside) | np.any(inside & (t[i, j] == 0.0))
+            count += int(np.sign(den[i[inside], j[inside]]).sum())
+        if not suspicious:
+            return count
     raise GeometryError("could not resolve crossings away from triangle edges")
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import fluxline as fl
+from fluxline import topology
 from conftest import (
     Y,
     Z,
@@ -104,21 +105,63 @@ def test_linking_thread_count_invariant():
     assert r1.raw == r4.raw
 
 
-def test_crossing_count_thread_count_invariant(monkeypatch, unit_disk):
-    # every path has more than one 256-row block, so two threads pool them
+def _crossing_or_error(path, surf):
+    """crossing_linking's count, or the message of the GeometryError it raises."""
+    try:
+        return fl.crossing_linking(path, surf)
+    except fl.GeometryError as e:
+        return str(e)
+
+
+def _unculled_crossing(monkeypatch, path, surf):
+    """_crossing_or_error with every run box infinite, so that no triangle is
+    culled: the dense reference, each block against the whole mesh."""
+    boxes = topology._run_boxes
+
+    def infinite(*corners):
+        lo, hi = boxes(*corners)
+        return lo - np.inf, hi + np.inf
+
+    with monkeypatch.context() as m:
+        m.setattr(topology, "_run_boxes", infinite)
+        return _crossing_or_error(path, surf)
+
+
+def test_crossing_count_thread_count_invariant(monkeypatch, opened_pools, unit_disk):
+    # every path has more than one 256-row block, and the count is serial:
+    # two threads open no pool
+    monkeypatch.setenv("FLUXLINE_THREADS", "2")
     long = rectangle_loop(2.0, 1.0, (0.3, 0, 0), n_per_side=80)
     apex = circle((1, 0, 0), 1.0, Y, 1024)  # hits the fan apex: nudged
     coplanar = circle((0.2, 0, 0), 0.3, Z, 600)
     small_disk = fl.span_surface(circle((0, 0, 0), 1.0, Z, 64))
-    found = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("FLUXLINE_THREADS", threads)
-        with pytest.raises(fl.GeometryError) as err:
-            fl.crossing_linking(coplanar, small_disk)
-        found.append((fl.crossing_linking(long, unit_disk),
-                      fl.crossing_linking(apex, unit_disk), str(err.value)))
-    assert found[0] == found[1] == (
-        -1, 1, "path segment lies in the surface; crossings are undefined")
+    for path, surf, want in ((long, unit_disk, -1), (apex, unit_disk, 1), (
+            coplanar, small_disk, "path segment lies in the surface; crossings are undefined")):
+        assert _crossing_or_error(path, surf) == want == _unculled_crossing(monkeypatch, path, surf)
+    assert opened_pools == []
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e7])
+def test_crossing_cull_keeps_pairs_met_only_within_the_pad(monkeypatch, shift):
+    # each path lies in the plane y = -d and the triangle in y >= 0, so the
+    # path's box meets the triangle's only by the pad; at 1e7 every
+    # coordinate stays exact
+    side = 2.0 ** 16
+    tri = fl.Surface(np.array([(0, 0, 0), (side, 0, 0), (0, side, 0)]) + shift, [[0, 1, 2]])
+    x0, x1, h = side / 4, 2 * side, side / 4
+    # a segment pierces z = 0 a weight of 2^-44 outside the edge y = 0: too
+    # close to the edge to classify, and to the boundary to nudge
+    d = 2.0 ** -28
+    pierce = [(x0, -d, -h), (x0, -d, h), (x1, -d, h), (x1, -d, -h)]
+    # a segment lies in z = 0, its midpoint a weight of 2^-32 outside that edge
+    d = 2.0 ** -16
+    flat = [(x0, -d, 0), (3 * x0, -d, 0), (3 * x0, -d, h), (x0, -d, h)]
+    for points, match in ((pierce, "reaches half the path's distance"),
+                          (flat, "path segment lies in the surface")):
+        path = fl.ClosedCurve(np.array(points) + shift)
+        got = _crossing_or_error(path, tri)
+        assert match in got
+        assert got == _unculled_crossing(monkeypatch, path, tri)
 
 
 def test_span_disk_area():

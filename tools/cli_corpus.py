@@ -1,0 +1,90 @@
+"""Write the outputs of a fixed set of CLI runs, for a byte-identity check.
+
+    python3 tools/cli_corpus.py OUT
+
+Runs through `fluxline.cli.main`, in-process, with fluxline imported from
+this checkout's `src/`:
+
+- every command-line operation of the rounds of the three benchmark
+  workloads for seeds 0, 1 and 2 (`bench/workloads.build`);
+- `link` and `phase --invariance` for each preset at 128 and 1024 samples;
+- `gauge-demo --closed-line`.
+
+Each run gets a directory OUT/NNN-label holding its argv, stdout, stderr,
+exit code and a copy of every file it wrote. The curve files the runs read
+and the files they write live in one fixed directory under the system's
+temporary directory, not under OUT, because reports embed those paths. So
+two checkouts give the same corpus exactly when `diff -r OUT_A OUT_B` is
+empty.
+"""
+import contextlib
+import io
+import json
+import shutil
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+import workloads  # noqa: E402
+from fluxline import cli  # noqa: E402
+
+WORK = Path(tempfile.gettempdir()) / "fluxline-cli-corpus"
+SEEDS = (0, 1, 2)
+SAMPLES = (128, 1024)
+
+
+def runs():
+    """(label, argv, files written) of every run, in order."""
+    for name in workloads.NAMES:
+        for seed in SEEDS:
+            tmp = WORK / f"{name}-{seed}"
+            tmp.mkdir(parents=True)
+            for op in workloads.build(name, seed, tmp)[1]:
+                if "argv" in op.spec:
+                    yield (f"{name}-{seed}-{op.kind}", op.spec["argv"],
+                           [path for path, _ in op.spec.get("files", [])])
+    for preset in cli.PRESETS:
+        for n in SAMPLES:
+            yield f"link-{preset}-{n}", ["link", "--preset", preset, "--samples", str(n)], []
+            yield (f"phase-{preset}-{n}",
+                   ["phase", "--preset", preset, "--samples", str(n), "--invariance"], [])
+    yield "gauge-demo-closed-line", ["gauge-demo", "--closed-line"], []
+
+
+def run(argv):
+    """(exit code, stdout, stderr) of cli.main(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:
+            code = e.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def main(argv):
+    if len(argv) != 1:
+        sys.exit(__doc__)
+    out = Path(argv[0])
+    out.mkdir(parents=True, exist_ok=True)
+    shutil.rmtree(WORK, ignore_errors=True)
+    for k, (label, args, files) in enumerate(runs()):
+        code, stdout, stderr = run(args)
+        d = out / f"{k:03d}-{label}"
+        d.mkdir()
+        (d / "argv.json").write_text(json.dumps(args) + "\n")
+        (d / "code").write_text(f"{code}\n")
+        (d / "stdout").write_text(stdout)
+        (d / "stderr").write_text(stderr)
+        for path in map(Path, files):
+            if path.exists():
+                shutil.copy(path, d / path.name)
+        print(f"{k:03d} {label}: exit {code}")
+    shutil.rmtree(WORK, ignore_errors=True)
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])
