@@ -63,7 +63,8 @@ def ab_phase_solid_angle(p: PhaseParams, path: ClosedCurve, f: FluxLine,
     particular spanning surface are bookkeeping of the multi-valued branch
     and carry no extra contribution here.
     """
-    if min_distance(path, f.curve) <= _guard(f):
+    guard = _guard(f)
+    if min_distance(path, f.curve, cutoff=guard) <= guard:
         raise GeometryError("path touches or nearly touches the flux line")
     return p.alpha * linking_integral(path.points, f.curve.points, threads=threads)
 

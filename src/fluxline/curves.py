@@ -108,7 +108,11 @@ def _segment_pair_distance(p0, u, q0, v):
     w = p0[:, None, :] - q0[None, :, :]
     a = np.einsum("ij,ij->i", u, u)[:, None]
     c = np.einsum("ij,ij->i", v, v)[None, :]
-    b = u @ v.T
+    # BLAS rounds a product with one row or one column (gemv) unlike a larger
+    # one (gemm); a lone segment is doubled, so that a pair's distance has
+    # the same bits in whatever call evaluates it
+    k1, k2 = (1 if x.shape[0] > 1 else 2 for x in (u, v))
+    b = (np.repeat(u, k1, axis=0) @ np.repeat(v, k2, axis=0).T)[::k1, ::k2]
     d = np.einsum("ik,ijk->ij", u, w)
     e = np.einsum("jk,ijk->ij", v, w)
     den = a * c - b * b
@@ -130,54 +134,76 @@ def _run_boxes(*corners):
             np.maximum.reduceat(np.maximum.reduce(corners), starts))
 
 
-def _min_segment_distance(p0, u, q0, v, skip_adjacent=False) -> float:
+def _min_segment_distance(p0, u, q0, v, skip_adjacent=False, cutoff=np.inf) -> float:
     """Minimum of _segment_pair_distance(p0, u, q0, v), bit for bit, pruned.
 
-    Each set is cut into SCAN_BLOCK runs of consecutive segments with an
-    axis-aligned box; the gap between two boxes bounds the distances of a
-    block pair from below. The block pair of least bound is evaluated first,
-    and its minimum ub is an achieved distance; then every other block pair
-    bounded by ub is evaluated, one kernel call per row block over the
-    gathered columns. Serial: two threads gained nothing here.
+    Axis-aligned boxes bound the distances from below at two levels: the
+    gap between the boxes of two SCAN_BLOCK runs of consecutive segments,
+    and the gap between the boxes of two segments. The run pair of least
+    bound is evaluated first, and its minimum ub is an achieved distance;
+    then every other run pair bounded by min(ub, cutoff) is evaluated. In
+    each row run the kernel is called once, on the rows and the gathered
+    columns that hold a segment pair bounded by the least distance found so
+    far (or cutoff). Serial: two threads gained nothing here.
     skip_adjacent (q0, v are p0, u): the pairs i, i and i, i +- 1 mod n are
     left out.
+    cutoff: when the minimum is <= cutoff it is returned exactly, and
+    otherwise some value above cutoff (inf when no pair comes within it).
+    A caller that only compares the distance with a tolerance passes the
+    tolerance and skips the pairs farther apart; the default inf is the
+    exact scan.
     """
     n = p0.shape[0]
-    lo_p, hi_p = _run_boxes(p0, p0 + u)
-    lo_q, hi_q = _run_boxes(q0, q0 + v)
-    gap = np.maximum(np.maximum(lo_q[None, :, :] - hi_p[:, None, :],
-                                lo_p[:, None, :] - hi_q[None, :, :]), 0.0)
+    seg = (np.minimum(p0, p0 + u), np.maximum(p0, p0 + u),
+           np.minimum(q0, q0 + v), np.maximum(q0, q0 + v))
     # the slack covers the rounding of the bounds and of the kernel's
     # distances, so no pruned pair can hold a smaller computed distance
-    slack = 1e-12 * max(float(np.abs(c).max()) for c in (lo_p, hi_p, lo_q, hi_q))
-    bound = np.sqrt(np.einsum("ijk,ijk->ij", gap, gap)) - slack
-    col_block = np.arange(q0.shape[0]) // SCAN_BLOCK
+    slack = 1e-12 * max(float(np.abs(c).max()) for c in seg)
 
-    def scan(take):
-        best = np.inf
+    def bound(lo_a, hi_a, lo_b, hi_b):
+        """Box gaps less the slack, from C-ordered (3, k) corners: numpy's
+        loops then run along the boxes, not along three coordinates."""
+        gap = np.maximum(np.maximum(lo_b[:, None, :] - hi_a[:, :, None],
+                                    lo_a[:, :, None] - hi_b[:, None, :]), 0.0)
+        return np.sqrt(np.einsum("kij,kij->ij", gap, gap)) - slack
+
+    runs = bound(*(np.ascontiguousarray(c.T)
+                   for c in (*_run_boxes(*seg[:2]), *_run_boxes(*seg[2:]))))
+    lo_p, hi_p, lo_q, hi_q = (np.ascontiguousarray(c.T) for c in seg)
+    col_run = np.arange(q0.shape[0]) // SCAN_BLOCK
+
+    def scan(take, best):
         for i, row_take in enumerate(take):
-            cols = np.flatnonzero(row_take[col_block])
+            cols = np.flatnonzero(row_take[col_run])
             if cols.size:
                 rows = np.arange(i * SCAN_BLOCK, min(i * SCAN_BLOCK + SCAN_BLOCK, n))
-                d = _segment_pair_distance(p0[rows], u[rows], q0[cols], v[cols])
+                near = bound(*(np.take(x, k, axis=1) for x, k in
+                               ((lo_p, rows), (hi_p, rows), (lo_q, cols), (hi_q, cols))))
+                near = near <= min(best, cutoff)
                 if skip_adjacent:
                     k = (cols[None, :] - rows[:, None]) % n
-                    d[(k <= 1) | (k == n - 1)] = np.inf
-                best = min(best, float(d.min()))
+                    near[(k <= 1) | (k == n - 1)] = False
+                r, c = near.any(axis=1), near.any(axis=0)
+                if c.any():
+                    d = _segment_pair_distance(p0[rows[r]], u[rows[r]], q0[cols[c]], v[cols[c]])
+                    best = min(best, float(d[near[r][:, c]].min()))
         return best
 
-    first = np.zeros(bound.shape, dtype=bool)
-    first.flat[np.argmin(bound)] = True
-    ub = scan(first)
-    return min(ub, scan((bound <= ub) & ~first))
+    first = np.zeros(runs.shape, dtype=bool)
+    first.flat[np.argmin(runs)] = True
+    ub = scan(first, np.inf)
+    return scan((runs <= min(ub, cutoff)) & ~first, ub)
 
 
-def min_distance(a: ClosedCurve, b: ClosedCurve, threads=None) -> float:
+def min_distance(a: ClosedCurve, b: ClosedCurve, threads=None, *, cutoff=np.inf) -> float:
     """Minimum Euclidean distance over all segment pairs of two closed curves.
 
+    cutoff: the minimum is exact when it is <= cutoff, and otherwise some
+    value above cutoff, so a caller that only compares the distance with a
+    tolerance passes the tolerance; the default gives the exact minimum.
     `threads` is accepted for the API and unused: the pruned scan is serial.
     """
-    return _min_segment_distance(*a.segments(), *b.segments())
+    return _min_segment_distance(*a.segments(), *b.segments(), cutoff=cutoff)
 
 
 def point_segment_distance(x, p0, d):
@@ -197,15 +223,15 @@ def distance_to_curve(x, c: ClosedCurve):
     return float(out[0]) if np.asarray(x).ndim == 1 else out
 
 
-def _min_nonadjacent_self_distance(points) -> float:
+def _min_nonadjacent_self_distance(points, cutoff=np.inf) -> float:
     pts = np.asarray(points, dtype=float)
     u = np.roll(pts, -1, axis=0) - pts
-    return _min_segment_distance(pts, u, pts, u, skip_adjacent=True)
+    return _min_segment_distance(pts, u, pts, u, skip_adjacent=True, cutoff=cutoff)
 
 
 def _check_self_avoiding(points, label):
-    scale = float(np.max(np.abs(points))) or 1.0
-    if _min_nonadjacent_self_distance(points) < 1e-12 * scale:
+    tol = 1e-12 * (float(np.max(np.abs(points))) or 1.0)
+    if _min_nonadjacent_self_distance(points, cutoff=tol) < tol:
         raise GeometryError(f"{label}: non-adjacent segments intersect")
 
 

@@ -52,7 +52,8 @@ def vector_potential(f: FluxLine, x, threads=None):
 
 def circulation(f: FluxLine, path: ClosedCurve, threads=None) -> float:
     """Closed line integral of A along path; equals flux times linking number."""
-    if min_distance(path, f.curve) <= _guard(f):
+    guard = _guard(f)
+    if min_distance(path, f.curve, cutoff=guard) <= guard:
         raise GeometryError("path touches or nearly touches the flux line")
     return f.flux * linking_integral(path.points, f.curve.points, threads=threads)
 

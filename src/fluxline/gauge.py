@@ -58,7 +58,8 @@ def open_path_gauge_shift(f: FluxLine, gamma, threads=None):
     the spanning surface, where Lambda jumps, raises through `solid_angle`.
     """
     pts, seg = _open_polyline(gamma)
-    if _min_segment_distance(pts[:-1], seg, *f.curve.segments()) <= _guard(f):
+    guard = _guard(f)
+    if _min_segment_distance(pts[:-1], seg, *f.curve.segments(), cutoff=guard) <= guard:
         raise GeometryError("open path touches or nearly touches the flux line")
     surf = span_surface(f.curve)
     mids = 0.5 * (pts[:-1] + pts[1:])

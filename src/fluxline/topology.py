@@ -8,7 +8,7 @@ from .curves import (SCAN_BLOCK, ClosedCurve, _min_segment_distance, _run_boxes,
                      point_segment_distance)
 from .errors import GeometryError, SchemaError, UnderResolvedError, check_numbers, read_json
 from .parallel import CHUNK_ROWS
-from .quadrature import biot_savart, linking_integral, periodic_midpoints
+from .quadrature import _cross, biot_savart, linking_integral, periodic_midpoints
 
 TOUCH_GUARD = 1e-9
 DEFAULT_LINK_TOL = 1e-3
@@ -29,8 +29,8 @@ def gauss_linking(c: ClosedCurve, k: ClosedCurve, tol: float = DEFAULT_LINK_TOL,
     with both curves evaluated at spectral parameter midpoints so smooth
     inputs converge far faster than the segment count suggests.
     """
-    scale = max(c.diameter(), k.diameter(), 1e-30)
-    if min_distance(c, k) < TOUCH_GUARD * scale:
+    touch = TOUCH_GUARD * max(c.diameter(), k.diameter(), 1e-30)
+    if min_distance(c, k, cutoff=touch) < touch:
         raise GeometryError("curves touch or nearly touch; linking is undefined")
     raw = linking_integral(c.points, k.points, threads=threads)
     rounded = int(np.rint(raw))
@@ -117,10 +117,14 @@ def _min_barycentric(x, a, b, c):
     (b - a) x (c - a), so a point in the triangle's plane is inside when the
     result is positive and on an edge or corner when it is 0.
     """
-    n = np.cross(b - a, c - a)
+    x, a, b, c = x.T, a.T, b.T, c.T
+    # each product back in (k, 3) rows: einsum rounds a sum along a row
+    # otherwise than one across rows, and the weights keep their bits
+    n, n0, n1 = (np.ascontiguousarray(_cross(p, q).T)
+                 for p, q in ((b - a, c - a), (b - x, c - x), (c - x, a - x)))
     n2 = np.einsum("ij,ij->i", n, n)
-    w0 = np.einsum("ij,ij->i", np.cross(b - x, c - x), n) / n2
-    w1 = np.einsum("ij,ij->i", np.cross(c - x, a - x), n) / n2
+    w0 = np.einsum("ij,ij->i", n0, n) / n2
+    w1 = np.einsum("ij,ij->i", n1, n) / n2
     return np.minimum(np.minimum(w0, w1), 1.0 - w0 - w1)
 
 
@@ -203,12 +207,15 @@ def crossing_linking(path: ClosedCurve, surf: Surface, threads=None) -> int:
                 flat = (np.abs(den[i, j]) <= eps * tl[j] * np.linalg.norm(u[i], axis=1)) \
                     & (np.abs(den[i, j] - s[i, j]) < eps * scale * tl[j])
                 i, j = i[flat], j[flat]
-                if np.any(_min_barycentric(p[i] + 0.5 * u[i], ta[j], tb[j], tc[j]) > -1e-9):
+                if i.size and np.any(
+                        _min_barycentric(p[i] + 0.5 * u[i], ta[j], tb[j], tc[j]) > -1e-9):
                     raise GeometryError(
                         "path segment lies in the surface; crossings are undefined")
             with np.errstate(divide="ignore", invalid="ignore"):
                 t = s / den
             i, j = np.nonzero((den != 0.0) & (t >= 0.0) & (t < 1.0))
+            if not i.size:
+                continue
             wmin = _min_barycentric(p[i] + t[i, j, None] * u[i], ta[j], tb[j], tc[j])
             inside = wmin > eps
             # a path vertex on a face may touch the surface and turn back,

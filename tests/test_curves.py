@@ -1,4 +1,5 @@
 """Curve generators, resampling, deformation, distance, and file IO."""
+import contextlib
 import json
 import math
 
@@ -98,9 +99,34 @@ def _rotated(make, *args):
     return tuple(fl.ClosedCurve(c.points @ rot.T) for c in make(*args))
 
 
-def _figure_eight(n=256):
-    t = 2.0 * np.pi * np.arange(n) / n
-    return np.column_stack([np.cos(t), 0.5 * np.sin(2.0 * t), np.zeros(n)])
+def _eight(offset, roll, lift=0.0, shift=0.0, n=256):
+    """Figure-eight through the origin, at t = pi/2 and 3 pi/2 of its
+    parameter: at vertex 64 and 192 for offset 0, inside segments 63 and 191
+    for offset 0.5, and `roll` indices on. The strands are lifted apart by
+    lift times the self check's tolerance there; the eight is moved by
+    `shift` along (1, 1, 1)."""
+    t = 2.0 * np.pi * (np.arange(n) + offset) / n
+    pts = np.roll(np.column_stack([np.cos(t), 0.5 * np.sin(2.0 * t), np.zeros(n)]), roll, axis=0)
+    pts += shift
+    pts[:, 2] += 0.5 * lift * 1e-12 * np.max(np.abs(pts)) * np.roll(np.sin(t), roll)
+    return pts
+
+
+# the crossing inside a run (segments 80 and 208), at the vertices that
+# begin runs 2 and 6, and in the closing segment n - 1 with segment 127
+EIGHTS = [(0.5, 17), (0.0, 0), (0.5, 192)]
+
+
+def _eight_pair(*args):
+    return fl.ClosedCurve(_eight(*args)), circle((0, 0, 5), 1.0, Z, 64)
+
+
+def _touch_pair(factor, shift=0.0, n=64):
+    """Coplanar circles whose vertices n/2 and 0 lie factor times the touch
+    guard, TOUCH_GUARD times their diameter 2, apart; moved by `shift`."""
+    gap = factor * fl.topology.TOUCH_GUARD * 2.0
+    return (circle((shift, shift, shift), 1.0, Z, n),
+            circle((shift + 2.0 + gap, shift, shift), 1.0, Z, n))
 
 
 @pytest.mark.parametrize("make, args", [
@@ -109,6 +135,9 @@ def _figure_eight(n=256):
       for n in (3, 31, 33, 1000, 2048) for seed, linked in ((0, True), (1, False))),
     *((_rotated, (_circle_pair, 0, n, True)) for n in (1000, 2048)),
     (_rotated, (random_pair, 1001)),
+    *((_eight_pair, (*e, lift, shift)) for e in EIGHTS for lift in (0.0, 2.0)
+      for shift in (0.0, 1e7)),
+    *((_touch_pair, (factor, shift)) for factor in (0.5, 2.0) for shift in (0.0, 1e7)),
 ])
 def test_pruned_scans_equal_the_full_scan(make, args):
     a, b = make(*args)
@@ -132,7 +161,7 @@ def test_pruned_scan_on_touching_curves_and_open_paths(tmp_path):
         assert curves._min_segment_distance(gamma[:-1], seg, *a.segments()) == \
             _unpruned_min(gamma[:-1], seg, *a.segments())
     # a figure-eight crosses itself at the origin; the pruned scan finds it
-    eight = _figure_eight()
+    eight = _eight(0.0, 0)
     u = np.roll(eight, -1, axis=0) - eight
     assert curves._min_nonadjacent_self_distance(eight) == _unpruned_min(
         eight, u, eight, u, skip_adjacent=True) < 1e-12
@@ -181,6 +210,71 @@ def test_pruned_scan_skips_most_pairs_of_linked_circles(monkeypatch):
     a, b = _circle_pair(0, 2048, True)
     assert fl.min_distance(a, b) > 0.0
     assert 0 < sum(evaluated) < 0.035 * 2048 * 2048
+
+
+def test_decision_scans_evaluate_few_pairs(monkeypatch):
+    # the self check and the touch check only ask whether a pair comes
+    # within their tolerance; the segment boxes keep the kernel almost idle
+    # (the exact self scan evaluates the diagonal band, 4.7% here)
+    evaluated = _count_pairs(monkeypatch)
+    a, b = _circle_pair(0, 2048, True)
+    curves._check_self_avoiding(a.points, "a")
+    assert sum(evaluated) < 0.005 * 2048 * 2048
+    evaluated.clear()
+    fl.gauss_linking(a, b)
+    assert sum(evaluated) < 0.005 * 2048 * 2048
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e7])
+@pytest.mark.parametrize("offset, roll", EIGHTS)
+@pytest.mark.parametrize("lift", [0.0, 2.0])
+def test_self_check_decides_as_the_full_scan(tmp_path, offset, roll, lift, shift):
+    pts = _eight(offset, roll, lift, shift)
+    u = np.roll(pts, -1, axis=0) - pts
+    full = _unpruned_min(pts, u, pts, u, skip_adjacent=True)
+    tol = 1e-12 * float(np.max(np.abs(pts)))
+    assert (full < tol) == (lift == 0.0)
+    # the cutoff scan is exact up to the tolerance and above it beyond
+    found = curves._min_nonadjacent_self_distance(pts, cutoff=tol)
+    assert found == full if full <= tol else found > tol
+    path = tmp_path / "eight.json"
+    path.write_text(json.dumps({"points": pts.tolist()}))
+    if lift:
+        assert fl.load_curve(path).n == 256
+    else:
+        with pytest.raises(fl.SchemaError, match="non-adjacent segments intersect"):
+            fl.load_curve(path)
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e7])
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+def test_touch_check_decides_as_the_full_scan(factor, shift):
+    a, b = _touch_pair(factor, shift)
+    touch = fl.topology.TOUCH_GUARD * max(a.diameter(), b.diameter())
+    full = _unpruned_min(*a.segments(), *b.segments())
+    found = fl.min_distance(a, b, cutoff=touch)
+    assert found == full if full <= touch else found > touch
+    if not shift:
+        assert (full < touch) == (factor < 1.0)
+    if full < touch:
+        with pytest.raises(fl.GeometryError, match="curves touch"):
+            fl.gauss_linking(a, b)
+    else:
+        # the touch check passes; the sum over so near a pair may not resolve
+        with contextlib.suppress(fl.UnderResolvedError):
+            fl.gauss_linking(a, b)
+
+
+def test_segment_pair_distance_does_not_depend_on_the_call():
+    # a pruned scan evaluates a pair in calls of any shape, one row or one
+    # column included, and must read the same bits as the full matrix
+    rng = np.random.default_rng(2)
+    p0, u = rng.normal(size=(2, 32, 3))
+    q0, v = rng.normal(size=(2, 96, 3))
+    full = curves._segment_pair_distance(p0, u, q0, v)
+    for rows, cols in (([3], [5]), ([3], [5, 40, 90]), ([1, 7, 30], [60]), ([0, 1], [2, 3])):
+        assert np.array_equal(curves._segment_pair_distance(p0[rows], u[rows], q0[cols], v[cols]),
+                              full[np.ix_(rows, cols)])
 
 
 def _pair_distance_reference(p0, u, q0, v):

@@ -8,7 +8,9 @@ this checkout's `src/`:
 - every command-line operation of the rounds of the three benchmark
   workloads for seeds 0, 1 and 2 (`bench/workloads.build`);
 - `link` and `phase --invariance` for each preset at 128 and 1024 samples;
-- `gauge-demo --closed-line`.
+- `gauge-demo --closed-line`;
+- refusals, each exiting 2: `link` on a curve file that crosses itself and
+  `link` on two curves that share a point.
 
 Each run gets a directory OUT/NNN-label holding its argv, stdout, stderr,
 exit code and a copy of every file it wrote. The curve files the runs read
@@ -20,6 +22,7 @@ empty.
 import contextlib
 import io
 import json
+import math
 import shutil
 import sys
 import tempfile
@@ -52,6 +55,20 @@ def runs():
             yield (f"phase-{preset}-{n}",
                    ["phase", "--preset", preset, "--samples", str(n), "--invariance"], [])
     yield "gauge-demo-closed-line", ["gauge-demo", "--closed-line"], []
+    # a figure-eight crosses itself at the origin, inside segments 63 and
+    # 191; a circle and its reflection through its vertex 0 share that vertex
+    t = [2.0 * math.pi * (k + 0.5) / 256 for k in range(256)]
+    curves = {"eight": [[math.cos(a), 0.5 * math.sin(2.0 * a), 0.0] for a in t],
+              "circle": [[math.cos(a), math.sin(a), 0.0] for a in t]}
+    x0, y0, _ = curves["circle"][0]
+    curves["reflected"] = [[2.0 * x0 - x, 2.0 * y0 - y, 0.0] for x, y, _ in curves["circle"]]
+    tmp = WORK / "refusals"
+    tmp.mkdir(parents=True)
+    for name, points in curves.items():
+        (tmp / f"{name}.json").write_text(json.dumps({"points": points}) + "\n")
+    for label, a, b in (("self-crossing", "eight", "circle"), ("touching", "circle", "reflected")):
+        yield (f"link-{label}",
+               ["link", "--curve-a", str(tmp / f"{a}.json"), "--curve-b", str(tmp / f"{b}.json")], [])
 
 
 def run(argv):
