@@ -10,6 +10,7 @@ the flags, the allowed `--config` keys, the defaults, the checks every value
 passes (from a flag, a config file or a default) and the embedded config.
 """
 import argparse
+import functools
 import json
 import math
 import sys
@@ -389,7 +390,9 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: the tables are constant."""
     parser = argparse.ArgumentParser(
         prog="fluxline",
         description="Linking numbers, flux-line potentials, phases, and "
@@ -398,20 +401,20 @@ def build_parser() -> argparse.ArgumentParser:
                "3 under-resolved quadrature residual, 4 clearance violation.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, (func, table, text) in COMMANDS.items():
+    for name, (_, table, text) in COMMANDS.items():
         sub = subs.add_parser(name, help=text)
         sub.add_argument("--config", metavar="FILE",
                          help="JSON file of option overrides (flags still win)")
         for opt in table:
             opt.add_to(sub)
-        sub.set_defaults(func=func, table=table)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    func, table, _ = COMMANDS[args.command]
     try:
-        return args.func(*_resolve(args, args.table))
+        return func(*_resolve(args, table))
     except (FluxlineError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         if isinstance(e, ClearanceError):

@@ -401,8 +401,12 @@ def load_curve(path) -> ClosedCurve:
     check_numbers(path, data["points"], "coordinates")
     try:
         curve = ClosedCurve(data["points"])
-        _check_self_avoiding(curve.points, path)
     except (GeometryError, ValueError, TypeError, OverflowError) as e:
         # ValueError, TypeError, OverflowError: 'points' is not an array of floats
         raise SchemaError(f"{path}: {e}") from e
+    try:
+        _check_self_avoiding(curve.points, path)
+    except GeometryError as e:
+        # the message already starts with the path
+        raise SchemaError(str(e)) from e
     return curve

@@ -1,4 +1,6 @@
 """End-to-end command-line behavior: reports, artifacts, exit codes."""
+import argparse
+import functools
 import json
 import os
 import subprocess
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fluxline as fl
+from conftest import random_pair
 from fluxline import cli
 from fluxline.cli import main
 
@@ -395,11 +398,27 @@ def test_worker_and_blas_threads_do_not_change_output():
     assert outs[1] == outs[0] and outs[2] == outs[0]
 
 
+def _native_sum_argv(command, tmp_path):
+    """A run whose linking sums take their native 1024 nodes, four 256-row blocks.
+
+    The link pair comes within 0.11, so the doubled sums do not agree by
+    512 nodes; the phase run's deformations carry 200 modes, which every
+    truncation the sum may try (at most 256 nodes) would cut.
+    """
+    if command == "phase":
+        return ["phase", "--preset", "hopf", "--invariance", "--steps", "1", "--modes", "200"]
+    files = [tmp_path / "a.json", tmp_path / "b.json"]
+    for curve, path in zip(random_pair(1004), files):
+        fl.save_curve(curve, path)
+    return ["link", "--curve-a", str(files[0]), "--curve-b", str(files[1])]
+
+
 @pytest.mark.parametrize("command", ["link", "phase"])
-def test_threads_1_opens_no_pool(capsys, opened_pools, command):
-    assert run([command, "--preset", "hopf", "--threads", "1"], capsys)[0] == 0
+def test_threads_1_opens_no_pool(tmp_path, capsys, opened_pools, command):
+    argv = _native_sum_argv(command, tmp_path)
+    assert run(argv + ["--threads", "1"], capsys)[0] == 0
     assert opened_pools == []
-    assert run([command, "--preset", "hopf", "--threads", "2"], capsys)[0] == 0
+    assert run(argv + ["--threads", "2"], capsys)[0] == 0
     assert opened_pools and set(opened_pools) == {2}
 
 
@@ -409,6 +428,25 @@ def test_threads_env_var(monkeypatch, capsys):
     monkeypatch.setenv("FLUXLINE_THREADS", "2")
     _, from_env, _ = run(argv, capsys)
     assert json.loads(from_env)["raw"] == json.loads(flagged)["raw"]
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    # a cache of this test's own, so no later main call gets its parser
+    monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser.__wrapped__))
+    for argv, code in ((["link", "--preset", "hopf", "--samples", "64"], 0),
+                       (["phase", "--preset", "unlinked", "--samples", "64"], 0),
+                       (["field", "--steps", "2", "--samples", "64"], 0),
+                       (["link", "--preset", "l2", "--samples", "1"], 2)):
+        assert run(argv, capsys)[0] == code
+    assert built.count("fluxline") == 1
+    assert len(built) == 1 + len(cli.COMMANDS)
 
 
 def test_help_lists_subcommands_and_exit_codes():

@@ -167,8 +167,9 @@ def test_pruned_scan_on_touching_curves_and_open_paths(tmp_path):
         eight, u, eight, u, skip_adjacent=True) < 1e-12
     path = tmp_path / "eight.json"
     path.write_text(json.dumps({"points": eight.tolist()}))
-    with pytest.raises(fl.SchemaError, match="non-adjacent segments intersect"):
+    with pytest.raises(fl.SchemaError, match="non-adjacent segments intersect") as err:
         fl.load_curve(path)
+    assert str(err.value).count(str(path)) == 1
 
 
 @pytest.mark.parametrize("n", [33, 64, 96])

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 import fluxline as fl
-from conftest import Z, circle, hopf_pair
+from conftest import Y, Z, circle, hopf_pair, perturbed, random_pair
+from fluxline import quadrature
 from fluxline.abphase import PhaseParams, ab_phase_circulation, ab_phase_solid_angle
 from fluxline.field import potential_at
-from fluxline.quadrature import biot_savart, periodic_midpoints
+from fluxline.quadrature import biot_savart, linking_integral, periodic_midpoints
 
 
 def preset(name, n=256):
@@ -98,3 +99,93 @@ def test_threads_do_not_change_circulation_or_potential():
     assert fl.circulation(f, path, threads=1) == fl.circulation(f, path, threads=2)
     xs = path.points + 0.01
     assert np.array_equal(potential_at(f, xs, threads=1), potential_at(f, xs, threads=2))
+
+
+def native_sum(path, curve):
+    """The linking sum at both curves' own nodes, without truncation."""
+    mp, wp = periodic_midpoints(path)
+    mc, wc = periodic_midpoints(curve)
+    return float(np.einsum("ij,ij->", biot_savart(mc, wc, mp), wp)) / (4.0 * np.pi)
+
+
+@pytest.fixture
+def kernel_pairs(monkeypatch):
+    """rows * cols of every `biot_savart` call that `linking_integral` makes."""
+    pairs = []
+
+    def counted(mids, w, xs, threads=None):
+        pairs.append(np.atleast_2d(xs).shape[0] * mids.shape[0])
+        return biot_savart(mids, w, xs, threads=threads)
+
+    monkeypatch.setattr(quadrature, "biot_savart", counted)
+    return pairs
+
+
+def band_limited(name, n):
+    """(path, curve) points of trigonometric polynomials of low degree."""
+    if name == "circles":
+        rng = np.random.default_rng(0)
+        return (perturbed(circle((0, 0, 0), 1.0, Z, n), rng, 0.1, modes=2).points,
+                perturbed(circle((1, 0, 0), 1.0, Y, n), rng, 0.1, modes=2).points)
+    return circle((0, 0, 0), 1.0, Z, n).points, fl.make_torus_knot(1, 2, 1.0, 0.4, n).points
+
+
+@pytest.mark.parametrize("n", [256, 512, 1024, 2048])
+@pytest.mark.parametrize("name, m", [("circles", 128), ("torus", 256)])
+def test_band_limited_pairs_sum_at_m_nodes(kernel_pairs, name, m, n):
+    path, curve = band_limited(name, n)
+    raw = linking_integral(path, curve)
+    assert abs(raw - native_sum(path, curve)) <= 1e-12
+    # the doublings 64, 128, ... m, against n * n = 4.2M pairs at n = 2048
+    assert sum(kernel_pairs) <= sum(k * k for k in (64, 128, 256) if k <= m)
+
+
+def square(per_edge):
+    """The square [-1, 1]^2 in z = 0, per_edge points an edge."""
+    e = np.linspace(-1.0, 1.0, per_edge + 1)[:-1]
+    one, zero = np.ones(per_edge), np.zeros(per_edge)
+    return np.concatenate([
+        np.column_stack([e, -one, zero]), np.column_stack([one, e, zero]),
+        np.column_stack([-e, one, zero]), np.column_stack([-one, -e, zero]),
+    ])
+
+
+def native_case(name):
+    """(path, curve, pairs the doublings may add) of a pair that keeps the native sum."""
+    if name == "square-circle":
+        # the benchmark's pair: 32 and 64 points, fewer than 256
+        theta = 2.0 * np.pi * np.arange(64) / 64
+        small = np.column_stack([0.7 + 0.1 * np.cos(theta), np.full(64, 1.025),
+                                 -0.1 * np.sin(theta)])
+        return square(8), small, 0
+    if name == "polygon":
+        # a square of 1024 points threaded by a circle: not band-limited
+        return square(256), circle((1, 0, 0), 0.5, Y, 1024).points, 0
+    if name == "random":
+        # curves 0.11 apart: the doubled sums do not agree by 512 nodes
+        a, b = random_pair(1004)
+        return a.points, b.points, 1024 * 1024 / 3
+    # circles 1e-3 apart at 2048 nodes
+    return (circle((0, 0, 0), 1.0, Z, 2048).points, circle((1.501, 0, 0), 0.5, Y, 2048).points,
+            2048 * 2048 / 3)
+
+
+@pytest.mark.parametrize("name", ["square-circle", "polygon", "random", "near"])
+def test_other_pairs_keep_the_native_sum(kernel_pairs, name):
+    path, curve, extra = native_case(name)
+    assert linking_integral(path, curve) == native_sum(path, curve)
+    assert sum(kernel_pairs) <= len(path) * len(curve) + extra
+
+
+@pytest.mark.parametrize("name", ["circles", "torus"])
+def test_truncated_sum_is_antisymmetric_and_symmetric(name):
+    path, curve = band_limited(name, 1024)
+    raw = linking_integral(path, curve)
+    assert abs(linking_integral(path[::-1], curve) + raw) <= 1e-12
+    assert abs(linking_integral(curve, path) - raw) <= 1e-12
+
+
+def test_linking_sum_does_not_depend_on_threads():
+    a, b = random_pair(1004)
+    for path, curve in (band_limited("circles", 2048), (a.points, b.points)):
+        assert linking_integral(path, curve, threads=1) == linking_integral(path, curve, threads=2)
