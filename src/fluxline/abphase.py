@@ -40,15 +40,14 @@ def ab_phase_circulation(p: PhaseParams, f: FluxLine, path: ClosedCurve,
     shape still defines the phase (alpha carries the physical flux).
     """
     unit = FluxLine(curve=f.curve, flux=1.0)
-    return p.alpha * circulation(unit, path, threads=threads)
+    return p.alpha * circulation(unit, path)
 
 
 def ab_phase_flux(p: PhaseParams, f: FluxLine, path: ClosedCurve, threads=None) -> float:
     """Phase from the flux carried through a surface spanning the path.
 
     alpha times the signed count of flux-line crossings through that
-    surface; the nonlocal counted-flux reading of the same number. `threads`
-    is accepted and unused.
+    surface; the nonlocal counted-flux reading of the same number.
     """
     return p.alpha * crossing_linking(f.curve, span_surface(path))
 
@@ -66,7 +65,7 @@ def ab_phase_solid_angle(p: PhaseParams, path: ClosedCurve, f: FluxLine,
     guard = _guard(f)
     if min_distance(path, f.curve, cutoff=guard) <= guard:
         raise GeometryError("path touches or nearly touches the flux line")
-    return p.alpha * linking_integral(path.points, f.curve.points, threads=threads)
+    return p.alpha * linking_integral(path.points, f.curve.points)
 
 
 def ab_phase_crossing(p: PhaseParams, f: FluxLine, path: ClosedCurve,
@@ -74,7 +73,7 @@ def ab_phase_crossing(p: PhaseParams, f: FluxLine, path: ClosedCurve,
     """Phase picked up discretely as the path crosses a spanning surface.
 
     alpha times the signed count of path crossings through a surface
-    spanning the flux curve. `threads` is accepted and unused.
+    spanning the flux curve.
     """
     return p.alpha * crossing_linking(path, span_surface(f.curve))
 
@@ -100,15 +99,14 @@ def invariance_suite(p: PhaseParams, f: FluxLine, path: ClosedCurve,
     circulation-form phase at every step; a step whose phase strays from the
     initial value by tol or more is flagged with its index.
     """
-    base = ab_phase_circulation(p, f, path, threads=threads)
+    base = ab_phase_circulation(p, f, path)
 
     def phase(flux_curve, c):
         # every deformed state is more than spec.clearance apart, so when the
         # clearance exceeds circulation's guard, its distance check cannot fire
         if spec.clearance > _guard(FluxLine(flux_curve, 1.0)):
-            return p.alpha * linking_integral(c.points, flux_curve.points, threads=threads)
-        return ab_phase_circulation(p, FluxLine(curve=flux_curve, flux=f.flux), c,
-                                    threads=threads)
+            return p.alpha * linking_integral(c.points, flux_curve.points)
+        return ab_phase_circulation(p, FluxLine(curve=flux_curve, flux=f.flux), c)
 
     suites = {}
     path_steps = deform_homotopy(path, f.curve, spec)

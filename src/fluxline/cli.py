@@ -28,6 +28,7 @@ from .field import FluxLine, vector_potential
 from .gauge import SolenoidConfig, singular_gauge_closed_line_demo, solenoid_singular_gauge_demo
 from .interference import (TwoSlitConfig, ab_shift_analytic, ab_shift_measured, beam_geometry,
                            fringe_spacing, pattern, write_pattern)
+from .parallel import check_threads_env
 from .topology import crossing_linking, gauss_linking, span_surface
 
 
@@ -118,7 +119,7 @@ SAMPLES = Opt("samples", "int", 1024, "points per generated curve",
 TOL = Opt("tol", "real", 1e-3, "residual tolerance for linking quadrature",
           above=0)
 THREADS = Opt("threads", "int", None,
-              "worker threads (default: FLUXLINE_THREADS or all cores)",
+              "checked and unused: every kernel runs on one thread",
               at_least=1)
 OUTPUT = Opt("output", "str", None, "write results here",
              flags=("--output", "-o"), metavar="PATH")
@@ -248,7 +249,7 @@ def cmd_link(o, config) -> int:
         raise SchemaError("need --preset or both --curve-a and --curve-b")
     code = 0
     try:
-        res = gauss_linking(a, b, tol=o["tol"], threads=o["threads"])
+        res = gauss_linking(a, b, tol=o["tol"])
     except UnderResolvedError as e:
         res, code = e.result, 3
     crossing = crossing_linking(a, span_surface(b))
@@ -267,8 +268,7 @@ def cmd_phase(o, config) -> int:
     flux_curve, path = _preset_curves(o["preset"], o["samples"])
     f = FluxLine(curve=flux_curve, flux=o["flux"])
     p = PhaseParams(alpha=o["alpha"])
-    threads = o["threads"]
-    link = gauss_linking(path, flux_curve, tol=o["tol"], threads=threads)
+    link = gauss_linking(path, flux_curve, tol=o["tol"])
     # the circulation and solid-angle forms are alpha times the same
     # `linking_integral` of this pair, which link.raw already holds
     forms = {
@@ -288,7 +288,7 @@ def cmd_phase(o, config) -> int:
         spec = DeformationSpec(amplitude=o["amplitude"], n_modes=o["modes"],
                                seed=o["seed"], steps=o["steps"],
                                clearance=o["clearance"])
-        report["invariance"] = invariance_suite(p, f, path, spec, threads=threads)
+        report["invariance"] = invariance_suite(p, f, path, spec)
     _emit(_json_text(report), o["output"])
     return 0
 
@@ -299,7 +299,7 @@ def cmd_field(o, config) -> int:
     f = FluxLine(curve=curve, flux=flux)
     lines = ["z,A_x,A_y,A_z,A_axial_analytic"]
     for z in np.linspace(o["start"], o["stop"], o["steps"]):
-        a = vector_potential(f, (0.0, 0.0, float(z)), threads=o["threads"])
+        a = vector_potential(f, (0.0, 0.0, float(z)))
         analytic = flux * radius ** 2 / (2.0 * (radius ** 2 + z ** 2) ** 1.5)
         lines.append(f"{z:.15g},{a[0]:.15g},{a[1]:.15g},{a[2]:.15g},{analytic:.15g}")
     _emit("\n".join(lines) + "\n", o["output"], config)
@@ -364,7 +364,7 @@ def cmd_gauge_demo(o, config) -> int:
     else:
         flux_curve, path = _preset_curves("hopf", o["samples"])
         f = FluxLine(curve=flux_curve, flux=o["flux"])
-        record = singular_gauge_closed_line_demo(f, path, threads=o["threads"])
+        record = singular_gauge_closed_line_demo(f, path)
     _emit(_json_text({**record, "config": config}), o["output"])
     return 0
 
@@ -414,6 +414,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     func, table, _ = COMMANDS[args.command]
     try:
+        check_threads_env()
         return func(*_resolve(args, table))
     except (FluxlineError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

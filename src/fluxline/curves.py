@@ -201,7 +201,6 @@ def min_distance(a: ClosedCurve, b: ClosedCurve, threads=None, *, cutoff=np.inf)
     cutoff: the minimum is exact when it is <= cutoff, and otherwise some
     value above cutoff, so a caller that only compares the distance with a
     tolerance passes the tolerance; the default gives the exact minimum.
-    `threads` is accepted for the API and unused: the pruned scan is serial.
     """
     return _min_segment_distance(*a.segments(), *b.segments(), cutoff=cutoff)
 
@@ -377,8 +376,7 @@ def deform_homotopy(c: ClosedCurve, obstacle: ClosedCurve, spec: DeformationSpec
     seeded generator, so the output is deterministic for a fixed seed. The
     per-step motion is capped at half the clearance: successive curves then
     cannot jump across the obstacle, so the homotopy class relative to the
-    obstacle is preserved, not just sampled. `threads` is accepted for the
-    API and unused: the clearance scan is serial.
+    obstacle is preserved, not just sampled.
     """
     return [a for a, _ in _deform(c, obstacle, spec, False)]
 

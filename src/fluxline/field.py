@@ -32,14 +32,14 @@ def _guard(f: FluxLine) -> float:
     return GUARD_FACTOR * f.curve.diameter()
 
 
-def potential_at(f: FluxLine, xs, threads=None):
+def potential_at(f: FluxLine, xs):
     """Vector potential at many points, (m, 3); callers enforce the guard.
 
     A(x) = (flux/4pi) integral of dx' x (x - x') / |x - x'|^3 over the line,
     evaluated at spectral parameter midpoints.
     """
     mids, w = periodic_midpoints(f.curve.points)
-    return biot_savart(mids, w, xs, threads=threads) * (f.flux / (4.0 * np.pi))
+    return biot_savart(mids, w, xs) * (f.flux / (4.0 * np.pi))
 
 
 def vector_potential(f: FluxLine, x, threads=None):
@@ -47,7 +47,7 @@ def vector_potential(f: FluxLine, x, threads=None):
     x = np.asarray(x, dtype=float)
     if distance_to_curve(x, f.curve) <= _guard(f):
         raise GeometryError("evaluation point is too close to the flux line")
-    return potential_at(f, x, threads=threads)[0]
+    return potential_at(f, x)[0]
 
 
 def circulation(f: FluxLine, path: ClosedCurve, threads=None) -> float:
@@ -55,7 +55,7 @@ def circulation(f: FluxLine, path: ClosedCurve, threads=None) -> float:
     guard = _guard(f)
     if min_distance(path, f.curve, cutoff=guard) <= guard:
         raise GeometryError("path touches or nearly touches the flux line")
-    return f.flux * linking_integral(path.points, f.curve.points, threads=threads)
+    return f.flux * linking_integral(path.points, f.curve.points)
 
 
 def flux_through(f: FluxLine, surf: Surface) -> float:
@@ -77,26 +77,26 @@ def _warn_if_coarse(f: FluxLine, x, h: float):
         )
 
 
-def _stencil(f: FluxLine, x, h: float, threads=None):
+def _stencil(f: FluxLine, x, h: float):
     """A at the six points x +- h*e_k; (2, 3 axes, 3 components)."""
     x = np.asarray(x, dtype=float)
     eye = np.eye(3)
     pts = np.vstack([x + h * eye, x - h * eye])
-    a = potential_at(f, pts, threads=threads)
+    a = potential_at(f, pts)
     return a[:3], a[3:]
 
 
 def divergence_check(f: FluxLine, x, h: float = DEFAULT_FD_STEP, threads=None) -> float:
     """Central-difference divergence of A at x; near zero away from the line."""
     _warn_if_coarse(f, x, h)
-    plus, minus = _stencil(f, x, h, threads=threads)
+    plus, minus = _stencil(f, x, h)
     return float(sum((plus[k, k] - minus[k, k]) for k in range(3)) / (2.0 * h))
 
 
 def curl_check(f: FluxLine, x, h: float = DEFAULT_FD_STEP, threads=None):
     """Central-difference curl of A at x; (3,), near zero away from the line."""
     _warn_if_coarse(f, x, h)
-    plus, minus = _stencil(f, x, h, threads=threads)
+    plus, minus = _stencil(f, x, h)
     d = (plus - minus) / (2.0 * h)
     # d[j, k] approximates dA_k / dx_j
     return np.array(
@@ -106,6 +106,6 @@ def curl_check(f: FluxLine, x, h: float = DEFAULT_FD_STEP, threads=None):
 
 def potential_gradient_identity(f: FluxLine, x, threads=None) -> float:
     """Relative residual of A = (flux/4pi) grad(solid angle) at x."""
-    a = vector_potential(f, x, threads=threads)
-    g = (f.flux / (4.0 * np.pi)) * grad_solid_angle(x, f.curve, threads=threads)
+    a = vector_potential(f, x)
+    g = (f.flux / (4.0 * np.pi)) * grad_solid_angle(x, f.curve)
     return float(np.linalg.norm(a - g) / max(np.linalg.norm(a), 1e-30))

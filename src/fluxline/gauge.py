@@ -63,7 +63,7 @@ def open_path_gauge_shift(f: FluxLine, gamma, threads=None):
         raise GeometryError("open path touches or nearly touches the flux line")
     surf = span_surface(f.curve)
     mids = 0.5 * (pts[:-1] + pts[1:])
-    a = potential_at(f, mids, threads=threads)
+    a = potential_at(f, mids)
     plain = float(np.einsum("ij,ij->", a, seg))
     lam = -(f.flux / (4.0 * np.pi))
     transformed = plain + lam * (solid_angle(pts[-1], surf) - solid_angle(pts[0], surf))
@@ -149,4 +149,4 @@ def singular_gauge_closed_line_demo(f: FluxLine, path: ClosedCurve, threads=None
     identically, so any linked path loses its phase: the transformation has
     silently removed the field, which is the point of the demonstration.
     """
-    return {"before": circulation(f, path, threads=threads), "after": 0.0}
+    return {"before": circulation(f, path), "after": 0.0}

@@ -32,7 +32,7 @@ def gauss_linking(c: ClosedCurve, k: ClosedCurve, tol: float = DEFAULT_LINK_TOL,
     touch = TOUCH_GUARD * max(c.diameter(), k.diameter(), 1e-30)
     if min_distance(c, k, cutoff=touch) < touch:
         raise GeometryError("curves touch or nearly touch; linking is undefined")
-    raw = linking_integral(c.points, k.points, threads=threads)
+    raw = linking_integral(c.points, k.points)
     rounded = int(np.rint(raw))
     residual = abs(raw - rounded)
     result = LinkingResult(raw=float(raw), rounded=rounded, residual=float(residual))
@@ -156,7 +156,7 @@ def crossing_linking(path: ClosedCurve, surf: Surface, threads=None) -> int:
     direction, and the count is repeated; a move that reaches half the
     path's distance to the surface boundary raises instead. Serial: a
     CHUNK_ROWS block of segments meets only the triangles of the runs whose
-    padded `_run_boxes` overlap its own; `threads` is accepted and unused.
+    padded `_run_boxes` overlap its own.
     """
     pts = path.points
     scale = max(path.diameter(), 1e-30)
@@ -258,8 +258,7 @@ def solid_angle(x, surf: Surface, threads=None) -> float:
     Sum of per-triangle signed angles; positive when the face normals point
     away from x. Follows the convention of accumulating (x' - x) . dS' /
     |x' - x|^3, so a viewer on the side the normals point toward sees a
-    negative value. One vectorised pass over the triangles; `threads` is
-    accepted for the API and unused.
+    negative value. One vectorised pass over the triangles.
     """
     x = np.asarray(x, dtype=float)
     if surface_point_distance(x, surf) <= 1e-9 * _mesh_scale(surf):
@@ -288,7 +287,7 @@ def grad_solid_angle(x, c: ClosedCurve, threads=None):
     closed line integrals give 4pi times the linking number directly.
     """
     mids, w = periodic_midpoints(c.points)
-    return biot_savart(mids, w, x, threads=threads)[0]
+    return biot_savart(mids, w, x)[0]
 
 
 def save_surface(surf: Surface, path):

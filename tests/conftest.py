@@ -1,4 +1,6 @@
 """Shared geometry builders and independent numerical oracles."""
+import threading
+
 import numpy as np
 import pytest
 
@@ -21,19 +23,16 @@ def hopf_pair(n=1024):
 
 
 @pytest.fixture
-def opened_pools(monkeypatch):
-    """The max_workers of every thread pool that parallel opens in the test."""
-    from fluxline import parallel
+def started_threads(monkeypatch):
+    """The name of every thread started in the test."""
+    started, start = [], threading.Thread.start
 
-    pools = []
+    def counting(self):
+        started.append(self.name)
+        start(self)
 
-    class Counting(parallel.ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(kwargs.get("max_workers"))
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(parallel, "ThreadPoolExecutor", Counting)
-    return pools
+    monkeypatch.setattr(threading.Thread, "start", counting)
+    return started
 
 
 @pytest.fixture(scope="session")

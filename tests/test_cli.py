@@ -371,15 +371,15 @@ def test_thread_count_does_not_change_results(capsys):
     _, out1, _ = run(base + ["--threads", "1"], capsys)
     _, out4, _ = run(base + ["--threads", "4"], capsys)
     rep1, rep4 = json.loads(out1), json.loads(out4)
-    assert rep1["raw"] == rep4["raw"]
-    assert rep1["residual"] == rep4["residual"]
+    assert (rep1["config"].pop("threads"), rep4["config"].pop("threads")) == (1, 4)
+    assert rep1 == rep4
 
 
 def test_worker_and_blas_threads_do_not_change_output():
-    """Byte-identical stdout over worker and OpenBLAS threads, on 3 blocks.
+    """Byte-identical stdout over FLUXLINE_THREADS and OpenBLAS threads, on 3 blocks.
 
     BLAS threads are fixed when numpy loads, so each setting is its own
-    process. The worker count comes from FLUXLINE_THREADS, as `--threads`
+    process. FLUXLINE_THREADS is set in the environment, as `--threads`
     would show in the report's config.
     """
     script = ("from fluxline.cli import main\n"
@@ -414,12 +414,12 @@ def _native_sum_argv(command, tmp_path):
 
 
 @pytest.mark.parametrize("command", ["link", "phase"])
-def test_threads_1_opens_no_pool(tmp_path, capsys, opened_pools, command):
+def test_threads_1_opens_no_pool(tmp_path, capsys, started_threads, command):
+    # every kernel is serial: neither thread count starts a thread
     argv = _native_sum_argv(command, tmp_path)
     assert run(argv + ["--threads", "1"], capsys)[0] == 0
-    assert opened_pools == []
     assert run(argv + ["--threads", "2"], capsys)[0] == 0
-    assert opened_pools and set(opened_pools) == {2}
+    assert started_threads == []
 
 
 def test_threads_env_var(monkeypatch, capsys):
@@ -635,11 +635,20 @@ def test_interfere_grid_that_misses_the_fringe_exits_2(tmp_path, capsys, half_wi
     assert "cannot measure the fringe shift" in err
 
 
-def test_threads_env_var_not_an_integer(monkeypatch, capsys):
-    monkeypatch.setenv("FLUXLINE_THREADS", "abc")
-    code, _, err = run(["link", "--preset", "hopf", "--samples", "64"], capsys)
-    assert code == 2
-    assert "FLUXLINE_THREADS" in err
+def test_threads_env_var_not_an_integer(tmp_path, monkeypatch, capsys):
+    # one test id over every subcommand: each exits 2 before it computes or writes
+    for value in ("abc", "0"):
+        monkeypatch.setenv("FLUXLINE_THREADS", value)
+        for argv in (["link", "--preset", "hopf", "--samples", "64"],
+                     ["phase", "--preset", "hopf", "--samples", "64"],
+                     ["field", "--steps", "2", "--samples", "64"],
+                     ["interfere", "--grid", "512"],
+                     ["gauge-demo", "--samples", "64"],
+                     ["sweep", "--steps", "2", "--grid", "512"]):
+            code, out, err = run(argv + ["-o", str(tmp_path / "out")], capsys)
+            assert (code, out) == (2, ""), (argv, value)
+            assert f"FLUXLINE_THREADS must be an integer >= 1, got {value!r}" in err
+            assert not (tmp_path / "out").exists()
 
 
 def test_link_missing_curve_file(tmp_path, capsys):

@@ -323,14 +323,14 @@ def test_segment_pair_distance_on_degenerate_pairs():
         assert abs(got[k] - _pair_distance_reference(*pair)) <= 1e-12 * scale, (k, pair)
 
 
-def test_self_distance_scan_thread_independent(monkeypatch, opened_pools):
-    # the scan is serial: FLUXLINE_THREADS opens no pool and changes nothing
+def test_self_distance_scan_thread_independent(monkeypatch, started_threads):
+    # the scan is serial: FLUXLINE_THREADS starts no thread and changes nothing
     monkeypatch.setenv("FLUXLINE_THREADS", "2")
     pts = np.cumsum(np.random.default_rng(7).normal(size=(600, 3)), axis=0)
     u = np.roll(pts, -1, axis=0) - pts
     assert curves._min_nonadjacent_self_distance(pts) == _unpruned_min(
         pts, u, pts, u, skip_adjacent=True)
-    assert opened_pools == []
+    assert started_threads == []
 
 
 def test_trefoil_self_avoiding():
@@ -614,11 +614,11 @@ def test_min_distance_hopf_positive_and_matches_brute_force():
     assert abs(d - brute_min_distance(a, b, samples=24)) < 1e-3
 
 
-def test_min_distance_thread_count_invariant(opened_pools):
-    # threads is accepted and unused: the scan opens no pool
+def test_min_distance_thread_count_invariant(started_threads):
+    # threads is accepted and unused: the scan starts no thread
     a, b = hopf_pair(512)
     assert fl.min_distance(a, b, threads=4) == _unpruned_min(*a.segments(), *b.segments())
-    assert opened_pools == []
+    assert started_threads == []
 
 
 def test_curve_io_roundtrip(tmp_path):

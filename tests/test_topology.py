@@ -127,9 +127,9 @@ def _unculled_crossing(monkeypatch, path, surf):
         return _crossing_or_error(path, surf)
 
 
-def test_crossing_count_thread_count_invariant(monkeypatch, opened_pools, unit_disk):
+def test_crossing_count_thread_count_invariant(monkeypatch, started_threads, unit_disk):
     # every path has more than one 256-row block, and the count is serial:
-    # two threads open no pool
+    # two threads start no thread
     monkeypatch.setenv("FLUXLINE_THREADS", "2")
     long = rectangle_loop(2.0, 1.0, (0.3, 0, 0), n_per_side=80)
     apex = circle((1, 0, 0), 1.0, Y, 1024)  # hits the fan apex: nudged
@@ -138,7 +138,7 @@ def test_crossing_count_thread_count_invariant(monkeypatch, opened_pools, unit_d
     for path, surf, want in ((long, unit_disk, -1), (apex, unit_disk, 1), (
             coplanar, small_disk, "path segment lies in the surface; crossings are undefined")):
         assert _crossing_or_error(path, surf) == want == _unculled_crossing(monkeypatch, path, surf)
-    assert opened_pools == []
+    assert started_threads == []
 
 
 @pytest.mark.parametrize("shift", [0.0, 1e7])

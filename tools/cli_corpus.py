@@ -10,7 +10,9 @@ this checkout's `src/`:
 - `link` and `phase --invariance` for each preset at 128 and 1024 samples;
 - `gauge-demo --closed-line`;
 - refusals, each exiting 2: `link` on a curve file that crosses itself and
-  `link` on two curves that share a point.
+  `link` on two curves that share a point;
+- `link --threads 2` on a square of 1024 points threaded by a circle of
+  1024 nodes, whose linking sum is not truncated: four 256-row blocks.
 
 Each run gets a directory OUT/NNN-label holding its argv, stdout, stderr,
 exit code and a copy of every file it wrote. The curve files the runs read
@@ -62,13 +64,23 @@ def runs():
               "circle": [[math.cos(a), math.sin(a), 0.0] for a in t]}
     x0, y0, _ = curves["circle"][0]
     curves["reflected"] = [[2.0 * x0 - x, 2.0 * y0 - y, 0.0] for x, y, _ in curves["circle"]]
-    tmp = WORK / "refusals"
+    # the square [-1, 1]^2 in z = 0 has corners, so it is not band-limited;
+    # the circle of radius 0.5 about (1, 0, 0) in the xz-plane threads it
+    e = [-1.0 + k / 128 for k in range(256)]
+    curves["square"] = ([[x, -1.0, 0.0] for x in e] + [[1.0, y, 0.0] for y in e]
+                        + [[-x, 1.0, 0.0] for x in e] + [[-1.0, -y, 0.0] for y in e])
+    t = [2.0 * math.pi * k / 1024 for k in range(1024)]
+    curves["threading"] = [[1.0 + 0.5 * math.cos(a), 0.0, 0.5 * math.sin(a)] for a in t]
+    tmp = WORK / "curves"
     tmp.mkdir(parents=True)
     for name, points in curves.items():
         (tmp / f"{name}.json").write_text(json.dumps({"points": points}) + "\n")
     for label, a, b in (("self-crossing", "eight", "circle"), ("touching", "circle", "reflected")):
         yield (f"link-{label}",
                ["link", "--curve-a", str(tmp / f"{a}.json"), "--curve-b", str(tmp / f"{b}.json")], [])
+    yield ("link-native-sum",
+           ["link", "--curve-a", str(tmp / "square.json"), "--curve-b", str(tmp / "threading.json"),
+            "--threads", "2"], [])
 
 
 def run(argv):
