@@ -134,6 +134,49 @@ def _run_boxes(*corners):
             np.maximum.reduceat(np.maximum.reduce(corners), starts))
 
 
+def _box_bound(lo_a, hi_a, lo_b, hi_b, slack):
+    """Gaps between every box of set a and every box of set b, less slack.
+
+    The corners are C-ordered (3, k) arrays: numpy's loops then run along
+    the boxes, not along three coordinates.
+    """
+    gap = np.maximum(np.maximum(lo_b[:, None, :] - hi_a[:, :, None],
+                                lo_a[:, :, None] - hi_b[:, None, :]), 0.0)
+    return np.sqrt(np.einsum("kij,kij->ij", gap, gap)) - slack
+
+
+def _band_bound(u):
+    """Lower bounds on the distances of non-adjacent segment pairs in the
+    diagonal band of a closed polyline's runs, from monotone windows.
+
+    Window i is runs i and i + 1 (mod the run count), e_i the unit vector
+    along the sum of its segments. If every segment k of a run has
+    u_k . e > 0, the run's vertices project onto e in increasing order, so
+    two of its segments a < b - 1 are at least sum_{a<k<b} u_k . e >=
+    min_k u_k . e apart (a monotone chain cannot meet itself; Shamos and
+    Hoey 1976). Returns (band, diag): band[i] bounds the pairs of runs i and
+    i + 1 by the least u_k . e_i over window i, diag[i] the pairs inside
+    run i by the better of windows i - 1 and i; 0 where a window or run is
+    not monotone.
+    """
+    n = u.shape[0]
+    starts = np.arange(0, n, SCAN_BLOCK)
+    run = np.arange(n) // SCAN_BLOCK
+    w = np.add.reduceat(u, starts)
+    w += np.roll(w, -1, axis=0)
+    norm = np.sqrt(np.einsum("ij,ij->i", w, w))
+
+    def least(ww, nn):
+        """Least u_k . ww / nn over each run, 0 where that is not positive
+        (a positive one implies nn > 0)."""
+        m = np.minimum.reduceat(np.einsum("ij,ij->i", u, ww[run]), starts)
+        return np.divide(m, nn, out=np.zeros_like(m), where=m > 0.0)
+
+    # run r leads in window r and trails in window r - 1
+    lead, trail = least(w, norm), least(np.roll(w, 1, axis=0), np.roll(norm, 1))
+    return np.minimum(lead, np.roll(trail, -1)), np.maximum(lead, trail)
+
+
 def _min_segment_distance(p0, u, q0, v, skip_adjacent=False, cutoff=np.inf) -> float:
     """Minimum of _segment_pair_distance(p0, u, q0, v), bit for bit, pruned.
 
@@ -146,7 +189,12 @@ def _min_segment_distance(p0, u, q0, v, skip_adjacent=False, cutoff=np.inf) -> f
     columns that hold a segment pair bounded by the least distance found so
     far (or cutoff). Serial: two threads gained nothing here.
     skip_adjacent (q0, v are p0, u): the pairs i, i and i, i +- 1 mod n are
-    left out.
+    left out. Neighbouring runs share a vertex, so the boxes of the
+    diagonal band (run pairs i, i and i, i +- 1) always touch; with three
+    runs or more, _band_bound's monotone windows bound the band instead
+    wherever the curve advances along one direction over two runs, which
+    a smooth, finely sampled curve does everywhere. (With two runs a window
+    is the whole closed curve, which advances along no direction.)
     cutoff: when the minimum is <= cutoff it is returned exactly, and
     otherwise some value above cutoff (inf when no pair comes within it).
     A caller that only compares the distance with a tolerance passes the
@@ -159,38 +207,36 @@ def _min_segment_distance(p0, u, q0, v, skip_adjacent=False, cutoff=np.inf) -> f
     # the slack covers the rounding of the bounds and of the kernel's
     # distances, so no pruned pair can hold a smaller computed distance
     slack = 1e-12 * max(float(np.abs(c).max()) for c in seg)
-
-    def bound(lo_a, hi_a, lo_b, hi_b):
-        """Box gaps less the slack, from C-ordered (3, k) corners: numpy's
-        loops then run along the boxes, not along three coordinates."""
-        gap = np.maximum(np.maximum(lo_b[:, None, :] - hi_a[:, :, None],
-                                    lo_a[:, :, None] - hi_b[:, None, :]), 0.0)
-        return np.sqrt(np.einsum("kij,kij->ij", gap, gap)) - slack
-
-    runs = bound(*(np.ascontiguousarray(c.T)
-                   for c in (*_run_boxes(*seg[:2]), *_run_boxes(*seg[2:]))))
+    runs = _box_bound(*(np.ascontiguousarray(c.T)
+                        for c in (*_run_boxes(*seg[:2]), *_run_boxes(*seg[2:]))), slack)
+    if skip_adjacent and runs.shape[0] >= 3:
+        band, diag = _band_bound(u)
+        run = np.arange(runs.shape[0])
+        nxt = np.roll(run, -1)
+        runs[run, run] = np.maximum(runs[run, run], diag - slack)
+        runs[run, nxt] = runs[nxt, run] = np.maximum(runs[run, nxt], band - slack)
     lo_p, hi_p, lo_q, hi_q = (np.ascontiguousarray(c.T) for c in seg)
     col_run = np.arange(q0.shape[0]) // SCAN_BLOCK
 
     def scan(take, best):
-        for i, row_take in enumerate(take):
-            cols = np.flatnonzero(row_take[col_run])
-            if cols.size:
-                rows = np.arange(i * SCAN_BLOCK, min(i * SCAN_BLOCK + SCAN_BLOCK, n))
-                near = bound(*(np.take(x, k, axis=1) for x, k in
-                               ((lo_p, rows), (hi_p, rows), (lo_q, cols), (hi_q, cols))))
-                near = near <= min(best, cutoff)
-                if skip_adjacent:
-                    k = (cols[None, :] - rows[:, None]) % n
-                    near[(k <= 1) | (k == n - 1)] = False
-                r, c = near.any(axis=1), near.any(axis=0)
-                if c.any():
-                    d = _segment_pair_distance(p0[rows[r]], u[rows[r]], q0[cols[c]], v[cols[c]])
-                    best = min(best, float(d[near[r][:, c]].min()))
+        for i in np.flatnonzero(take.any(axis=1)):
+            cols = np.flatnonzero(take[i, col_run])
+            rows = np.arange(i * SCAN_BLOCK, min(i * SCAN_BLOCK + SCAN_BLOCK, n))
+            near = _box_bound(*(np.take(x, k, axis=1) for x, k in
+                                ((lo_p, rows), (hi_p, rows), (lo_q, cols), (hi_q, cols))), slack)
+            near = near <= min(best, cutoff)
+            if skip_adjacent:
+                k = (cols[None, :] - rows[:, None]) % n
+                near[(k <= 1) | (k == n - 1)] = False
+            r, c = near.any(axis=1), near.any(axis=0)
+            if c.any():
+                d = _segment_pair_distance(p0[rows[r]], u[rows[r]], q0[cols[c]], v[cols[c]])
+                best = min(best, float(d[near[r][:, c]].min()))
         return best
 
+    # with no run pair bounded within cutoff, no pair is and nothing is scanned
     first = np.zeros(runs.shape, dtype=bool)
-    first.flat[np.argmin(runs)] = True
+    first.flat[np.argmin(runs)] = runs.min() <= cutoff
     ub = scan(first, np.inf)
     return scan((runs <= min(ub, cutoff)) & ~first, ub)
 

@@ -1,5 +1,6 @@
 """Exception types shared across the package, the JSON file reader and its number check."""
 import json
+from itertools import chain
 
 
 class FluxlineError(Exception):
@@ -49,6 +50,8 @@ def check_numbers(path, value, what, integral=False):
     counts. true and false are not numbers here, though Python and numpy
     read them as 1 and 0.
     """
+    if _levels_are_numbers(value, integral):
+        return
     stack = [value]
     while stack:
         v = stack.pop()
@@ -58,3 +61,17 @@ def check_numbers(path, value, what, integral=False):
                 integral and type(v) is float and not v.is_integer()):
             kind = "integers" if integral else "numbers"
             raise SchemaError(f"{path}: {what} must be {kind}, got {json.dumps(v)}")
+
+
+def _levels_are_numbers(value, integral):
+    """True when every nesting level of value is all lists or, at the last
+    level, all JSON numbers (all ints when integral): one C-level type pass
+    a level. False leaves the leaf-by-leaf walk to name the bad leaf, or to
+    pass a mix of lists and numbers in one level."""
+    level = [value]
+    while level:
+        types = set(map(type, level))
+        if types != {list}:
+            return types <= {int, float} and not (integral and float in types)
+        level = list(chain.from_iterable(level))
+    return True

@@ -2,6 +2,7 @@
 import contextlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 import fluxline as fl
 from conftest import X, Y, Z, brute_min_distance, circle, hopf_pair, perturbed, random_pair
 from fluxline import curves
+from fluxline.curves import fourier_displacement
 
 
 def test_make_circle_four_point_vertices():
@@ -129,6 +131,63 @@ def _touch_pair(factor, shift=0.0, n=64):
             circle((shift + 2.0 + gap, shift, shift), 1.0, Z, n))
 
 
+def _hairpin(gap, pinch, n=192):
+    """Two legs along x that come gap apart only at back-leg vertex `pinch`
+    and open to 0.05 apart. The out leg spans x in (0, 1) and ends run 2;
+    a step of 3/4 segment along x turns it at the tip into the back leg,
+    which spans (0.2, 1) in shorter steps. The nearest pair is then one
+    pinch, which a wrong band bound would hide: pinch 10 lies in run pair
+    (2, 3), across the tip, where run 2 advances along its window and run 3
+    does not, and pinch 85 in run pair (5, 0), across the base."""
+    m = n // 2
+    out = (np.arange(m) + 0.25) / m
+    back = 1.0 - 0.8 * np.arange(m) / m
+    y = gap + 0.05 * (back - back[pinch]) ** 2
+    return np.concatenate([np.column_stack([out, np.zeros(m), np.zeros(m)]),
+                           np.column_stack([back, y, np.zeros(m)])])
+
+
+def _circle_points(n):
+    return circle((0, 0, 0), 1.0, Z, n).points
+
+
+def _blob(seed, scale, offset, n=256):
+    """A unit circle under a band-limited random displacement of peak 0.5,
+    scaled and moved by offset along (1, 1, 1)."""
+    rng = np.random.default_rng(seed)
+    theta = 2.0 * np.pi * np.arange(n) / n
+    disp = fourier_displacement(rng, theta, 3)
+    disp *= 0.5 / np.sqrt(np.einsum("ij,ij->i", disp, disp)).max()
+    return scale * (_circle_points(n) + disp) + offset
+
+
+def _torus_knot_points(q, n):
+    return fl.make_torus_knot(1, q, 1.0, 0.4, n).points
+
+
+# inputs for the band bound of the self scan: hairpins whose legs come
+# within, at and beyond the self check's tolerance; fewer than three runs
+# and a one-segment last run; smooth curves over six orders of scale and
+# far off the origin; and knots whose windows turn through a tube twist.
+# The last entry says whether the curve crosses itself within the tolerance;
+# None at the tolerance itself, where the kernel's rounding decides.
+BAND_INPUTS = [
+    *((_hairpin, (gap, pinch), None if gap == 1e-12 else gap < 1e-12)
+      for pinch in (10, 85) for gap in (1e-14, 1e-12, 1e-9, 1e-3)),
+    *((_circle_points, (n,), False) for n in (64, 65, 66, 96, 97)),
+    *((_blob, (seed, scale, offset), False) for seed, (scale, offset) in enumerate(
+        (s, o) for s in (1e-3, 1.0, 1e3) for o in (0.0, 1e4))),
+    *((_torus_knot_points, (q, n), False) for q, n in ((2, 80), (2, 160), (3, 97), (3, 256),
+                                                       (5, 80), (5, 256))),
+]
+
+
+def _with_copy(make, *args):
+    """The curve make(*args) and a reversed copy moved by a tenth of its extent."""
+    pts = make(*args)
+    return fl.ClosedCurve(pts), fl.ClosedCurve(pts[::-1] + 0.1 * np.ptp(pts, axis=0))
+
+
 @pytest.mark.parametrize("make, args", [
     *((random_pair, (seed,)) for seed in (1000, 1001, 1010, 1051)),
     *((_circle_pair, (seed, n, linked))
@@ -138,6 +197,7 @@ def _touch_pair(factor, shift=0.0, n=64):
     *((_eight_pair, (*e, lift, shift)) for e in EIGHTS for lift in (0.0, 2.0)
       for shift in (0.0, 1e7)),
     *((_touch_pair, (factor, shift)) for factor in (0.5, 2.0) for shift in (0.0, 1e7)),
+    *((_with_copy, (make, *args)) for make, args, _ in BAND_INPUTS),
 ])
 def test_pruned_scans_equal_the_full_scan(make, args):
     a, b = make(*args)
@@ -216,7 +276,7 @@ def test_pruned_scan_skips_most_pairs_of_linked_circles(monkeypatch):
 def test_decision_scans_evaluate_few_pairs(monkeypatch):
     # the self check and the touch check only ask whether a pair comes
     # within their tolerance; the segment boxes keep the kernel almost idle
-    # (the exact self scan evaluates the diagonal band, 4.7% here)
+    # (the exact self scan evaluates 0.05% here)
     evaluated = _count_pairs(monkeypatch)
     a, b = _circle_pair(0, 2048, True)
     curves._check_self_avoiding(a.points, "a")
@@ -226,25 +286,62 @@ def test_decision_scans_evaluate_few_pairs(monkeypatch):
     assert sum(evaluated) < 0.005 * 2048 * 2048
 
 
-@pytest.mark.parametrize("shift", [0.0, 1e7])
-@pytest.mark.parametrize("offset, roll", EIGHTS)
-@pytest.mark.parametrize("lift", [0.0, 2.0])
-def test_self_check_decides_as_the_full_scan(tmp_path, offset, roll, lift, shift):
-    pts = _eight(offset, roll, lift, shift)
+def test_self_check_bounds_no_segment_box_of_smooth_curves(monkeypatch, tmp_path):
+    # neighbouring runs share a vertex, so their boxes touch; on smooth
+    # curves of three runs or more the monotone windows bound the whole
+    # diagonal band above the tolerance, and the run-level call is the only one
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+
+    # the rounds' expected linking numbers are not needed here, only their curves
+    monkeypatch.setattr(workloads.oracles, "polygon_linking", lambda a, b: 0)
+    shapes = []
+    box_bound = curves._box_bound
+
+    def recording(*args):
+        gaps = box_bound(*args)
+        shapes.append(gaps.shape)
+        return gaps
+
+    monkeypatch.setattr(curves, "_box_bound", recording)
+    points = [c.points for c in _circle_pair(0, 2048, True)]
+    for seed in range(4):
+        # the square and its 64-point circle have fewer than three runs
+        for op in workloads.build("link_files", seed, tmp_path)[1]:
+            if op.kind != "link_square":
+                points += [np.array(json.loads(Path(f).read_text())["points"])
+                           for f in op.spec["argv"][2:5:2]]
+    assert len(points) == 2 + 4 * 20
+    for pts in points:
+        shapes.clear()
+        curves._check_self_avoiding(pts, "curve")
+        runs = -(-len(pts) // curves.SCAN_BLOCK)
+        assert shapes == [(runs, runs)]
+
+
+@pytest.mark.parametrize("make, args, crosses", [
+    *(pytest.param(_eight, (offset, roll, lift, shift), lift == 0.0,
+                   id=f"{lift}-{offset}-{roll}-{shift}")
+      for lift in (0.0, 2.0) for offset, roll in EIGHTS for shift in (0.0, 1e7)),
+    *BAND_INPUTS,
+])
+def test_self_check_decides_as_the_full_scan(tmp_path, make, args, crosses):
+    pts = make(*args)
     u = np.roll(pts, -1, axis=0) - pts
     full = _unpruned_min(pts, u, pts, u, skip_adjacent=True)
     tol = 1e-12 * float(np.max(np.abs(pts)))
-    assert (full < tol) == (lift == 0.0)
+    if crosses is not None:
+        assert (full < tol) == crosses
     # the cutoff scan is exact up to the tolerance and above it beyond
     found = curves._min_nonadjacent_self_distance(pts, cutoff=tol)
     assert found == full if full <= tol else found > tol
-    path = tmp_path / "eight.json"
+    path = tmp_path / "curve.json"
     path.write_text(json.dumps({"points": pts.tolist()}))
-    if lift:
-        assert fl.load_curve(path).n == 256
-    else:
+    if full < tol:
         with pytest.raises(fl.SchemaError, match="non-adjacent segments intersect"):
             fl.load_curve(path)
+    else:
+        assert fl.load_curve(path).n == len(pts)
 
 
 @pytest.mark.parametrize("shift", [0.0, 1e7])

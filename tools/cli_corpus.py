@@ -12,7 +12,10 @@ this checkout's `src/`:
 - refusals, each exiting 2: `link` on a curve file that crosses itself and
   `link` on two curves that share a point;
 - `link --threads 2` on a square of 1024 points threaded by a circle of
-  1024 nodes, whose linking sum is not truncated: four 256-row blocks.
+  1024 nodes, whose linking sum is not truncated: four 256-row blocks;
+- `link` on a hairpin whose legs lie 1e-13 apart, under the self check's
+  tolerance of 1e-12 times the largest coordinate (exit 2), and on one
+  whose legs lie 1e-9 apart (exit 0).
 
 Each run gets a directory OUT/NNN-label holding its argv, stdout, stderr,
 exit code and a copy of every file it wrote. The curve files the runs read
@@ -71,6 +74,10 @@ def runs():
                         + [[-x, 1.0, 0.0] for x in e] + [[-1.0, -y, 0.0] for y in e])
     t = [2.0 * math.pi * k / 1024 for k in range(1024)]
     curves["threading"] = [[1.0 + 0.5 * math.cos(a), 0.0, 0.5 * math.sin(a)] for a in t]
+    # two straight legs at z = 0.5, above the unit circle, gap apart in y
+    for gap in ("1e-13", "1e-9"):
+        curves[f"hairpin-{gap}"] = ([[(k + 0.25) / 128, 0.0, 0.5] for k in range(128)]
+                                    + [[(127.75 - k) / 128, float(gap), 0.5] for k in range(128)])
     tmp = WORK / "curves"
     tmp.mkdir(parents=True)
     for name, points in curves.items():
@@ -81,6 +88,9 @@ def runs():
     yield ("link-native-sum",
            ["link", "--curve-a", str(tmp / "square.json"), "--curve-b", str(tmp / "threading.json"),
             "--threads", "2"], [])
+    for gap in ("1e-13", "1e-9"):
+        yield (f"link-hairpin-{gap}", ["link", "--curve-a", str(tmp / f"hairpin-{gap}.json"),
+                                       "--curve-b", str(tmp / "circle.json")], [])
 
 
 def run(argv):
