@@ -65,7 +65,7 @@ def ab_phase_solid_angle(p: PhaseParams, path: ClosedCurve, f: FluxLine,
     guard = _guard(f)
     if min_distance(path, f.curve, cutoff=guard) <= guard:
         raise GeometryError("path touches or nearly touches the flux line")
-    return p.alpha * linking_integral(path.points, f.curve.points)
+    return p.alpha * linking_integral(path, f.curve)
 
 
 def ab_phase_crossing(p: PhaseParams, f: FluxLine, path: ClosedCurve,
@@ -89,6 +89,13 @@ def _suite_entry(phases, base, tol):
     }
 
 
+def _released(states):
+    """Yield the items of the list states in order, dropping each from the list first."""
+    states.reverse()
+    while states:
+        yield states.pop()
+
+
 def invariance_suite(p: PhaseParams, f: FluxLine, path: ClosedCurve,
                      spec: DeformationSpec, tol: float = DEFAULT_SUITE_TOL,
                      threads=None) -> dict:
@@ -105,24 +112,28 @@ def invariance_suite(p: PhaseParams, f: FluxLine, path: ClosedCurve,
         # every deformed state is more than spec.clearance apart, so when the
         # clearance exceeds circulation's guard, its distance check cannot fire
         if spec.clearance > _guard(FluxLine(flux_curve, 1.0)):
-            return p.alpha * linking_integral(c.points, flux_curve.points)
+            return p.alpha * linking_integral(c, flux_curve)
         return ab_phase_circulation(p, FluxLine(curve=flux_curve, flux=f.flux), c)
 
+    # each state is released as its phases are taken, and with it the
+    # spectra and nodes its curves cached: one family's points at a time
     suites = {}
-    path_steps = deform_homotopy(path, f.curve, spec)
-    suites["path"] = _suite_entry([phase(f.curve, c) for c in path_steps], base, tol)
+    suites["path"] = _suite_entry(
+        [phase(f.curve, c) for c in _released(deform_homotopy(path, f.curve, spec))],
+        base, tol)
 
     flux_spec = replace(spec, seed=spec.seed + 1)
-    flux_steps = deform_homotopy(f.curve, path, flux_spec)
-    suites["flux_curve"] = _suite_entry([phase(c, path) for c in flux_steps], base, tol)
-
-    both_spec = replace(spec, seed=spec.seed + 2)
-    states = _deform(path, f.curve, both_spec, True)
-    suites["simultaneous"] = _suite_entry([phase(fc, pc) for pc, fc in states], base, tol)
+    suites["flux_curve"] = _suite_entry(
+        [phase(c, path) for c in _released(deform_homotopy(f.curve, path, flux_spec))],
+        base, tol)
 
     # role swap: the linking integrand is symmetric under exchanging the
     # curves, so using the path as the flux line must reproduce the phase
-    suites["swap"] = _suite_entry([phase(pc, fc) for pc, fc in states], base, tol)
+    both_spec = replace(spec, seed=spec.seed + 2)
+    both = [(phase(fc, pc), phase(pc, fc))
+            for pc, fc in _released(_deform(path, f.curve, both_spec, True))]
+    suites["simultaneous"] = _suite_entry([sim for sim, _ in both], base, tol)
+    suites["swap"] = _suite_entry([swap for _, swap in both], base, tol)
 
     passed = all(s["failed_step"] is None for s in suites.values())
     return {

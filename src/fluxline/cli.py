@@ -148,8 +148,9 @@ PHASE = (
     FLUX, SAMPLES, TOL, SEED, THREADS,
     Opt("invariance", "bool", False,
         "also run the four deformation-invariance suites"),
-    # the suite keeps steps + 1 states of three families, four curves a
-    # state in all, 393 KB a curve at the largest samples: 1024 steps is 1.6 GB
+    # the suite holds one family at a time, steps + 1 states of at most two
+    # curves, 393 KB a curve at the largest samples: 1024 steps is 0.8 GB; a
+    # curve's spectrum and nodes, three times its points, go with its state
     Opt("steps", "int", 20, "deformation steps", at_least=1, at_most=1024),
     Opt("amplitude", "real", 0.2, "deformation amplitude", at_least=0),
     Opt("clearance", "real", 0.05, "minimum curve separation", above=0),

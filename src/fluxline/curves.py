@@ -2,10 +2,12 @@
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ClearanceError, GeometryError, SchemaError, check_numbers, read_json
+from .quadrature import _nodes
 
 DEFAULT_N = 1024
 # most points a curve file or the command line's --samples may give: the
@@ -20,7 +22,15 @@ class ClosedCurve:
     """Oriented closed polyline; the segment points[-1] -> points[0] closes it.
 
     points: (n, 3) float array, n >= 3, consecutive vertices distinct.
-    Instances are immutable and safe to share across threads.
+
+    The curve model is the polyline's trigonometric interpolant: the points
+    are uniform samples of a smooth periodic curve. `spectrum` holds its
+    `rfft` coefficients and `nodes` the quadrature nodes at the native n
+    built from them (`quadrature._nodes`), so every line integral over the
+    curve reads one model, computed once per curve. They, the centroid and
+    the diameter are cached on first use; every array is read-only.
+    Instances are immutable and safe to share across threads: two threads
+    that fill a cache at once compute the same values.
     """
 
     points: np.ndarray
@@ -43,6 +53,25 @@ class ClosedCurve:
     def n(self) -> int:
         return self.points.shape[0]
 
+    @cached_property
+    def spectrum(self):
+        """The (n // 2 + 1, 3) `rfft` coefficients of the points along the curve."""
+        return _read_only(np.fft.rfft(self.points, axis=0))
+
+    @cached_property
+    def nodes(self):
+        """(mids, weights) of the periodic midpoint rule, as `quadrature.periodic_midpoints`."""
+        return tuple(_read_only(a) for a in _nodes(self.spectrum, self.n))
+
+    @cached_property
+    def _centroid(self):
+        return _read_only(self.points.mean(axis=0))
+
+    @cached_property
+    def _diameter(self) -> float:
+        d = self.points - self._centroid
+        return 2.0 * float(np.sqrt(np.max(np.einsum("ij,ij->i", d, d))))
+
     def segments(self):
         """Segment start points and direction vectors, each (n, 3)."""
         return self.points, np.roll(self.points, -1, axis=0) - self.points
@@ -52,16 +81,20 @@ class ClosedCurve:
         return ClosedCurve(self.points[::-1].copy())
 
     def centroid(self):
-        return self.points.mean(axis=0)
+        return self._centroid
 
     def diameter(self) -> float:
         """Twice the largest vertex distance from the centroid; a scale proxy."""
-        d = self.points - self.centroid()
-        return 2.0 * float(np.sqrt(np.max(np.einsum("ij,ij->i", d, d))))
+        return self._diameter
 
     def perimeter(self) -> float:
         _, d = self.segments()
         return float(np.linalg.norm(d, axis=1).sum())
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -351,11 +384,22 @@ def resample(c: ClosedCurve, n: int) -> ClosedCurve:
 
 def fourier_displacement(rng, theta, n_modes: int):
     """Band-limited random vector field over the curve parameter; (n, 3)."""
-    coef = rng.normal(size=(n_modes, 2, 3))
-    disp = np.zeros((theta.shape[0], 3))
-    for m in range(n_modes):
-        disp += np.outer(np.cos((m + 1) * theta), coef[m, 0])
-        disp += np.outer(np.sin((m + 1) * theta), coef[m, 1])
+    return _displacement(rng, *_mode_columns(theta, n_modes))
+
+
+def _mode_columns(theta, n_modes):
+    """The (n, 1) columns cos((m + 1) theta) and sin((m + 1) theta), m < n_modes."""
+    return ([np.cos((m + 1) * theta)[:, None] for m in range(n_modes)],
+            [np.sin((m + 1) * theta)[:, None] for m in range(n_modes)])
+
+
+def _displacement(rng, cos, sin):
+    """`fourier_displacement` on its mode columns; a column times a row is np.outer's bits."""
+    coef = rng.normal(size=(len(cos), 2, 3))
+    disp = np.zeros((cos[0].shape[0], 3))
+    for m, (c, s) in enumerate(zip(cos, sin)):
+        disp += c * coef[m, 0]
+        disp += s * coef[m, 1]
     return disp
 
 
@@ -387,7 +431,7 @@ def _deform(a: ClosedCurve, b: ClosedCurve, spec: DeformationSpec, move_b: bool)
         )
     rng = np.random.default_rng(spec.seed)
     moving = [a, b] if move_b else [a]
-    thetas = [2.0 * np.pi * np.arange(c.n) / c.n for c in moving]
+    modes = [_mode_columns(2.0 * np.pi * np.arange(c.n) / c.n, spec.n_modes) for c in moving]
     step = min(spec.amplitude / spec.steps, 0.5 * spec.clearance / len(moving))
     out = [(a, b)]
     for _ in range(spec.steps):
@@ -396,7 +440,7 @@ def _deform(a: ClosedCurve, b: ClosedCurve, spec: DeformationSpec, move_b: bool)
                 raise ClearanceError(
                     f"no clearance-respecting step found in {spec.max_tries} tries"
                 )
-            disps = [fourier_displacement(rng, th, spec.n_modes) for th in thetas]
+            disps = [_displacement(rng, *cs) for cs in modes]
             peaks = [float(np.sqrt(np.max(np.einsum("ij,ij->i", d, d)))) for d in disps]
             if 0.0 in peaks:
                 continue

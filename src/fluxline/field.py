@@ -7,7 +7,7 @@ import numpy as np
 
 from .curves import ClosedCurve, distance_to_curve, min_distance
 from .errors import GeometryError
-from .quadrature import biot_savart, linking_integral, periodic_midpoints
+from .quadrature import biot_savart, linking_integral
 from .topology import Surface, crossing_linking, grad_solid_angle
 
 GUARD_FACTOR = 1e-6
@@ -36,9 +36,9 @@ def potential_at(f: FluxLine, xs):
     """Vector potential at many points, (m, 3); callers enforce the guard.
 
     A(x) = (flux/4pi) integral of dx' x (x - x') / |x - x'|^3 over the line,
-    evaluated at spectral parameter midpoints.
+    evaluated at the line's spectral parameter midpoints (`ClosedCurve.nodes`).
     """
-    mids, w = periodic_midpoints(f.curve.points)
+    mids, w = f.curve.nodes
     return biot_savart(mids, w, xs) * (f.flux / (4.0 * np.pi))
 
 
@@ -55,7 +55,7 @@ def circulation(f: FluxLine, path: ClosedCurve, threads=None) -> float:
     guard = _guard(f)
     if min_distance(path, f.curve, cutoff=guard) <= guard:
         raise GeometryError("path touches or nearly touches the flux line")
-    return f.flux * linking_integral(path.points, f.curve.points)
+    return f.flux * linking_integral(path, f.curve)
 
 
 def flux_through(f: FluxLine, surf: Surface) -> float:

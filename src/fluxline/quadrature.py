@@ -4,9 +4,18 @@ A closed polyline is treated as uniform parameter samples of a smooth
 periodic curve. Trigonometric interpolation supplies the curve points at the
 parameter midpoints and the exact tangents of the interpolant there, so
 closed line integrals of smooth kernels converge spectrally in the vertex
-count instead of at the O(N^-2) rate of chord midpoints. For polyline data
-that is not smooth the linking-type integrals below are still protected by
-their integer-valued limits.
+count instead of at the O(N^-2) rate of chord midpoints (the periodic
+trapezoid rule; Trefethen and Weideman, SIAM Rev. 56:385, 2014). For
+polyline data that is not smooth the linking-type integrals below are still
+protected by their integer-valued limits.
+
+That interpolant is the curve model. It depends on the curve alone, so
+`curves.ClosedCurve` caches it: `spectrum`, the `rfft` coefficients, and
+`nodes`, the (mids, weights) that `_nodes` builds from them. The cached
+arrays are read-only, so threads may share them. The sums below take
+curves and read those caches, so a curve that enters many sums, as the
+fixed curve of a deformation family does, is transformed once.
+`periodic_midpoints` gives the same nodes for a bare point array.
 
 `biot_savart` is the one pair sum behind the vector potential, the
 solid-angle gradient, the circulation and the Gauss linking integral. It
@@ -18,7 +27,9 @@ thread, so a sum that is not truncated below costs its pairs on one core:
 on a 2-core host the native sum of a square and a circle of 1024 points
 each took 20-29 ms, against 12-13 ms on a pool of two threads (2048
 points: 71-109 ms against 46-48 ms). Fewer pairs, not more threads, is the
-way to make it cheaper.
+way to make it cheaper. A block holds at most BLOCK_PAIRS node pairs, so
+its (rows, n) arrays stay small enough to be reused from the allocator's
+cache rather than mapped afresh.
 
 `linking_integral` runs that sum at the resolution the pair needs. A curve
 whose `rfft` modes from m/2 up sum to at most TAIL_TOL times its largest
@@ -46,6 +57,12 @@ TAIL_TOL = 1e-12
 # orders, the accepted sum was within 2.9e-15 of the native one, and the sum
 # at 128 nodes within 1.3e-13.
 DOUBLING_TOL = 1e-12
+# node pairs in one block of `biot_savart`, at most CHUNK_ROWS rows of them:
+# a (rows, n) float array over 128 KB, 2^14 doubles, is fresh pages on every
+# allocation. On one thread the sum of 160 nodes at 160 points took
+# 0.71-0.87 ms in one block and 0.35-0.46 ms in blocks of 102 rows (2048 x
+# 2048: 78-94 against 60-63 ms). The rows of a block change no result's bits.
+BLOCK_PAIRS = 2 ** 14
 
 
 def periodic_midpoints(points):
@@ -77,39 +94,48 @@ def _nodes(coef, n):
 def biot_savart(mids, weights, xs):
     """sum_j weights[j] x (x - mids[j]) / |x - mids[j]|^3 at every x; (m, 3).
 
-    mids, weights: the (n, 3) nodes of `periodic_midpoints`; xs: (m, 3)
-    points, taken in fixed CHUNK_ROWS-row blocks. Callers keep xs off the
-    curve.
+    mids, weights: the (n, 3) nodes of a curve (`ClosedCurve.nodes`); xs:
+    (m, 3) points, taken in blocks of min(CHUNK_ROWS, BLOCK_PAIRS // n)
+    rows, at least one. Callers keep xs off the curve.
 
     The sum is linear in the cross products, so about the origin o = mids[0]
 
         B(x) = S(x) x (x - o) - T(x),
         S = sum_j w_j / r_j^3,  T = sum_j (w_j x (mids[j] - o)) / r_j^3,
 
-    with r_j = |x - mids[j]|. A block forms r^-3 as one (rows, n) array and
-    contracts it with the six rows [w | w x (mids - o)] built once per call,
-    so no (rows, n, 3) array is built. The two terms cancel as x nears the
-    curve: rounding grows like |x - o| / r_j, about diameter / d at a
-    distance d from the line. On a unit circle of 1024 nodes, at points
-    across the circle from o, it is 1e-14 relative at d = diameter and
-    3.1e-11 at d = 1e-4 diameters, where the quadrature error is already
-    near 1 (far larger than the rounding).
+    with r_j = |x - mids[j]|. A block forms r^-3 as one (rows, n) array, in
+    two buffers allocated once per call, and contracts it with the six rows
+    [w | w x (mids - o)] built once per call, so no (rows, n, 3) array is
+    built. The two terms cancel as x nears the curve: rounding grows like
+    |x - o| / r_j, about diameter / d at a distance d from the line. On a
+    unit circle of 1024 nodes, at points across the circle from o, it is
+    1e-14 relative at d = diameter and 3.1e-11 at d = 1e-4 diameters, where
+    the quadrature error is already near 1 (far larger than the rounding).
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    n = mids.shape[0]
     o = mids[0]
     rel = mids.T - o[:, None]
     w = weights.T
     rows6 = np.concatenate([w, _cross(w, rel)])
 
-    out = []
-    for i0 in range(0, xs.shape[0], CHUNK_ROWS):
-        x = xs[i0:i0 + CHUNK_ROWS] - o
-        r2 = (x[:, :1] - rel[0]) ** 2 + (x[:, 1:2] - rel[1]) ** 2 + (x[:, 2:] - rel[2]) ** 2
+    rows = max(1, min(CHUNK_ROWS, BLOCK_PAIRS // n, xs.shape[0]))
+    r2_buf, sq_buf = np.empty((2, rows, n))
+    # (3, m) and returned transposed: the layout the callers' contractions
+    # have always summed in, so their rounding does not change
+    out = np.empty((3, xs.shape[0]))
+    for i0 in range(0, xs.shape[0], rows):
+        x = xs[i0:i0 + rows] - o
+        r2, sq = r2_buf[:x.shape[0]], sq_buf[:x.shape[0]]
+        # (x0 - rel0)^2 + (x1 - rel1)^2 + (x2 - rel2)^2, summed in that order
+        np.square(np.subtract.outer(x[:, 0], rel[0], out=r2), out=r2)
+        for k in (1, 2):
+            r2 += np.square(np.subtract.outer(x[:, k], rel[k], out=sq), out=sq)
         # numpy's own loop, not BLAS: a BLAS product's summation order
         # changes with its thread count, and so would the result's last bits
         st = np.einsum("ij,kj->ik", np.power(r2, -1.5, out=r2), rows6).T
-        out.append((_cross(st[:3], x.T) - st[3:]).T)
-    return np.concatenate(out)
+        out[:, i0:i0 + rows] = _cross(st[:3], x.T) - st[3:]
+    return out.T
 
 
 def _cross(a, b):
@@ -117,12 +143,12 @@ def _cross(a, b):
     return a[[1, 2, 0]] * b[[2, 0, 1]] - a[[2, 0, 1]] * b[[1, 2, 0]]
 
 
-def linking_integral(path_points, curve_points) -> float:
+def linking_integral(path, curve) -> float:
     """(1/4pi) closed integral over the path of `biot_savart` of the curve.
 
-    The Gauss linking double integral of two closed curves, and the
-    circulation of a unit-flux line's potential; near an integer for
-    disjoint smooth curves.
+    path, curve: `ClosedCurve`s. The Gauss linking double integral of two
+    closed curves, and the circulation of a unit-flux line's potential; near
+    an integer for disjoint smooth curves.
 
     The sum runs at the resolution it needs. Both curves are truncated to
     m nodes of their trigonometric interpolants once the `rfft` modes that
@@ -139,21 +165,17 @@ def linking_integral(path_points, curve_points) -> float:
     native nodes, the same bits as without the truncation, after at most
     about n^2/3 pairs spent on the doublings.
     """
-    path = np.asarray(path_points, dtype=float)
-    curve = np.asarray(curve_points, dtype=float)
-    cp, cc = np.fft.rfft(path, axis=0), np.fft.rfft(curve, axis=0)
-
     def total(m=None):
         """The sum on both interpolants at m nodes; at their own nodes for m=None."""
         (mp, wp), (mc, wc) = (
-            _nodes(c, len(p)) if m is None else _nodes(c[:m // 2] * (m / len(p)), m)
-            for c, p in ((cp, path), (cc, curve)))
+            c.nodes if m is None else _nodes(c.spectrum[:m // 2] * (m / c.n), m)
+            for c in (path, curve))
         b = biot_savart(mc, wc, mp)
         return float(np.einsum("ij,ij->", b, wp)) / (4.0 * np.pi)
 
-    n = min(len(path), len(curve))
+    n = min(path.n, curve.n)
     m = TRUNCATE_FROM
-    while 4 * m <= n and not (_tail_ok(cp, path, m) and _tail_ok(cc, curve, m)):
+    while 4 * m <= n and not (_tail_ok(path, m) and _tail_ok(curve, m)):
         m *= 2
     if 4 * m <= n:
         prev = total(m)
@@ -166,7 +188,7 @@ def linking_integral(path_points, curve_points) -> float:
     return total()
 
 
-def _tail_ok(coef, points, m):
+def _tail_ok(c, m):
     """Whether truncating the curve to m nodes moves no coordinate past rounding level."""
-    tail = np.abs(coef[m // 2:]).sum(axis=0).max() * (2.0 / len(points))
-    return tail <= TAIL_TOL * np.abs(points).max()
+    tail = np.abs(c.spectrum[m // 2:]).sum(axis=0).max() * (2.0 / c.n)
+    return tail <= TAIL_TOL * np.abs(c.points).max()

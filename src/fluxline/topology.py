@@ -8,7 +8,7 @@ from .curves import (SCAN_BLOCK, ClosedCurve, _min_segment_distance, _run_boxes,
                      point_segment_distance)
 from .errors import GeometryError, SchemaError, UnderResolvedError, check_numbers, read_json
 from .parallel import CHUNK_ROWS
-from .quadrature import _cross, biot_savart, linking_integral, periodic_midpoints
+from .quadrature import _cross, biot_savart, linking_integral
 
 TOUCH_GUARD = 1e-9
 DEFAULT_LINK_TOL = 1e-3
@@ -32,7 +32,7 @@ def gauss_linking(c: ClosedCurve, k: ClosedCurve, tol: float = DEFAULT_LINK_TOL,
     touch = TOUCH_GUARD * max(c.diameter(), k.diameter(), 1e-30)
     if min_distance(c, k, cutoff=touch) < touch:
         raise GeometryError("curves touch or nearly touch; linking is undefined")
-    raw = linking_integral(c.points, k.points)
+    raw = linking_integral(c, k)
     rounded = int(np.rint(raw))
     residual = abs(raw - rounded)
     result = LinkingResult(raw=float(raw), rounded=rounded, residual=float(residual))
@@ -128,8 +128,11 @@ def _min_barycentric(x, a, b, c):
     return np.minimum(np.minimum(w0, w1), 1.0 - w0 - w1)
 
 
-def _boundary_distance(path: ClosedCurve, surf: Surface) -> float:
-    """Distance from the path to the mesh edges used by exactly one triangle."""
+def _boundary_distance(path: ClosedCurve, surf: Surface, cutoff=np.inf) -> float:
+    """Distance from the path to the mesh edges used by exactly one triangle.
+
+    cutoff: as for `curves.min_distance`, exact when the distance is <= cutoff.
+    """
     t = surf.triangles
     edges = np.stack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]], axis=1).reshape(-1, 2)
     _, first, count = np.unique(np.sort(edges, axis=1), axis=0,
@@ -140,7 +143,7 @@ def _boundary_distance(path: ClosedCurve, surf: Surface) -> float:
     if start.size == 0:
         return np.inf
     v = surf.vertices
-    return _min_segment_distance(*path.segments(), v[start], v[end] - v[start])
+    return _min_segment_distance(*path.segments(), v[start], v[end] - v[start], cutoff=cutoff)
 
 
 def crossing_linking(path: ClosedCurve, surf: Surface, threads=None) -> int:
@@ -184,7 +187,10 @@ def crossing_linking(path: ClosedCurve, surf: Surface, threads=None) -> int:
     for attempt in range(12):
         nudge = 1e-9 * scale * 3.0 ** attempt
         if attempt == 1:
-            clearance = _boundary_distance(path, surf)
+            # only a clearance within twice the largest nudge decides, and
+            # then it is exact; 2 * 1e-9 rounds as 1e-9, so the bound is
+            # twice the last nudge bit for bit
+            clearance = _boundary_distance(path, surf, 2e-9 * scale * 3.0 ** 11)
         if attempt and nudge >= 0.5 * clearance:
             raise GeometryError(
                 f"crossing nudge {nudge:.3g} reaches half the path's distance "
@@ -283,11 +289,11 @@ def grad_solid_angle(x, c: ClosedCurve, threads=None):
 
     Equals the closed line integral of (x' - x) x dx' / |x' - x|^3 over the
     curve, which is surface independent; evaluated with the same spectral
-    midpoint rule as the linking integral. This is the smooth branch: its
-    closed line integrals give 4pi times the linking number directly.
+    midpoint rule as the linking integral, on the curve's cached nodes. This
+    is the smooth branch: its closed line integrals give 4pi times the
+    linking number directly.
     """
-    mids, w = periodic_midpoints(c.points)
-    return biot_savart(mids, w, x)[0]
+    return biot_savart(*c.nodes, x)[0]
 
 
 def save_surface(surf: Surface, path):

@@ -1,4 +1,6 @@
 """The phase in its five forms and its deformation invariances."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -139,6 +141,29 @@ def test_invariance_zero_amplitude_trivial(unit_flux_line):
         budget = 1e-12 if name == "swap" else 0.0
         assert entry["max_deviation"] <= budget
         assert entry["failed_step"] is None
+
+
+def suite_peak(n, steps):
+    """tracemalloc's peak over an invariance suite of a hopf pair of n points."""
+    flux_curve, path = hopf_pair(n)
+    spec = suite_spec(steps=steps, n_modes=3)
+    tracemalloc.start()
+    try:
+        assert invariance_suite(PhaseParams(0.7), fl.FluxLine(flux_curve, 1.0), path,
+                                spec)["passed"]
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_invariance_suite_holds_one_family_at_a_time():
+    # the three families hold four curves a state, which held at once would
+    # pass this bound alone; one family at a time is two curves a state, and
+    # a curve's cached spectrum and nodes go with its state
+    n, few, many = 128, 32, 160
+    suite_peak(n, 1)  # a first run's one-time allocations
+    growth = suite_peak(n, many) - suite_peak(n, few)
+    assert growth < 3 * (many - few) * n * 3 * 8
 
 
 def test_invariance_suite_hopf():

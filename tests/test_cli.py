@@ -171,6 +171,32 @@ def test_plain_phase_measures_the_pair_once(monkeypatch, capsys):
     assert forms["circulation"] == forms["solid_angle"]
 
 
+@pytest.mark.parametrize("preset, samples", [("hopf", 128), ("l2", 512)])
+def test_invariance_transforms_each_curve_once(monkeypatch, capsys, preset, samples):
+    from fluxline import abphase, field, topology
+
+    rffts, linked = [0], {}
+
+    def counted(*args, _fn=np.fft.rfft, **kw):
+        rffts[0] += 1
+        return _fn(*args, **kw)
+
+    monkeypatch.setattr(np.fft, "rfft", counted)
+    for mod in (abphase, field, topology):
+        def recorded(path, curve, _fn=mod.linking_integral):
+            # keeps every argument alive, so that no id is reused
+            linked.update((id(c), c) for c in (path, curve))
+            return _fn(path, curve)
+        monkeypatch.setattr(mod, "linking_integral", recorded)
+    code, _, _ = run(["phase", "--preset", preset, "--samples", str(samples),
+                      "--invariance", "--steps", "8"], capsys)
+    assert code == 0
+    # the two originals and 8 new curves of each of the four families'
+    # moving curves; the swap family re-links the simultaneous one
+    assert len(linked) == 2 + 4 * 8
+    assert rffts[0] <= len(linked)
+
+
 def test_phase_invariance_clearance_violation(capsys):
     code, _, err = run(
         ["phase", "--preset", "hopf", "--samples", "128", "--invariance",

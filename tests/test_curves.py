@@ -11,12 +11,38 @@ import fluxline as fl
 from conftest import X, Y, Z, brute_min_distance, circle, hopf_pair, perturbed, random_pair
 from fluxline import curves
 from fluxline.curves import fourier_displacement
+from fluxline.quadrature import periodic_midpoints
 
 
 def test_make_circle_four_point_vertices():
     c = circle((0, 0, 0), 1.0, Z, 4)
     want = np.array([[1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0]], dtype=float)
     assert np.allclose(c.points, want, atol=1e-15)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: circle((0, 0, 0), 1.0, Z, 32),
+    lambda: fl.make_torus_knot(2, 3, 1.0, 0.4, 160),
+    lambda: random_pair(1001)[1],
+])
+def test_curve_model_is_the_midpoint_rule_of_its_points(make):
+    c = make()
+    mids, w = periodic_midpoints(c.points)
+    assert np.array_equal(c.spectrum, np.fft.rfft(c.points, axis=0))
+    assert np.array_equal(c.nodes[0], mids) and np.array_equal(c.nodes[1], w)
+    assert c.spectrum is c.spectrum and c.nodes is c.nodes
+    assert np.array_equal(c.centroid(), c.points.mean(axis=0))
+    d = c.points - c.points.mean(axis=0)
+    assert c.diameter() == 2.0 * float(np.sqrt(np.max(np.einsum("ij,ij->i", d, d))))
+
+
+def test_curve_model_is_read_only():
+    c = circle((0, 0, 0), 1.0, Z, 64)
+    for a in (c.spectrum, *c.nodes, c.centroid()):
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+    with pytest.raises(AttributeError):
+        c.spectrum = np.zeros((33, 3))
 
 
 def test_make_circle_perimeter_second_order():
@@ -660,7 +686,7 @@ def test_deform_scans_every_attempt_near_the_clearance(monkeypatch):
                               clearance=0.999 * fl.min_distance(knot, obstacle))
     expected = _deform_scanning_every_attempt(knot, obstacle, spec)
     scans = _counted(monkeypatch, "min_distance")
-    draws = _counted(monkeypatch, "fourier_displacement")
+    draws = _counted(monkeypatch, "_displacement")
     _assert_same_states(curves._deform(knot, obstacle, spec, False), expected)
     assert draws[0] > spec.steps
     assert scans[0] == 1 + draws[0]

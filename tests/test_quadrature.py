@@ -7,6 +7,7 @@ import pytest
 import fluxline as fl
 from conftest import Y, Z, circle, hopf_pair, perturbed, random_pair
 from fluxline import quadrature
+from fluxline.parallel import CHUNK_ROWS
 from fluxline.abphase import PhaseParams, ab_phase_circulation, ab_phase_solid_angle
 from fluxline.quadrature import biot_savart, linking_integral, periodic_midpoints
 
@@ -27,6 +28,20 @@ def test_kernel_matches_a_plain_loop():
     want = [sum(np.cross(w[j], x - mids[j]) / np.linalg.norm(x - mids[j]) ** 3
                 for j in range(len(mids))) for x in xs]
     assert np.allclose(biot_savart(mids, w, xs), want, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("n, m", [(3, 1), (160, 600), (1024, 300)])
+def test_kernel_blocks_do_not_change_its_bits(monkeypatch, n, m):
+    rng = np.random.default_rng(n)
+    mids, w = periodic_midpoints(rng.normal(size=(n, 3)))
+    xs = 3.0 * rng.normal(size=(m, 3))
+    got = []
+    for rows in (1, 7, CHUNK_ROWS):
+        monkeypatch.setattr(quadrature, "BLOCK_PAIRS", rows * n)
+        got.append(biot_savart(mids, w, xs))
+    # the layout too: a contraction of the result sums in its memory order
+    for b in got[1:]:
+        assert np.array_equal(b, got[0]) and b.strides == got[0].strides
 
 
 def long_double_sum(mids, w, xs):
@@ -103,8 +118,8 @@ def test_threads_do_not_change_circulation_or_potential():
 
 def native_sum(path, curve):
     """The linking sum at both curves' own nodes, without truncation."""
-    mp, wp = periodic_midpoints(path)
-    mc, wc = periodic_midpoints(curve)
+    mp, wp = periodic_midpoints(path.points)
+    mc, wc = periodic_midpoints(curve.points)
     return float(np.einsum("ij,ij->", biot_savart(mc, wc, mp), wp)) / (4.0 * np.pi)
 
 
@@ -122,12 +137,12 @@ def kernel_pairs(monkeypatch):
 
 
 def band_limited(name, n):
-    """(path, curve) points of trigonometric polynomials of low degree."""
+    """(path, curve), trigonometric polynomials of low degree."""
     if name == "circles":
         rng = np.random.default_rng(0)
-        return (perturbed(circle((0, 0, 0), 1.0, Z, n), rng, 0.1, modes=2).points,
-                perturbed(circle((1, 0, 0), 1.0, Y, n), rng, 0.1, modes=2).points)
-    return circle((0, 0, 0), 1.0, Z, n).points, fl.make_torus_knot(1, 2, 1.0, 0.4, n).points
+        return (perturbed(circle((0, 0, 0), 1.0, Z, n), rng, 0.1, modes=2),
+                perturbed(circle((1, 0, 0), 1.0, Y, n), rng, 0.1, modes=2))
+    return circle((0, 0, 0), 1.0, Z, n), fl.make_torus_knot(1, 2, 1.0, 0.4, n)
 
 
 @pytest.mark.parametrize("n", [256, 512, 1024, 2048])
@@ -157,16 +172,16 @@ def native_case(name):
         theta = 2.0 * np.pi * np.arange(64) / 64
         small = np.column_stack([0.7 + 0.1 * np.cos(theta), np.full(64, 1.025),
                                  -0.1 * np.sin(theta)])
-        return square(8), small, 0
+        return fl.ClosedCurve(square(8)), fl.ClosedCurve(small), 0
     if name == "polygon":
         # a square of 1024 points threaded by a circle: not band-limited
-        return square(256), circle((1, 0, 0), 0.5, Y, 1024).points, 0
+        return fl.ClosedCurve(square(256)), circle((1, 0, 0), 0.5, Y, 1024), 0
     if name == "random":
         # curves 0.11 apart: the doubled sums do not agree by 512 nodes
         a, b = random_pair(1004)
-        return a.points, b.points, 1024 * 1024 / 3
+        return a, b, 1024 * 1024 / 3
     # circles 1e-3 apart at 2048 nodes
-    return (circle((0, 0, 0), 1.0, Z, 2048).points, circle((1.501, 0, 0), 0.5, Y, 2048).points,
+    return (circle((0, 0, 0), 1.0, Z, 2048), circle((1.501, 0, 0), 0.5, Y, 2048),
             2048 * 2048 / 3)
 
 
@@ -174,19 +189,18 @@ def native_case(name):
 def test_other_pairs_keep_the_native_sum(kernel_pairs, name):
     path, curve, extra = native_case(name)
     assert linking_integral(path, curve) == native_sum(path, curve)
-    assert sum(kernel_pairs) <= len(path) * len(curve) + extra
+    assert sum(kernel_pairs) <= path.n * curve.n + extra
 
 
 @pytest.mark.parametrize("name", ["circles", "torus"])
 def test_truncated_sum_is_antisymmetric_and_symmetric(name):
     path, curve = band_limited(name, 1024)
     raw = linking_integral(path, curve)
-    assert abs(linking_integral(path[::-1], curve) + raw) <= 1e-12
+    assert abs(linking_integral(path.reversed(), curve) + raw) <= 1e-12
     assert abs(linking_integral(curve, path) - raw) <= 1e-12
 
 
 def test_linking_sum_does_not_depend_on_threads():
     a, b = random_pair(1004)
-    for path, curve in (band_limited("circles", 2048), (a.points, b.points)):
-        path, curve = fl.ClosedCurve(path), fl.ClosedCurve(curve)
+    for path, curve in (band_limited("circles", 2048), (a, b)):
         assert fl.gauss_linking(path, curve, threads=1) == fl.gauss_linking(path, curve, threads=2)

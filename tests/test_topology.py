@@ -284,7 +284,9 @@ def test_crossing_nudge_next_to_the_boundary_raises(unit_disk):
     # already reaches half that clearance
     path = fl.ClosedCurve(np.array(
         [(0, 0, -1), (0, 0, 1), (1, 0, 3e-9), (2, 0, 3e-9), (2, 0, -1)], dtype=float))
-    with pytest.raises(fl.GeometryError, match="half the path's distance"):
+    # the clearance scan stops at twice the largest nudge; a clearance under
+    # that is exact, as the message shows
+    with pytest.raises(fl.GeometryError, match="half the path's distance 3e-09 to"):
         fl.crossing_linking(path, unit_disk)
     # 0.1 above the rim the same nudge resolves the apex hit
     clear = fl.ClosedCurve(np.array(
