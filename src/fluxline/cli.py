@@ -24,10 +24,10 @@ from .abphase import (PhaseParams, ab_phase_crossing, ab_phase_flux, ab_phase_to
 from .curves import MAX_POINTS, DeformationSpec, load_curve, make_circle, make_torus_knot
 from .errors import (ClearanceError, FluxlineError, GeometryError, SchemaError, UnderResolvedError,
                      read_json)
-from .field import FluxLine, vector_potential
+from .field import FluxLine, _guarded_potential
 from .gauge import SolenoidConfig, singular_gauge_closed_line_demo, solenoid_singular_gauge_demo
-from .interference import (TwoSlitConfig, ab_shift_analytic, ab_shift_measured, beam_geometry,
-                           fringe_spacing, pattern, write_pattern)
+from .interference import (TwoSlitConfig, _write_pattern, _x_column, ab_shift_analytic,
+                           ab_shift_measured, beam_geometry, fringe_spacing, pattern)
 from .parallel import check_threads_env
 from .topology import crossing_linking, gauss_linking, span_surface
 
@@ -150,7 +150,8 @@ PHASE = (
         "also run the four deformation-invariance suites"),
     # the suite holds one family at a time, steps + 1 states of at most two
     # curves, 393 KB a curve at the largest samples: 1024 steps is 0.8 GB; a
-    # curve's spectrum and nodes, three times its points, go with its state
+    # curve's spectrum, nodes and kernel factor, six times its points, go
+    # with its state
     Opt("steps", "int", 20, "deformation steps", at_least=1, at_most=1024),
     Opt("amplitude", "real", 0.2, "deformation amplitude", at_least=0),
     Opt("clearance", "real", 0.05, "minimum curve separation", above=0),
@@ -298,9 +299,12 @@ def cmd_field(o, config) -> int:
     flux, radius = o["flux"], o["radius"]
     curve = make_circle((0.0, 0.0, 0.0), radius, (0.0, 0.0, 1.0), o["samples"])
     f = FluxLine(curve=curve, flux=flux)
+    zs = np.linspace(o["start"], o["stop"], o["steps"])
+    # zeros, not zs times the axis: a negative z would put -0.0 in x and y
+    points = np.zeros((zs.size, 3))
+    points[:, 2] = zs
     lines = ["z,A_x,A_y,A_z,A_axial_analytic"]
-    for z in np.linspace(o["start"], o["stop"], o["steps"]):
-        a = vector_potential(f, (0.0, 0.0, float(z)))
+    for z, a in zip(zs, _guarded_potential(f, points)):
         analytic = flux * radius ** 2 / (2.0 * (radius ** 2 + z ** 2) ** 1.5)
         lines.append(f"{z:.15g},{a[0]:.15g},{a[1]:.15g},{a[2]:.15g},{analytic:.15g}")
     _emit("\n".join(lines) + "\n", o["output"], config)
@@ -351,8 +355,10 @@ def cmd_interfere(o, config) -> int:
     report["config"] = config
     out = Path(o["output"])
     out.mkdir(parents=True, exist_ok=True)
-    write_pattern(off, out / "pattern_off.csv")
-    write_pattern(on, out / "pattern_on.csv")
+    # the shift report has checked that the two patterns share one grid
+    x_column = _x_column(off.x)
+    _write_pattern(off, out / "pattern_off.csv", x_column)
+    _write_pattern(on, out / "pattern_on.csv", x_column)
     _emit(_json_text(report), out / "report.json")
     return 0
 

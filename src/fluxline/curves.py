@@ -1,4 +1,15 @@
-"""Oriented closed polylines in 3-space: generators, resampling, deformation."""
+"""Oriented closed polylines in 3-space: generators, resampling, deformation.
+
+A `ClosedCurve` caches what depends on it alone: its curve model (the
+`rfft` spectrum, the quadrature nodes and the Biot-Savart kernel factor
+that `quadrature` reads), its centroid and diameter, and the boxes of its
+SCAN_BLOCK-segment runs. The distance scans bound pairs by such boxes
+before they evaluate any (Ericson, Real-Time Collision Detection, 5.1.9,
+for the pairs themselves), and a scan given a cutoff evaluates only what
+lies within it: `min_distance` and the self check for segment pairs,
+`distance_to_curve` for points, so the potential's guard at a point far
+from the line evaluates no segment.
+"""
 import json
 import math
 from dataclasses import dataclass
@@ -7,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ClearanceError, GeometryError, SchemaError, check_numbers, read_json
-from .quadrature import _nodes
+from .quadrature import BLOCK_PAIRS, _factor, _nodes
 
 DEFAULT_N = 1024
 # most points a curve file or the command line's --samples may give: the
@@ -62,6 +73,23 @@ class ClosedCurve:
     def nodes(self):
         """(mids, weights) of the periodic midpoint rule, as `quadrature.periodic_midpoints`."""
         return tuple(_read_only(a) for a in _nodes(self.spectrum, self.n))
+
+    @cached_property
+    def kernel_factor(self):
+        """(o, rel, rows6): `quadrature._factor` of `nodes`, what `biot_savart` builds per call."""
+        return tuple(_read_only(a) for a in _factor(*self.nodes))
+
+    @cached_property
+    def _run_box(self):
+        """(lo, hi, scale, run): the (3, k) corners of the boxes of the
+        segments' SCAN_BLOCK runs, as `_min_segment_distance` bounds them,
+        the largest corner coordinate, which sets the bounds' slack, and
+        each segment's run."""
+        p0, u = self.segments()
+        lo, hi = (np.ascontiguousarray(c.T) for c in
+                  _run_boxes(np.minimum(p0, p0 + u), np.maximum(p0, p0 + u)))
+        scale = max(float(np.abs(c).max()) for c in (lo, hi))
+        return _read_only(lo), _read_only(hi), scale, _read_only(np.arange(self.n) // SCAN_BLOCK)
 
     @cached_property
     def _centroid(self):
@@ -294,11 +322,38 @@ def point_segment_distance(x, p0, d):
     return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 
 
-def distance_to_curve(x, c: ClosedCurve):
-    """Distance from each point in x to the curve polyline; (m,) or scalar."""
-    p0, d = c.segments()
-    out = point_segment_distance(x, p0, d).min(axis=1)
-    return float(out[0]) if np.asarray(x).ndim == 1 else out
+def distance_to_curve(x, c: ClosedCurve, *, cutoff=np.inf):
+    """Distance from each point in x to the curve polyline; (m,) or scalar.
+
+    cutoff: as for `min_distance`, point by point: a distance <= cutoff is
+    exact, and a larger one is some value above cutoff (inf when no segment
+    comes within it). The boxes of the curve's SCAN_BLOCK runs bound each
+    point's distance from below, less the slack of `_min_segment_distance`,
+    and only the runs bounded within cutoff are evaluated, so a caller that
+    only compares the distance with a tolerance passes the tolerance; the
+    default inf evaluates every segment. The points go in blocks of
+    BLOCK_PAIRS // n rows, at least one.
+    """
+    x = np.asarray(x, dtype=float)
+    pts = np.atleast_2d(x)
+    lo, hi, scale, seg_run = c._run_box
+    n = c.n
+    out = np.full(pts.shape[0], np.inf)
+    rows = max(1, BLOCK_PAIRS // n)
+    for i0 in range(0, pts.shape[0], rows):
+        p = pts[i0:i0 + rows]
+        corners = np.ascontiguousarray(p.T)
+        slack = 1e-12 * max(scale, float(np.abs(p).max()))
+        # not "bound <= cutoff": a point with a nan coordinate is evaluated
+        near = ~(_box_bound(corners, corners, lo, hi, slack) > cutoff)
+        if near.any():
+            r = near.any(axis=1)
+            seg = np.flatnonzero(near.any(axis=0)[seg_run])
+            p0 = c.points[seg]
+            dist = point_segment_distance(p[r], p0, c.points[(seg + 1) % n] - p0)
+            dist[~near[r][:, seg_run[seg]]] = np.inf
+            out[i0 + np.flatnonzero(r)] = dist.min(axis=1)
+    return float(out[0]) if x.ndim == 1 else out
 
 
 def _min_nonadjacent_self_distance(points, cutoff=np.inf) -> float:

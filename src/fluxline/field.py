@@ -7,7 +7,7 @@ import numpy as np
 
 from .curves import ClosedCurve, distance_to_curve, min_distance
 from .errors import GeometryError
-from .quadrature import biot_savart, linking_integral
+from .quadrature import _factored_sum, linking_integral
 from .topology import Surface, crossing_linking, grad_solid_angle
 
 GUARD_FACTOR = 1e-6
@@ -38,16 +38,20 @@ def potential_at(f: FluxLine, xs):
     A(x) = (flux/4pi) integral of dx' x (x - x') / |x - x'|^3 over the line,
     evaluated at the line's spectral parameter midpoints (`ClosedCurve.nodes`).
     """
-    mids, w = f.curve.nodes
-    return biot_savart(mids, w, xs) * (f.flux / (4.0 * np.pi))
+    return _factored_sum(f.curve.kernel_factor, xs) * (f.flux / (4.0 * np.pi))
 
 
 def vector_potential(f: FluxLine, x, threads=None):
     """Vector potential at one point; errors inside the singular guard zone."""
-    x = np.asarray(x, dtype=float)
-    if distance_to_curve(x, f.curve) <= _guard(f):
+    return _guarded_potential(f, np.asarray(x, dtype=float))[0]
+
+
+def _guarded_potential(f: FluxLine, xs):
+    """`potential_at`, or GeometryError if a point lies within the guard of the line."""
+    guard = _guard(f)
+    if np.any(distance_to_curve(xs, f.curve, cutoff=guard) <= guard):
         raise GeometryError("evaluation point is too close to the flux line")
-    return potential_at(f, x)[0]
+    return potential_at(f, xs)
 
 
 def circulation(f: FluxLine, path: ClosedCurve, threads=None) -> float:

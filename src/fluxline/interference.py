@@ -7,6 +7,7 @@ alpha_AB carried by the partial wave of the second slit.
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path as _Path
 
 import numpy as np
@@ -200,6 +201,16 @@ class Pattern:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "values", v)
 
+    @cached_property
+    def _signal(self):
+        """`_fringe_signal` of the values at the grid's mean step and the
+        config's fringe: the flux-off side of `ab_shift_measured`, cached
+        because a sweep measures every step against one flux-off pattern."""
+        dx = float(self.x[-1] - self.x[0]) / (self.x.size - 1)
+        z = _fringe_signal(self.values, dx, fringe_spacing(self.config))
+        z.flags.writeable = False
+        return z
+
 
 def default_half_width(cfg: TwoSlitConfig) -> float:
     """20 total broadenings: wide enough to hold the envelope and fringes."""
@@ -278,9 +289,8 @@ def ab_shift_measured(off: Pattern, on: Pattern) -> float:
             f" points per fringe (fringe spacing {fringe:.6g}); refine or narrow"
             " the grid"
         )
-    z_off = _fringe_signal(off.values, dx, fringe)
     z_on = _fringe_signal(on.values, dx, fringe)
-    return float(np.angle(np.vdot(z_off, z_on))) * fringe / (2.0 * np.pi)
+    return float(np.angle(np.vdot(off._signal, z_on))) * fringe / (2.0 * np.pi)
 
 
 def quantization_report(n_e: int, N: int, superconducting: bool) -> dict:
@@ -303,11 +313,24 @@ def quantization_report(n_e: int, N: int, superconducting: bool) -> dict:
 
 def write_pattern(pat: Pattern, csv_path):
     """CSV 'x_b,density' at 15 significant digits plus a JSON sidecar."""
+    _write_pattern(pat, csv_path, _x_column(pat.x))
+
+
+def _x_column(x):
+    """The CSV's x_b column for grid x, each value with its comma.
+
+    Formatting is a pattern file's cost (about 0.5 us a value), so patterns
+    on one grid share the column.
+    """
+    return [f"{v:.15g}," for v in x.tolist()]
+
+
+def _write_pattern(pat: Pattern, csv_path, x_column):
+    """`write_pattern`, with the column `_x_column(pat.x)` given."""
     csv_path = _Path(csv_path)
     with open(csv_path, "w") as fh:
         fh.write("x_b,density\n")
-        fh.write("".join(f"{x:.15g},{v:.15g}\n"
-                         for x, v in zip(pat.x.tolist(), pat.values.tolist())))
+        fh.write("".join([f"{x}{v:.15g}\n" for x, v in zip(x_column, pat.values.tolist())]))
     meta = {"alpha": pat.alpha, "config": pat.config.as_dict(),
             "n_grid": int(pat.x.size), "half_width": float(pat.x[-1])}
     with open(csv_path.with_suffix(".json"), "w") as fh:

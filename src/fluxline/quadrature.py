@@ -10,19 +10,25 @@ polyline data that is not smooth the linking-type integrals below are still
 protected by their integer-valued limits.
 
 That interpolant is the curve model. It depends on the curve alone, so
-`curves.ClosedCurve` caches it: `spectrum`, the `rfft` coefficients, and
-`nodes`, the (mids, weights) that `_nodes` builds from them. The cached
-arrays are read-only, so threads may share them. The sums below take
-curves and read those caches, so a curve that enters many sums, as the
-fixed curve of a deformation family does, is transformed once.
+`curves.ClosedCurve` caches it: `spectrum`, the `rfft` coefficients,
+`nodes`, the (mids, weights) that `_nodes` builds from them, and
+`kernel_factor`, the part of the pair sum below that depends on the nodes
+alone. The cached arrays are read-only, so threads may share them. The
+sums below take curves and read those caches, so a curve that enters many
+sums, as the fixed curve of a deformation family does, is transformed
+once, and a potential at one point costs its n pairs and nothing else.
 `periodic_midpoints` gives the same nodes for a bare point array.
 
 `biot_savart` is the one pair sum behind the vector potential, the
 solid-angle gradient, the circulation and the Gauss linking integral. It
 factors the sum about one node o of the curve, B(x) = S(x) x (x - o) - T(x),
 so each block is one contraction of the (rows, n) inverse cubed distances
-with six rows of node data. Its rounding grows like the curve's diameter
-over the distance from x to the line. The blocks run serially on the calling
+with six rows of node data. `_factor` builds o, the nodes less o and those
+six rows; `_factored_sum` runs the blocks. `biot_savart(mids, weights, xs)`
+does both, for the truncated node sets of `linking_integral`; a sum at a
+curve's own nodes reads its cached factor instead, with the same bits. Its
+rounding grows like the curve's diameter over the distance from x to the
+line. The blocks run serially on the calling
 thread, so a sum that is not truncated below costs its pairs on one core:
 on a 2-core host the native sum of a square and a circle of 1024 points
 each took 20-29 ms, against 12-13 ms on a pool of two threads (2048
@@ -95,30 +101,47 @@ def biot_savart(mids, weights, xs):
     """sum_j weights[j] x (x - mids[j]) / |x - mids[j]|^3 at every x; (m, 3).
 
     mids, weights: the (n, 3) nodes of a curve (`ClosedCurve.nodes`); xs:
-    (m, 3) points, taken in blocks of min(CHUNK_ROWS, BLOCK_PAIRS // n)
-    rows, at least one. Callers keep xs off the curve.
+    (m, 3) points. Callers keep xs off the curve. `_factored_sum` of
+    `_factor(mids, weights)`: a curve caches its factor
+    (`ClosedCurve.kernel_factor`), so a sum at its native nodes builds none.
+    """
+    return _factored_sum(_factor(mids, weights), xs)
+
+
+def _factor(mids, weights):
+    """(o, rel, rows6): the part of `biot_savart` that depends on the curve alone.
 
     The sum is linear in the cross products, so about the origin o = mids[0]
 
         B(x) = S(x) x (x - o) - T(x),
         S = sum_j w_j / r_j^3,  T = sum_j (w_j x (mids[j] - o)) / r_j^3,
 
-    with r_j = |x - mids[j]|. A block forms r^-3 as one (rows, n) array, in
-    two buffers allocated once per call, and contracts it with the six rows
-    [w | w x (mids - o)] built once per call, so no (rows, n, 3) array is
-    built. The two terms cancel as x nears the curve: rounding grows like
-    |x - o| / r_j, about diameter / d at a distance d from the line. On a
-    unit circle of 1024 nodes, at points across the circle from o, it is
-    1e-14 relative at d = diameter and 3.1e-11 at d = 1e-4 diameters, where
-    the quadrature error is already near 1 (far larger than the rounding).
+    with r_j = |x - mids[j]|. rel is the (3, n) array mids - o and rows6
+    the six (n,) rows [w | w x (mids - o)] that r^-3 is contracted with.
     """
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    n = mids.shape[0]
     o = mids[0]
-    rel = mids.T - o[:, None]
+    # C-ordered, so that a block's outer differences read it contiguously
+    rel = np.ascontiguousarray(mids.T - o[:, None])
     w = weights.T
-    rows6 = np.concatenate([w, _cross(w, rel)])
+    return o, rel, np.concatenate([w, _cross(w, rel)])
 
+
+def _factored_sum(factor, xs):
+    """`biot_savart` at xs on the curve whose `_factor` is factor; (m, 3).
+
+    xs is taken in blocks of min(CHUNK_ROWS, BLOCK_PAIRS // n) rows, at
+    least one. A block forms r^-3 as one (rows, n) array, in two buffers
+    allocated once per call, and contracts it with rows6, so no (rows, n, 3)
+    array is built. The two terms of the factored sum cancel as x nears the
+    curve: rounding grows like |x - o| / r_j, about diameter / d at a
+    distance d from the line. On a unit circle of 1024 nodes, at points
+    across the circle from o, it is 1e-14 relative at d = diameter and
+    3.1e-11 at d = 1e-4 diameters, where the quadrature error is already
+    near 1 (far larger than the rounding).
+    """
+    o, rel, rows6 = factor
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    n = rel.shape[1]
     rows = max(1, min(CHUNK_ROWS, BLOCK_PAIRS // n, xs.shape[0]))
     r2_buf, sq_buf = np.empty((2, rows, n))
     # (3, m) and returned transposed: the layout the callers' contractions
@@ -138,9 +161,12 @@ def biot_savart(mids, weights, xs):
     return out.T
 
 
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
+
+
 def _cross(a, b):
     """a x b over the first axis, (3, k); np.cross's set-up outweighs a one-point block."""
-    return a[[1, 2, 0]] * b[[2, 0, 1]] - a[[2, 0, 1]] * b[[1, 2, 0]]
+    return a[_NEXT] * b[_PREV] - a[_PREV] * b[_NEXT]
 
 
 def linking_integral(path, curve) -> float:
@@ -167,10 +193,13 @@ def linking_integral(path, curve) -> float:
     """
     def total(m=None):
         """The sum on both interpolants at m nodes; at their own nodes for m=None."""
-        (mp, wp), (mc, wc) = (
-            c.nodes if m is None else _nodes(c.spectrum[:m // 2] * (m / c.n), m)
-            for c in (path, curve))
-        b = biot_savart(mc, wc, mp)
+        if m is None:
+            mp, wp = path.nodes
+            b = _factored_sum(curve.kernel_factor, mp)
+        else:
+            (mp, wp), (mc, wc) = (_nodes(c.spectrum[:m // 2] * (m / c.n), m)
+                                  for c in (path, curve))
+            b = biot_savart(mc, wc, mp)
         return float(np.einsum("ij,ij->", b, wp)) / (4.0 * np.pi)
 
     n = min(path.n, curve.n)

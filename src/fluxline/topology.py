@@ -8,7 +8,7 @@ from .curves import (SCAN_BLOCK, ClosedCurve, _min_segment_distance, _run_boxes,
                      point_segment_distance)
 from .errors import GeometryError, SchemaError, UnderResolvedError, check_numbers, read_json
 from .parallel import CHUNK_ROWS
-from .quadrature import _cross, biot_savart, linking_integral
+from .quadrature import _cross, _factored_sum, linking_integral
 
 TOUCH_GUARD = 1e-9
 DEFAULT_LINK_TOL = 1e-3
@@ -293,7 +293,7 @@ def grad_solid_angle(x, c: ClosedCurve, threads=None):
     is the smooth branch: its closed line integrals give 4pi times the
     linking number directly.
     """
-    return biot_savart(*c.nodes, x)[0]
+    return _factored_sum(c.kernel_factor, x)[0]
 
 
 def save_surface(surf: Surface, path):

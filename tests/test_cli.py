@@ -223,6 +223,30 @@ def test_field_profile_csv(tmp_path, capsys):
     assert sidecar["config"]["steps"] == 5
 
 
+def test_field_takes_the_axis_in_one_sum(capsys):
+    argv = ["field", "--from", "-1.5", "--to", "2", "--steps", "37", "--radius", "0.8",
+            "--flux", "1.7", "--samples", "256"]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    f = fl.FluxLine(fl.make_circle((0, 0, 0), 0.8, (0, 0, 1), 256), 1.7)
+    rows = out.splitlines()[1:]
+    for z, row in zip(np.linspace(-1.5, 2.0, 37), rows):
+        a = fl.vector_potential(f, (0.0, 0.0, float(z)))
+        assert row.split(",")[:4] == [f"{v:.15g}" for v in (z, *a)]
+    assert len(rows) == 37
+
+
+def test_interfere_writes_what_write_pattern_writes(tmp_path, capsys):
+    code, _, _ = run(["interfere", "--alpha", "1.3", "--grid", "256", "-o", str(tmp_path / "cli")],
+                     capsys)
+    assert code == 0
+    for name, alpha in (("pattern_off", 0.0), ("pattern_on", 1.3)):
+        fl.write_pattern(fl.pattern(fl.TwoSlitConfig(), alpha, n_grid=256), tmp_path / f"{name}.csv")
+        for suffix in (".csv", ".json"):
+            assert ((tmp_path / "cli" / name).with_suffix(suffix).read_bytes()
+                    == (tmp_path / name).with_suffix(suffix).read_bytes())
+
+
 def test_interfere_artifacts(tmp_path, capsys):
     code, out, _ = run(
         ["interfere", "--alpha", "3.14159", "-o", str(tmp_path)], capsys)

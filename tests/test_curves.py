@@ -9,7 +9,7 @@ import pytest
 
 import fluxline as fl
 from conftest import X, Y, Z, brute_min_distance, circle, hopf_pair, perturbed, random_pair
-from fluxline import curves
+from fluxline import curves, quadrature
 from fluxline.curves import fourier_displacement
 from fluxline.quadrature import periodic_midpoints
 
@@ -43,6 +43,33 @@ def test_curve_model_is_read_only():
             a[0] = 1.0
     with pytest.raises(AttributeError):
         c.spectrum = np.zeros((33, 3))
+
+
+def test_kernel_factor_is_read_only_and_that_of_fresh_nodes():
+    c = perturbed(circle((0.3, -1, 2), 1.5, Y, 200), np.random.default_rng(3), 0.1)
+    fresh = quadrature._factor(*periodic_midpoints(c.points))
+    assert len(c.kernel_factor) == len(fresh) == 3
+    for got, want in zip(c.kernel_factor, fresh):
+        assert np.array_equal(got, want) and got.strides == want.strides
+        with pytest.raises(ValueError):
+            got[0] = 1.0
+    assert c.kernel_factor is c.kernel_factor
+
+
+@pytest.mark.parametrize("cutoff", [0.0, 1e-3, 0.05, 0.3, np.inf])
+def test_distance_with_a_cutoff_is_exact_within_it(cutoff):
+    c = perturbed(circle((0, 0, 0), 1.0, Z, 1024), np.random.default_rng(4), 0.05)
+    rng = np.random.default_rng(5)
+    # more points than one block of BLOCK_PAIRS // n = 16 rows, a few on the line
+    xs = np.vstack([rng.uniform(-1.5, 1.5, size=(60, 3)) * [1, 1, 0.2], c.points[::97]])
+    exact = curves.point_segment_distance(xs, *c.segments()).min(axis=1)
+    got = curves.distance_to_curve(xs, c, cutoff=cutoff)
+    within = exact <= cutoff
+    assert np.array_equal(got[within], exact[within])
+    assert np.all(got[~within] > cutoff)
+    for x, want in zip(xs[:20], exact):
+        assert curves.distance_to_curve(x, c) == want
+    assert np.isnan(curves.distance_to_curve([np.nan, 0.0, 0.0], c, cutoff=cutoff))
 
 
 def test_make_circle_perimeter_second_order():

@@ -4,6 +4,7 @@ import pytest
 
 import fluxline as fl
 from conftest import Y, Z, circle, hopf_pair, on_axis_potential_magnitude
+from fluxline.quadrature import biot_savart
 
 
 def square_loop_xz(center, side, n_per_side=32):
@@ -55,6 +56,64 @@ def test_far_field_log_slope(unit_flux_line):
 def test_potential_guard_near_curve(unit_flux_line):
     with pytest.raises(fl.GeometryError):
         fl.vector_potential(unit_flux_line, np.array([1.0, 0.0, 0.0]))
+
+
+def guard_sweep(c, rng, count=240):
+    """Points 1e-9 to 10^0.5 from points of c's polyline, a third of them
+    within 10% of the guard, 1e-6 diameters."""
+    p0, d = c.segments()
+    k = rng.integers(c.n, size=count)
+    on_line = p0[k] + rng.uniform(size=(count, 1)) * d[k]
+    dist = 10.0 ** rng.uniform(-9.0, 0.5, size=count)
+    dist[::3] = 1e-6 * c.diameter() * rng.uniform(0.9, 1.1, size=dist[::3].size)
+    v = rng.normal(size=(count, 3))
+    return on_line + dist[:, None] * v / np.linalg.norm(v, axis=1)[:, None]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: circle((0, 0, 0), 1.0, Z, 1024),
+    lambda: circle((3, -2, 1), 0.7, Y, 333),
+    lambda: square_loop_xz((0.5, 0.2, -0.1), 2.0),
+])
+def test_potential_refuses_exactly_inside_the_guard(make):
+    c = make()
+    f = fl.FluxLine(c, 1.3)
+    guard = fl.field._guard(f)
+    refused = 0
+    for x in guard_sweep(c, np.random.default_rng(c.n)):
+        if fl.curves.distance_to_curve(x, c) <= guard:
+            refused += 1
+            with pytest.raises(fl.GeometryError, match="too close"):
+                fl.vector_potential(f, x)
+        else:
+            want = biot_savart(*c.nodes, x)[0] * (f.flux / (4.0 * np.pi))
+            assert np.array_equal(fl.vector_potential(f, x), want)
+    # both sides of the guard are exercised
+    assert 40 < refused < 200
+
+
+def test_probes_beyond_the_guard_evaluate_no_segment(monkeypatch):
+    rows = []
+    evaluate = fl.curves.point_segment_distance
+
+    def counted(x, p0, d):
+        rows.append(p0.shape[0])
+        return evaluate(x, p0, d)
+
+    monkeypatch.setattr(fl.curves, "point_segment_distance", counted)
+    f = fl.FluxLine(circle((0, 0, 0), 1.0, Z, 1024), 1.0)
+    rng = np.random.default_rng(7)
+    phi, psi = rng.uniform(0.0, 2.0 * np.pi, size=(2, 50))
+    # 0.1 from the line in any direction, and the near probes 1e-3 outside it
+    rho = 1.0 + 0.1 * np.cos(psi)
+    points = [*np.column_stack([rho * np.cos(phi), rho * np.sin(phi), 0.1 * np.sin(psi)]),
+              (1.001, 0.0, 0.0), (1.003, 0.0, 0.0)]
+    for x in points:
+        fl.vector_potential(f, x)
+    assert rows == []
+    # the exact distance, which the finite-difference warning takes, scans them all
+    fl.curves.distance_to_curve(np.array(points[0]), f.curve)
+    assert rows == [1024]
 
 
 def test_tiny_dipole_far_field():

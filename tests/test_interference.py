@@ -270,6 +270,16 @@ def test_quantization_parity():
     assert normal["observable"] is False
 
 
+def test_shifts_against_one_flux_off_pattern_keep_their_bits():
+    off = pattern(CFG, 0.0, n_grid=1024)
+    for alpha in (-2.0, 0.4, 3.0):
+        on = pattern(CFG, alpha, n_grid=1024)
+        # a fresh flux-off pattern has not demodulated itself yet
+        assert ab_shift_measured(off, on) == ab_shift_measured(pattern(CFG, 0.0, n_grid=1024), on)
+    with pytest.raises(ValueError):
+        off._signal[0] = 0.0
+
+
 def test_write_pattern_round_trip(tmp_path):
     pat = pattern(CFG, np.pi, n_grid=64)
     csv_path = tmp_path / "pat.csv"

@@ -116,23 +116,28 @@ def test_threads_do_not_change_circulation_or_potential():
                               fl.vector_potential(f, x, threads=2))
 
 
+# `biot_savart`'s block loop, held here so that `kernel_pairs` does not count `native_sum`
+FACTORED_SUM = quadrature._factored_sum
+
+
 def native_sum(path, curve):
     """The linking sum at both curves' own nodes, without truncation."""
     mp, wp = periodic_midpoints(path.points)
-    mc, wc = periodic_midpoints(curve.points)
-    return float(np.einsum("ij,ij->", biot_savart(mc, wc, mp), wp)) / (4.0 * np.pi)
+    b = FACTORED_SUM(quadrature._factor(*periodic_midpoints(curve.points)), mp)
+    return float(np.einsum("ij,ij->", b, wp)) / (4.0 * np.pi)
 
 
 @pytest.fixture
 def kernel_pairs(monkeypatch):
-    """rows * cols of every `biot_savart` call that `linking_integral` makes."""
+    """rows * cols of every pair sum that `linking_integral` makes, truncated
+    (through `biot_savart`) or native (on the curve's cached factor)."""
     pairs = []
 
-    def counted(mids, w, xs):
-        pairs.append(np.atleast_2d(xs).shape[0] * mids.shape[0])
-        return biot_savart(mids, w, xs)
+    def counted(factor, xs):
+        pairs.append(np.atleast_2d(xs).shape[0] * factor[1].shape[1])
+        return FACTORED_SUM(factor, xs)
 
-    monkeypatch.setattr(quadrature, "biot_savart", counted)
+    monkeypatch.setattr(quadrature, "_factored_sum", counted)
     return pairs
 
 

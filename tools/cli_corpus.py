@@ -18,7 +18,15 @@ this checkout's `src/`:
   whose legs lie 1e-9 apart (exit 0).
 
 Each run gets a directory OUT/NNN-label holding its argv, stdout, stderr,
-exit code and a copy of every file it wrote. The curve files the runs read
+exit code and a copy of every file it wrote.
+
+After the CLI runs come the library probes that the benchmark times:
+`field.vector_potential` on the `field_fringe` probe line at that
+workload's probe and near-probe points for seeds 0, 1 and 2, and at points
+above a segment's midpoint from 1e-9 to 1e-3 from the line, across the
+guard of 1e-6 diameters. Each set gets a directory OUT/NNN-label holding
+`values`: per point, the hex bytes of the point and of the potential, or
+the refusal's exception and message. The curve files the runs read
 and the files they write live in one fixed directory under the system's
 temporary directory, not under OUT, because reports embed those paths. So
 two checkouts give the same corpus exactly when `diff -r OUT_A OUT_B` is
@@ -36,7 +44,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
+import numpy as np  # noqa: E402
 import workloads  # noqa: E402
+import fluxline  # noqa: E402
 from fluxline import cli  # noqa: E402
 
 WORK = Path(tempfile.gettempdir()) / "fluxline-cli-corpus"
@@ -93,6 +103,34 @@ def runs():
                                        "--curve-b", str(tmp / "circle.json")], [])
 
 
+def probe_sets():
+    """(label, points) of every set of library probes, in order."""
+    for seed in SEEDS:
+        ops = workloads.build("field_fringe", seed, WORK / f"field_fringe-{seed}")[1]
+        yield (f"field_fringe-{seed}-probes",
+               [op.spec["point"] for op in ops if op.kind in ("probe", "near_probe")])
+    c = probe_line().curve
+    mid = 0.5 * (c.points[0] + c.points[1])
+    yield "guard-probes", [mid + [0.0, 0.0, d] for d in (1e-9, 1.9e-6, 2.1e-6, 1e-5, 1e-3)]
+
+
+def probe_line():
+    """The line of the `field_fringe` probes, built as the benchmark's worker builds it."""
+    spec = workloads.PROBE_LINE
+    return fluxline.FluxLine(
+        fluxline.make_circle((0.0, 0.0, 0.0), spec["radius"], (0.0, 0.0, 1.0), spec["samples"]),
+        spec["flux"])
+
+
+def probe(line, point):
+    """One line of `values`: the point's bytes and the potential's, or the refusal."""
+    head = np.asarray(point, dtype=float).tobytes().hex()
+    try:
+        return f"{head} {fluxline.field.vector_potential(line, point, threads=1).tobytes().hex()}"
+    except fluxline.FluxlineError as e:
+        return f"{head} {type(e).__name__}: {e}"
+
+
 def run(argv):
     """(exit code, stdout, stderr) of cli.main(argv)."""
     out, err = io.StringIO(), io.StringIO()
@@ -122,6 +160,12 @@ def main(argv):
             if path.exists():
                 shutil.copy(path, d / path.name)
         print(f"{k:03d} {label}: exit {code}")
+    line = probe_line()
+    for k, (label, points) in enumerate(probe_sets(), start=k + 1):
+        d = out / f"{k:03d}-{label}"
+        d.mkdir()
+        (d / "values").write_text("".join(probe(line, p) + "\n" for p in points))
+        print(f"{k:03d} {label}: {len(points)} points")
     shutil.rmtree(WORK, ignore_errors=True)
 
 
