@@ -1,9 +1,9 @@
 """Command line driver for linking, phases, fields, gauges, interference.
 
 Exit codes: 0 success; 2 bad input (schema, validation, geometry, files); 3
-a quadrature residual exceeded tol; 4 a clearance violation. Reports embed the
-fully resolved configuration and identical configs reproduce byte-identical
-outputs.
+a quadrature residual exceeded tol, or `link`'s Gauss and crossing counts
+disagree; 4 a clearance violation. Reports embed the fully resolved
+configuration and identical configs reproduce byte-identical outputs.
 
 Each subcommand's options are one table of `Opt` rows. The table alone gives
 the flags, the allowed `--config` keys, the defaults, the checks every value
@@ -255,15 +255,17 @@ def cmd_link(o, config) -> int:
     except UnderResolvedError as e:
         res, code = e.result, 3
     crossing = crossing_linking(a, span_surface(b))
+    # the crossing count is exact: a rounded Gauss count off it is under-resolved
+    agree = bool(res.rounded == crossing and code == 0)
     _emit(_json_text({
         "raw": res.raw,
         "rounded": res.rounded,
         "residual": res.residual,
         "crossing_count": crossing,
-        "agree": bool(res.rounded == crossing and code == 0),
+        "agree": agree,
         "config": config,
     }), o["output"])
-    return code
+    return 0 if agree else 3
 
 
 def cmd_phase(o, config) -> int:
@@ -405,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Linking numbers, flux-line potentials, phases, and "
                     "two-slit interference shifts.",
         epilog="Exit codes: 0 success, 2 bad input, geometry or file, "
-               "3 under-resolved quadrature residual, 4 clearance violation.",
+               "3 under-resolved residual or disagreeing link counts, 4 clearance violation.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
     for name, (_, table, text) in COMMANDS.items():

@@ -3,10 +3,10 @@
 A `ClosedCurve` caches what depends on it alone: its curve model (the
 `rfft` spectrum, the quadrature nodes and the Biot-Savart kernel factor
 that `quadrature` reads), its centroid and diameter, and the boxes of its
-SCAN_BLOCK-segment runs. The distance scans bound pairs by such boxes
-before they evaluate any (Ericson, Real-Time Collision Detection, 5.1.9,
-for the pairs themselves), and a scan given a cutoff evaluates only what
-lies within it: `min_distance` and the self check for segment pairs,
+SCAN_BLOCK-segment runs. `_boxes` builds the boxes of every pruned scan,
+`topology`'s crossing count included, and `_box_bound` bounds pairs by
+their gaps before any is evaluated. A scan given a cutoff evaluates only
+what lies within it: `min_distance` and the self check for segment pairs,
 `distance_to_curve` for points, so the potential's guard at a point far
 from the line evaluates no segment.
 """
@@ -81,13 +81,10 @@ class ClosedCurve:
 
     @cached_property
     def _run_box(self):
-        """(lo, hi, scale, run): the (3, k) corners of the boxes of the
-        segments' SCAN_BLOCK runs, as `_min_segment_distance` bounds them,
-        the largest corner coordinate, which sets the bounds' slack, and
-        each segment's run."""
+        """(lo, hi, scale, run): the segments' run boxes from `_boxes`, the
+        largest corner coordinate, which sets the bounds' slack, and each segment's run."""
         p0, u = self.segments()
-        lo, hi = (np.ascontiguousarray(c.T) for c in
-                  _run_boxes(np.minimum(p0, p0 + u), np.maximum(p0, p0 + u)))
+        lo, hi = _boxes(p0, p0 + u)[2:]
         scale = max(float(np.abs(c).max()) for c in (lo, hi))
         return _read_only(lo), _read_only(hi), scale, _read_only(np.arange(self.n) // SCAN_BLOCK)
 
@@ -188,11 +185,12 @@ def _segment_pair_distance(p0, u, q0, v):
     return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 
 
-def _run_boxes(*corners):
-    """Lower and upper corners of the boxes of SCAN_BLOCK runs of the corner arrays."""
-    starts = np.arange(0, corners[0].shape[0], SCAN_BLOCK)
-    return (np.minimum.reduceat(np.minimum.reduce(corners), starts),
-            np.maximum.reduceat(np.maximum.reduce(corners), starts))
+def _boxes(*corners):
+    """(lo, hi, run_lo, run_hi): the C-ordered (3, k) corners of the boxes of the
+    elements with these (k, 3) corner arrays and of their SCAN_BLOCK runs."""
+    lo, hi = (np.ascontiguousarray(f.reduce(corners).T) for f in (np.minimum, np.maximum))
+    starts = np.arange(0, lo.shape[1], SCAN_BLOCK)
+    return lo, hi, np.minimum.reduceat(lo, starts, axis=1), np.maximum.reduceat(hi, starts, axis=1)
 
 
 def _box_bound(lo_a, hi_a, lo_b, hi_b, slack):
@@ -263,20 +261,17 @@ def _min_segment_distance(p0, u, q0, v, skip_adjacent=False, cutoff=np.inf) -> f
     exact scan.
     """
     n = p0.shape[0]
-    seg = (np.minimum(p0, p0 + u), np.maximum(p0, p0 + u),
-           np.minimum(q0, q0 + v), np.maximum(q0, q0 + v))
+    (lo_p, hi_p, *runs_p), (lo_q, hi_q, *runs_q) = _boxes(p0, p0 + u), _boxes(q0, q0 + v)
     # the slack covers the rounding of the bounds and of the kernel's
     # distances, so no pruned pair can hold a smaller computed distance
-    slack = 1e-12 * max(float(np.abs(c).max()) for c in seg)
-    runs = _box_bound(*(np.ascontiguousarray(c.T)
-                        for c in (*_run_boxes(*seg[:2]), *_run_boxes(*seg[2:]))), slack)
+    slack = 1e-12 * max(float(np.abs(c).max()) for c in (lo_p, hi_p, lo_q, hi_q))
+    runs = _box_bound(*runs_p, *runs_q, slack)
     if skip_adjacent and runs.shape[0] >= 3:
         band, diag = _band_bound(u)
         run = np.arange(runs.shape[0])
         nxt = np.roll(run, -1)
         runs[run, run] = np.maximum(runs[run, run], diag - slack)
         runs[run, nxt] = runs[nxt, run] = np.maximum(runs[run, nxt], band - slack)
-    lo_p, hi_p, lo_q, hi_q = (np.ascontiguousarray(c.T) for c in seg)
     col_run = np.arange(q0.shape[0]) // SCAN_BLOCK
 
     def scan(take, best):

@@ -4,8 +4,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import (SCAN_BLOCK, ClosedCurve, _min_segment_distance, _run_boxes, min_distance,
-                     point_segment_distance)
+from .curves import (SCAN_BLOCK, ClosedCurve, _box_bound, _boxes, _min_segment_distance,
+                     min_distance, point_segment_distance)
 from .errors import GeometryError, SchemaError, UnderResolvedError, check_numbers, read_json
 from .parallel import CHUNK_ROWS
 from .quadrature import _cross, _factored_sum, linking_integral
@@ -57,6 +57,8 @@ class Surface:
         t = np.array(self.triangles, dtype=int)
         if v.ndim != 2 or v.shape[1] != 3:
             raise GeometryError("surface vertices must form an (m, 3) array")
+        if not np.all(np.isfinite(v)):
+            raise GeometryError("surface vertices must be finite")
         if t.ndim != 2 or t.shape[1] != 3 or t.shape[0] < 1:
             raise GeometryError("surface triangles must form a (t, 3) index array")
         if t.min() < 0 or t.max() >= v.shape[0]:
@@ -159,7 +161,7 @@ def crossing_linking(path: ClosedCurve, surf: Surface, threads=None) -> int:
     direction, and the count is repeated; a move that reaches half the
     path's distance to the surface boundary raises instead. Serial: a
     CHUNK_ROWS block of segments meets only the triangles of the runs whose
-    padded `_run_boxes` overlap its own.
+    padded `curves._boxes` lie at `_box_bound` 0 from one of its own runs'.
     """
     pts = path.points
     scale = max(path.diameter(), 1e-30)
@@ -174,8 +176,8 @@ def crossing_linking(path: ClosedCurve, surf: Surface, threads=None) -> int:
     # a pair the body counts, flags or rejects has its hit point or midpoint
     # within 1e-9 in barycentric weight (2e-9 of the mesh's extent) and
     # eps * scale of the triangle; eps of the largest coordinate is rounding
-    lo, hi = _run_boxes(a, b, c)
-    pad = 2e-9 * float(np.max(hi.max(axis=0) - lo.min(axis=0))) \
+    lo, hi = _boxes(a, b, c)[2:]
+    pad = 2e-9 * float(np.max(hi.max(axis=1) - lo.min(axis=1))) \
         + eps * (scale + max(float(np.abs(x).max()) for x in (lo, hi, pts)))
     lo, hi, run = lo - pad, hi + pad, np.arange(a.shape[0]) // SCAN_BLOCK
     # crossings that land on a triangle edge or vertex (fan apex hits are
@@ -197,11 +199,13 @@ def crossing_linking(path: ClosedCurve, surf: Surface, threads=None) -> int:
                 f"{clearance:.3g} to the surface boundary")
         work = pts + nudge * generic if attempt else pts
         d = np.roll(work, -1, axis=0) - work
+        # CHUNK_ROWS is a multiple of SCAN_BLOCK: a block's runs are the path's
+        plo, phi = _boxes(work, work + d)[2:]
         count, suspicious = 0, False
         for i0 in range(0, pts.shape[0], CHUNK_ROWS):
             p, u = work[i0:i0 + CHUNK_ROWS], d[i0:i0 + CHUNK_ROWS]
-            blo, bhi = _run_boxes(p, p + u)
-            near = np.all((lo[:, None] <= bhi) & (blo <= hi[:, None]), axis=2).any(axis=1)[run]
+            block = slice(i0 // SCAN_BLOCK, (i0 + CHUNK_ROWS) // SCAN_BLOCK)
+            near = (_box_bound(plo[:, block], phi[:, block], lo, hi, 0.0) <= 0.0).any(axis=0)[run]
             ta, tb, tc, tn, tl, tna = (x[near] for x in (a, b, c, nrm, nlen, na))
             # den = n.d and s = n.(a - p), so n.(q - a) = den - s
             den = u @ tn.T
@@ -271,9 +275,7 @@ def solid_angle(x, surf: Surface, threads=None) -> float:
         raise GeometryError("point lies on the surface; the solid angle jumps there")
     a, b, c = surf.corners()
     r1, r2, r3 = a - x, b - x, c - x
-    n1 = np.linalg.norm(r1, axis=1)
-    n2 = np.linalg.norm(r2, axis=1)
-    n3 = np.linalg.norm(r3, axis=1)
+    n1, n2, n3 = (np.linalg.norm(r, axis=1) for r in (r1, r2, r3))
     num = np.einsum("ij,ij->i", r1, np.cross(r2, r3))
     den = (
         n1 * n2 * n3

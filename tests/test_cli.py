@@ -105,6 +105,47 @@ def test_link_under_resolved_still_reports(capsys):
     assert rep["agree"] is False
 
 
+def test_link_exits_3_when_the_counts_disagree(tmp_path, capsys):
+    # a 32-point square and a 64-point circle clearing its edge by 0.025: the
+    # square's interpolant bulges 0.020 past it, so the Gauss sum links the
+    # circle to within its residual while the polygons, counted exactly, do not
+    e = np.linspace(-1.0, 1.0, 9)[:-1]
+    one, zero = np.ones(8), np.zeros(8)
+    square = np.concatenate([np.column_stack([e, -one, zero]), np.column_stack([one, e, zero]),
+                             np.column_stack([-e, one, zero]), np.column_stack([-one, -e, zero])])
+    t = 2.0 * np.pi * np.arange(64) / 64
+    ring = np.column_stack([0.7 + 0.1 * np.cos(t), np.full(64, 1.025), -0.1 * np.sin(t)])
+    files = [tmp_path / "square.json", tmp_path / "ring.json"]
+    for path, points in zip(files, (square, ring)):
+        fl.save_curve(fl.ClosedCurve(points), path)
+    report = tmp_path / "report.json"
+    code, out, err = run(["link", "--curve-a", str(files[0]), "--curve-b", str(files[1]),
+                          "-o", str(report)], capsys)
+    assert code == 3 and err == ""
+    assert report.read_text() == out
+    rep = json.loads(out)
+    assert abs(rep["rounded"]) == 1 and rep["residual"] < 1e-3
+    assert rep["crossing_count"] == 0 and rep["agree"] is False
+
+
+def test_config_that_is_a_json_array_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps([{"alpha": 2.0}]))
+    code, out, err = run(["phase", "--config", str(cfg)], capsys)
+    assert code == 2 and out == ""
+    assert "config must be a JSON object" in err
+
+
+def test_link_curve_file_that_is_a_list_exits_2(tmp_path, capsys):
+    listed = tmp_path / "listed.json"
+    listed.write_text(json.dumps(fl.make_circle((0, 0, 0), 1.0, (0, 0, 1), 64).points.tolist()))
+    good = tmp_path / "good.json"
+    fl.save_curve(fl.make_circle((1, 0, 0), 1.0, (0, 1, 0), 64), good)
+    code, out, err = run(["link", "--curve-a", str(listed), "--curve-b", str(good)], capsys)
+    assert code == 2 and out == ""
+    assert "listed.json: expected an object with a 'points' field" in err
+
+
 def test_config_file_overrides_defaults(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"alpha": 2.0, "samples": 256}))
@@ -203,6 +244,15 @@ def test_phase_invariance_clearance_violation(capsys):
          "--clearance", "2.0"], capsys)
     assert code == 4
     assert "clearance" in err
+
+
+def test_phase_invariance_out_of_tries_exits_4(capsys):
+    # steps of half the clearance draw the hopf pair, 0.9994 apart, under 0.9
+    code, out, err = run(
+        ["phase", "--preset", "hopf", "--samples", "128", "--invariance", "--steps", "1",
+         "--amplitude", "10", "--modes", "32", "--clearance", "0.9"], capsys)
+    assert code == 4 and out == ""
+    assert "no clearance-respecting step found in 50 tries" in err
 
 
 def test_field_profile_csv(tmp_path, capsys):

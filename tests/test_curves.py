@@ -574,7 +574,7 @@ def test_deformation_spec_validation():
     ok = dict(amplitude=0.1, n_modes=2, seed=0, steps=5, clearance=0.05)
     fl.DeformationSpec(**ok)
     for key, bad in (("amplitude", -1.0), ("n_modes", 0), ("steps", 0),
-                     ("clearance", 0.0), ("clearance", -1.0)):
+                     ("clearance", 0.0), ("clearance", -1.0), ("max_tries", 0)):
         with pytest.raises(fl.GeometryError):
             fl.DeformationSpec(**{**ok, key: bad})
 
@@ -643,6 +643,16 @@ def test_simultaneous_deform_moves_each_curve_a_quarter_clearance():
             assert move == pytest.approx(0.0125, rel=1e-9)
     for a, b in states:
         assert fl.min_distance(a, b) > 0.05
+
+
+def test_deform_out_of_tries_raises():
+    # every step of 0.45 draws the hopf path nearer than 0.9 to its partner,
+    # whose distance is 0.9994: each try is refused
+    path, obstacle = hopf_pair(128)
+    spec = fl.DeformationSpec(amplitude=10.0, n_modes=32, seed=0, steps=1,
+                              clearance=0.9, max_tries=5)
+    with pytest.raises(fl.ClearanceError, match="no clearance-respecting step found in 5 tries"):
+        fl.deform_homotopy(path, obstacle, spec)
 
 
 def test_deform_initial_clearance_violation_raises():

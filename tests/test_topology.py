@@ -115,16 +115,21 @@ def _crossing_or_error(path, surf):
 
 def _unculled_crossing(monkeypatch, path, surf):
     """_crossing_or_error with every run box infinite, so that no triangle is
-    culled: the dense reference, each block against the whole mesh."""
-    boxes = topology._run_boxes
+    culled: the dense reference, each block against the whole mesh. Fails if
+    the count no longer builds its boxes through the patched builder."""
+    boxes, calls = topology._boxes, []
 
     def infinite(*corners):
-        lo, hi = boxes(*corners)
-        return lo - np.inf, hi + np.inf
+        calls.append(len(corners))
+        lo, hi, run_lo, run_hi = boxes(*corners)
+        return lo, hi, run_lo - np.inf, run_hi + np.inf
 
     with monkeypatch.context() as m:
-        m.setattr(topology, "_run_boxes", infinite)
-        return _crossing_or_error(path, surf)
+        m.setattr(topology, "_boxes", infinite)
+        got = _crossing_or_error(path, surf)
+    # the triangles' boxes once, then the path's once per pass
+    assert calls[0] == 3 and calls.count(2) == len(calls) - 1 >= 1
+    return got
 
 
 def test_crossing_count_thread_count_invariant(monkeypatch, started_threads, unit_disk):
@@ -452,4 +457,30 @@ def test_surface_io_malformed(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"vertices": [[0,0,0]], "triangles": [[0, 1, 2]]}')
     with pytest.raises(fl.SchemaError):
+        fl.load_surface(path)
+
+
+def test_surface_file_without_triangles(tmp_path):
+    path = tmp_path / "vertices.json"
+    path.write_text('{"vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0]]}')
+    with pytest.raises(fl.SchemaError, match="expected an object with 'vertices' and 'triangles'"):
+        fl.load_surface(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_surface_rejects_non_finite_vertices(tmp_path, bad):
+    # a rim vertex of a 64-point unit-disk fan; with a nan there, the
+    # threading circle's count would come back 0 instead of 1, unflagged
+    disk = fl.span_surface(circle((0, 0, 0), 1.0, Z, 64))
+    threading = circle((1, 0, 0), 0.5, Y, 256)
+    assert fl.crossing_linking(threading, disk) in (-1, 1)
+    vertices = disk.vertices.copy()
+    vertices[1, 0] = bad
+    with pytest.raises(fl.GeometryError, match="surface vertices must be finite"):
+        fl.Surface(vertices, disk.triangles)
+    # json writes NaN and Infinity, which Python's json reads back as floats
+    path = tmp_path / "disk.json"
+    path.write_text(json.dumps({"vertices": vertices.tolist(),
+                                "triangles": disk.triangles.tolist()}))
+    with pytest.raises(fl.SchemaError, match="disk.json: surface vertices must be finite"):
         fl.load_surface(path)

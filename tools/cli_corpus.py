@@ -20,13 +20,23 @@ this checkout's `src/`:
 Each run gets a directory OUT/NNN-label holding its argv, stdout, stderr,
 exit code and a copy of every file it wrote.
 
-After the CLI runs come the library probes that the benchmark times:
-`field.vector_potential` on the `field_fringe` probe line at that
-workload's probe and near-probe points for seeds 0, 1 and 2, and at points
-above a segment's midpoint from 1e-9 to 1e-3 from the line, across the
-guard of 1e-6 diameters. Each set gets a directory OUT/NNN-label holding
-`values`: per point, the hex bytes of the point and of the potential, or
-the refusal's exception and message. The curve files the runs read
+After the CLI runs come library probes, through public names only, so
+that this file runs against an older `src/` too:
+
+- `vector_potential`, which the benchmark times, on the `field_fringe`
+  probe line at that workload's probe and near-probe points for seeds 0, 1
+  and 2, and at points above a segment's midpoint from 1e-9 to 1e-3 from
+  the line, across the guard of 1e-6 diameters;
+- the pruned scans: `min_distance`, exact and at cutoffs of 1e-9
+  diameters, half and twice the distance, on the `link_files` pairs of
+  seeds 0, 1 and 2 and on the presets at 128 and 1024 samples;
+  `crossing_linking` both ways on those presets; and
+  `open_path_gauge_shift` on the probe line, along open paths from the
+  axis to the points across the guard.
+
+Each set gets a directory OUT/NNN-label holding `values`: per probe, its
+arguments (a point's hex bytes, or a name) and the hex bytes of the result,
+or the refusal's exception and message. The curve files the runs read
 and the files they write live in one fixed directory under the system's
 temporary directory, not under OUT, because reports embed those paths. So
 two checkouts give the same corpus exactly when `diff -r OUT_A OUT_B` is
@@ -104,14 +114,53 @@ def runs():
 
 
 def probe_sets():
-    """(label, points) of every set of library probes, in order."""
+    """(label, lines of `values`) of every set of library probes, in order."""
+    line = probe_line()
     for seed in SEEDS:
         ops = workloads.build("field_fringe", seed, WORK / f"field_fringe-{seed}")[1]
         yield (f"field_fringe-{seed}-probes",
-               [op.spec["point"] for op in ops if op.kind in ("probe", "near_probe")])
-    c = probe_line().curve
-    mid = 0.5 * (c.points[0] + c.points[1])
-    yield "guard-probes", [mid + [0.0, 0.0, d] for d in (1e-9, 1.9e-6, 2.1e-6, 1e-5, 1e-3)]
+               [probe(line, op.spec["point"]) for op in ops if op.kind in ("probe", "near_probe")])
+    mid = 0.5 * (line.curve.points[0] + line.curve.points[1])
+    ends = [mid + [0.0, 0.0, d] for d in (1e-9, 1.9e-6, 2.1e-6, 1e-5, 1e-3)]
+    yield "guard-probes", [probe(line, p) for p in ends]
+    for seed in SEEDS:
+        ops = workloads.build("link_files", seed, WORK / f"link_files-{seed}")[1]
+        pairs = [(f"{k}-{op.kind}", *map(fluxline.load_curve, op.spec["argv"][2:5:2]))
+                 for k, op in enumerate(ops)]
+        yield f"link_files-{seed}-min_distance", distance_probes(pairs)
+    presets = [(f"{name}-{n}", *preset_curves(name, n)) for name in cli.PRESETS for n in SAMPLES]
+    yield "presets-min_distance", distance_probes(presets)
+    yield "presets-crossing_linking", [
+        f"{label}-{way} {value(fluxline.crossing_linking, p, fluxline.span_surface(s))}"
+        for label, a, b in presets for way, p, s in (("ab", a, b), ("ba", b, a))]
+    # straight open paths of 64 segments from the axis to the points across the guard
+    start, steps = np.array([0.0, 0.0, 0.5]), np.linspace(0.0, 1.0, 65)[:, None]
+    yield "guard-open-paths", [
+        f"{end.tobytes().hex()} "
+        f"{value(fluxline.open_path_gauge_shift, line, start + steps * (end - start))}"
+        for end in ends]
+
+
+def distance_probes(pairs):
+    """`values` lines of min_distance on each (label, a, b): exact and at three cutoffs."""
+    out = []
+    for label, a, b in pairs:
+        d = fluxline.min_distance(a, b)
+        touch = 1e-9 * max(a.diameter(), b.diameter())
+        out += [f"{label} exact {np.float64(d).tobytes().hex()}"] + [
+            f"{label} cutoff={name} {value(fluxline.min_distance, a, b, cutoff=cutoff)}"
+            for name, cutoff in (("touch", touch), ("half", 0.5 * d), ("twice", 2.0 * d))]
+    return out
+
+
+def preset_curves(name, n):
+    """The flux curve and the second curve of a `link --preset`, as the command builds them."""
+    unit = fluxline.make_circle((0.0, 0.0, 0.0), 1.0, (0.0, 0.0, 1.0), n)
+    if name == "hopf":
+        return unit, fluxline.make_circle((1.0, 0.0, 0.0), 1.0, (0.0, 1.0, 0.0), n)
+    if name == "unlinked":
+        return unit, fluxline.make_circle((4.0, 0.0, 3.0), 1.0, (0.0, 0.0, 1.0), n)
+    return unit, fluxline.make_torus_knot(1, 2, 1.0, 0.4, n)
 
 
 def probe_line():
@@ -125,10 +174,15 @@ def probe_line():
 def probe(line, point):
     """One line of `values`: the point's bytes and the potential's, or the refusal."""
     head = np.asarray(point, dtype=float).tobytes().hex()
+    return f"{head} {value(fluxline.vector_potential, line, point, threads=1)}"
+
+
+def value(fn, *args, **kwargs):
+    """fn(*args, **kwargs) as the hex bytes of a float array, or the refusal."""
     try:
-        return f"{head} {fluxline.field.vector_potential(line, point, threads=1).tobytes().hex()}"
+        return np.asarray(fn(*args, **kwargs), dtype=float).tobytes().hex()
     except fluxline.FluxlineError as e:
-        return f"{head} {type(e).__name__}: {e}"
+        return f"{type(e).__name__}: {e}"
 
 
 def run(argv):
@@ -160,12 +214,11 @@ def main(argv):
             if path.exists():
                 shutil.copy(path, d / path.name)
         print(f"{k:03d} {label}: exit {code}")
-    line = probe_line()
-    for k, (label, points) in enumerate(probe_sets(), start=k + 1):
+    for k, (label, lines) in enumerate(probe_sets(), start=k + 1):
         d = out / f"{k:03d}-{label}"
         d.mkdir()
-        (d / "values").write_text("".join(probe(line, p) + "\n" for p in points))
-        print(f"{k:03d} {label}: {len(points)} points")
+        (d / "values").write_text("".join(x + "\n" for x in lines))
+        print(f"{k:03d} {label}: {len(lines)} probes")
     shutil.rmtree(WORK, ignore_errors=True)
 
 
