@@ -11,7 +11,6 @@ passes (from a flag, a config file or a default) and the embedded config.
 """
 import argparse
 import functools
-import json
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -23,11 +22,11 @@ from .abphase import (PhaseParams, ab_phase_crossing, ab_phase_flux, ab_phase_to
                       invariance_suite)
 from .curves import MAX_POINTS, DeformationSpec, load_curve, make_circle, make_torus_knot
 from .errors import (ClearanceError, FluxlineError, GeometryError, SchemaError, UnderResolvedError,
-                     read_json)
+                     json_text, read_json)
 from .field import FluxLine, _guarded_potential
 from .gauge import SolenoidConfig, singular_gauge_closed_line_demo, solenoid_singular_gauge_demo
-from .interference import (TwoSlitConfig, _write_pattern, _x_column, ab_shift_analytic,
-                           ab_shift_measured, beam_geometry, fringe_spacing, pattern)
+from .interference import (TwoSlitConfig, _csv, ab_shift_analytic, ab_shift_measured,
+                           beam_geometry, fringe_spacing, pattern, write_pattern)
 from .parallel import check_threads_env
 from .topology import crossing_linking, gauss_linking, span_surface
 
@@ -193,10 +192,6 @@ SWEEP = (
 )
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
 def _resolve(args, table):
     """Defaults, overridden by --config file values, overridden by flags.
 
@@ -229,7 +224,7 @@ def _emit(text, path=None, config=None):
         path = Path(path)
         path.write_text(text)
         if config is not None:
-            path.with_suffix(".json").write_text(_json_text({"config": config}))
+            path.with_suffix(".json").write_text(json_text({"config": config}))
 
 
 def _preset_curves(name: str, n: int):
@@ -257,7 +252,7 @@ def cmd_link(o, config) -> int:
     crossing = crossing_linking(a, span_surface(b))
     # the crossing count is exact: a rounded Gauss count off it is under-resolved
     agree = bool(res.rounded == crossing and code == 0)
-    _emit(_json_text({
+    _emit(json_text({
         "raw": res.raw,
         "rounded": res.rounded,
         "residual": res.residual,
@@ -293,7 +288,7 @@ def cmd_phase(o, config) -> int:
                                seed=o["seed"], steps=o["steps"],
                                clearance=o["clearance"])
         report["invariance"] = invariance_suite(p, f, path, spec)
-    _emit(_json_text(report), o["output"])
+    _emit(json_text(report), o["output"])
     return 0
 
 
@@ -305,11 +300,11 @@ def cmd_field(o, config) -> int:
     # zeros, not zs times the axis: a negative z would put -0.0 in x and y
     points = np.zeros((zs.size, 3))
     points[:, 2] = zs
-    lines = ["z,A_x,A_y,A_z,A_axial_analytic"]
-    for z, a in zip(zs, _guarded_potential(f, points)):
-        analytic = flux * radius ** 2 / (2.0 * (radius ** 2 + z ** 2) ** 1.5)
-        lines.append(f"{z:.15g},{a[0]:.15g},{a[1]:.15g},{a[2]:.15g},{analytic:.15g}")
-    _emit("\n".join(lines) + "\n", o["output"], config)
+    # per value, not over the array: numpy's vectorised power rounds
+    # otherwise than the C library's in the last bit
+    analytic = [flux * radius ** 2 / (2.0 * (radius ** 2 + z ** 2) ** 1.5) for z in zs.tolist()]
+    _emit(_csv("z,A_x,A_y,A_z,A_axial_analytic", (zs, _guarded_potential(f, points), analytic)),
+          o["output"], config)
     return 0
 
 
@@ -357,11 +352,9 @@ def cmd_interfere(o, config) -> int:
     report["config"] = config
     out = Path(o["output"])
     out.mkdir(parents=True, exist_ok=True)
-    # the shift report has checked that the two patterns share one grid
-    x_column = _x_column(off.x)
-    _write_pattern(off, out / "pattern_off.csv", x_column)
-    _write_pattern(on, out / "pattern_on.csv", x_column)
-    _emit(_json_text(report), out / "report.json")
+    write_pattern(off, out / "pattern_off.csv")
+    write_pattern(on, out / "pattern_on.csv")
+    _emit(json_text(report), out / "report.json")
     return 0
 
 
@@ -374,18 +367,18 @@ def cmd_gauge_demo(o, config) -> int:
         flux_curve, path = _preset_curves("hopf", o["samples"])
         f = FluxLine(curve=flux_curve, flux=o["flux"])
         record = singular_gauge_closed_line_demo(f, path)
-    _emit(_json_text({**record, "config": config}), o["output"])
+    _emit(json_text({**record, "config": config}), o["output"])
     return 0
 
 
 def cmd_sweep(o, config) -> int:
-    lines = ["param,value,shift_measured,shift_analytic,rel_err"]
     off = _pattern(o, 0.0)
-    for val in np.linspace(o["start"], o["stop"], o["steps"]):
-        rep = _shift_report(off, _pattern(o, float(val)))
-        lines.append("alpha,{:.15g},{:.15g},{:.15g},{:.15g}".format(
-            val, rep["shift_measured"], rep["shift_analytic"], rep["rel_err"]))
-    _emit("\n".join(lines) + "\n", o["output"], config)
+    alphas = np.linspace(o["start"], o["stop"], o["steps"])
+    reports = [_shift_report(off, _pattern(o, float(val))) for val in alphas]
+    keys = ("shift_measured", "shift_analytic", "rel_err")
+    _emit(_csv("param,value," + ",".join(keys),
+               (alphas, *([rep[k] for rep in reports] for k in keys)), prefix="alpha,"),
+          o["output"], config)
     return 0
 
 

@@ -261,7 +261,9 @@ def _min_segment_distance(p0, u, q0, v, skip_adjacent=False, cutoff=np.inf) -> f
     exact scan.
     """
     n = p0.shape[0]
-    (lo_p, hi_p, *runs_p), (lo_q, hi_q, *runs_q) = _boxes(p0, p0 + u), _boxes(q0, q0 + v)
+    boxes_p = _boxes(p0, p0 + u)
+    boxes_q = boxes_p if skip_adjacent else _boxes(q0, q0 + v)
+    (lo_p, hi_p, *runs_p), (lo_q, hi_q, *runs_q) = boxes_p, boxes_q
     # the slack covers the rounding of the bounds and of the kernel's
     # distances, so no pruned pair can hold a smaller computed distance
     slack = 1e-12 * max(float(np.abs(c).max()) for c in (lo_p, hi_p, lo_q, hi_q))

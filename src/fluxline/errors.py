@@ -1,4 +1,4 @@
-"""Exception types shared across the package, the JSON file reader and its number check."""
+"""Exception types shared across the package, the JSON file reader and writer, the number check."""
 import json
 from itertools import chain
 
@@ -40,6 +40,11 @@ def read_json(path):
         raise SchemaError(f"{path}: line {e.lineno} column {e.colno}: {e.msg}") from e
     except UnicodeDecodeError as e:
         raise SchemaError(f"{path}: not UTF-8 text: {e.reason} at byte {e.start}") from e
+
+
+def json_text(obj):
+    """obj as JSON text with sorted keys, two-space indents and a final newline."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def check_numbers(path, value, what, integral=False):

@@ -4,15 +4,14 @@ One-dimensional transverse quantum motion, classical longitudinal motion at
 constant speed v. The flux enters only through the dimensionless phase
 alpha_AB carried by the partial wave of the second slit.
 """
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path as _Path
 
 import numpy as np
 
-from .errors import GeometryError
+from .errors import GeometryError, json_text
 
 
 @dataclass(frozen=True)
@@ -82,10 +81,7 @@ class TwoSlitConfig:
         return self.spread_classical / self.spread_quantum
 
     def as_dict(self) -> dict:
-        return {
-            "x0": self.x0, "b": self.b, "t_a": self.t_a, "t_b": self.t_b,
-            "m": self.m, "hbar": self.hbar, "v": self.v,
-        }
+        return asdict(self)
 
 
 def beam_geometry(cfg: TwoSlitConfig):
@@ -311,28 +307,22 @@ def quantization_report(n_e: int, N: int, superconducting: bool) -> dict:
     return {"phase_factor": complex(1.0, 0.0), "observable": False}
 
 
+def _csv(header, columns, prefix=""):
+    """CSV text: the header line, then a line per row of the stacked
+    columns, led by prefix, each value at 15 significant digits.
+
+    One `%` format over the whole table: the only CSV formatter of the
+    package's output files.
+    """
+    table = np.column_stack(columns)
+    row = prefix + ",".join(["%.15g"] * table.shape[1]) + "\n"
+    return header + "\n" + (row * table.shape[0]) % tuple(table.ravel().tolist())
+
+
 def write_pattern(pat: Pattern, csv_path):
     """CSV 'x_b,density' at 15 significant digits plus a JSON sidecar."""
-    _write_pattern(pat, csv_path, _x_column(pat.x))
-
-
-def _x_column(x):
-    """The CSV's x_b column for grid x, each value with its comma.
-
-    Formatting is a pattern file's cost (about 0.5 us a value), so patterns
-    on one grid share the column.
-    """
-    return [f"{v:.15g}," for v in x.tolist()]
-
-
-def _write_pattern(pat: Pattern, csv_path, x_column):
-    """`write_pattern`, with the column `_x_column(pat.x)` given."""
     csv_path = _Path(csv_path)
-    with open(csv_path, "w") as fh:
-        fh.write("x_b,density\n")
-        fh.write("".join([f"{x}{v:.15g}\n" for x, v in zip(x_column, pat.values.tolist())]))
+    csv_path.write_text(_csv("x_b,density", (pat.x, pat.values)))
     meta = {"alpha": pat.alpha, "config": pat.config.as_dict(),
             "n_grid": int(pat.x.size), "half_width": float(pat.x[-1])}
-    with open(csv_path.with_suffix(".json"), "w") as fh:
-        json.dump(meta, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    csv_path.with_suffix(".json").write_text(json_text(meta))

@@ -12,6 +12,10 @@ from .quadrature import _cross, _factored_sum, linking_integral
 
 TOUCH_GUARD = 1e-9
 DEFAULT_LINK_TOL = 1e-3
+# the crossing count and the fan's orientation check square face normals
+# and their sum over up to MAX_POINTS triangles: fourth powers of the
+# coordinates, finite up to this size
+MAX_COORDINATE = 1e72
 
 
 @dataclass(frozen=True)
@@ -63,6 +67,10 @@ class Surface:
             raise GeometryError("surface triangles must form a (t, 3) index array")
         if t.min() < 0 or t.max() >= v.shape[0]:
             raise GeometryError("triangle indices out of vertex range")
+        size = float(np.abs(v).max())
+        if size > MAX_COORDINATE:
+            raise GeometryError(f"surface coordinates reach {size:.3g}, above"
+                                f" {MAX_COORDINATE:.0e}: squared face normals would overflow")
         v.flags.writeable = False
         t.flags.writeable = False
         object.__setattr__(self, "vertices", v)

@@ -274,16 +274,24 @@ def test_field_profile_csv(tmp_path, capsys):
 
 
 def test_field_takes_the_axis_in_one_sum(capsys):
-    argv = ["field", "--from", "-1.5", "--to", "2", "--steps", "37", "--radius", "0.8",
-            "--flux", "1.7", "--samples", "256"]
-    code, out, _ = run(argv, capsys)
-    assert code == 0
-    f = fl.FluxLine(fl.make_circle((0, 0, 0), 0.8, (0, 0, 1), 256), 1.7)
-    rows = out.splitlines()[1:]
-    for z, row in zip(np.linspace(-1.5, 2.0, 37), rows):
-        a = fl.vector_potential(f, (0.0, 0.0, float(z)))
-        assert row.split(",")[:4] == [f"{v:.15g}" for v in (z, *a)]
-    assert len(rows) == 37
+    # -1 to 1 in 65 steps holds the row z = 0 exactly; at radius 0.6 and
+    # flux 1.5 numpy's vectorised power over the whole axis rounds two
+    # analytic values otherwise at 15 digits (numpy 2.4 on AVX-512)
+    for z0, z1, steps, radius, flux in ((-1.5, 2.0, 37, 0.8, 1.7), (-1.0, 1.0, 65, 0.6, 1.5)):
+        argv = ["field", "--from", str(z0), "--to", str(z1), "--steps", str(steps),
+                "--radius", str(radius), "--flux", str(flux), "--samples", "256"]
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        f = fl.FluxLine(fl.make_circle((0, 0, 0), radius, (0, 0, 1), 256), flux)
+        rows = out.splitlines()
+        assert rows[0] == "z,A_x,A_y,A_z,A_axial_analytic"
+        zs = np.linspace(z0, z1, steps).tolist()
+        assert (0.0 in zs) == (steps == 65)
+        for z, row in zip(zs, rows[1:]):
+            a = fl.vector_potential(f, (0.0, 0.0, z))
+            analytic = flux * radius ** 2 / (2.0 * (radius ** 2 + z ** 2) ** 1.5)
+            assert row == ",".join(f"{v:.15g}" for v in (z, *a, analytic))
+        assert len(rows) == steps + 1
 
 
 def test_interfere_writes_what_write_pattern_writes(tmp_path, capsys):
@@ -439,6 +447,11 @@ def test_sweep_alpha_periodic(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "param,value,shift_measured,shift_analytic,rel_err"
     assert len(lines) == 9
+    off = fl.pattern(fl.TwoSlitConfig(), 0.0, n_grid=1024)
+    for alpha, line in zip(np.linspace(0.0, 6.283185307179586, 8), lines[1:]):
+        rep = cli._shift_report(off, fl.pattern(fl.TwoSlitConfig(), float(alpha), n_grid=1024))
+        assert line == "alpha,{:.15g},{:.15g},{:.15g},{:.15g}".format(
+            alpha, rep["shift_measured"], rep["shift_analytic"], rep["rel_err"])
     first = float(lines[1].split(",")[2])
     last = float(lines[8].split(",")[2])
     spacing = fl.fringe_spacing(fl.TwoSlitConfig())

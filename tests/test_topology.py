@@ -247,6 +247,24 @@ def test_crossing_coplanar_path_inside_fan_raises():
         fl.crossing_linking(path, disk)
 
 
+@pytest.mark.parametrize("scale", [1e70, 1e80])
+def test_crossing_count_counts_or_names_the_coordinate_size(scale):
+    # a 64-point unit disk's fan and its threading circle, scaled: squared
+    # face normals overflow near 1e77, where the count read 0 and the fan
+    # looked inverted; a surface that large is refused
+    disk, ring = circle((0, 0, 0), 1.0, Z, 64), circle((1, 0, 0), 1.0, Y, 64)
+    fan = fl.span_surface(disk)
+    path = fl.ClosedCurve(ring.points * scale)
+    with np.errstate(all="raise"):
+        for build in (lambda: fl.Surface(fan.vertices * scale, fan.triangles),
+                      lambda: fl.span_surface(fl.ClosedCurve(disk.points * scale))):
+            if scale < topology.MAX_COORDINATE:
+                assert fl.crossing_linking(path, build()) == 1
+                continue
+            with pytest.raises(fl.GeometryError, match=r"coordinates reach 1e\+80, above 1e\+72"):
+                fl.crossing_linking(path, build())
+
+
 def test_crossing_count_survives_translation_far_from_origin():
     # a rotation leaves no coordinate exact; 1e7 from the origin n.a - n.p
     # loses the digits that the crossing parameter needs

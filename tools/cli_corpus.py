@@ -9,6 +9,9 @@ this checkout's `src/`:
   workloads for seeds 0, 1 and 2 (`bench/workloads.build`);
 - `link` and `phase --invariance` for each preset at 128 and 1024 samples;
 - `gauge-demo --closed-line`;
+- `field --from -1 --to 1 --steps 65`, whose axis holds z = 0 exactly,
+  and a default `sweep`, whose first row is alpha = 0: rows the benchmark
+  seeds never produce;
 - refusals, each exiting 2: `link` on a curve file that crosses itself and
   `link` on two curves that share a point;
 - `link --threads 2` on a square of 1024 points threaded by a circle of
@@ -80,6 +83,8 @@ def runs():
             yield (f"phase-{preset}-{n}",
                    ["phase", "--preset", preset, "--samples", str(n), "--invariance"], [])
     yield "gauge-demo-closed-line", ["gauge-demo", "--closed-line"], []
+    yield "field-through-zero", ["field", "--from", "-1", "--to", "1", "--steps", "65"], []
+    yield "sweep-default", ["sweep"], []
     # a figure-eight crosses itself at the origin, inside segments 63 and
     # 191; a circle and its reflection through its vertex 0 share that vertex
     t = [2.0 * math.pi * (k + 0.5) / 256 for k in range(256)]
