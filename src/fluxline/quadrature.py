@@ -47,6 +47,7 @@ for bit.
 """
 import numpy as np
 
+from .errors import GeometryError
 from .parallel import CHUNK_ROWS
 
 # The first truncated node count. On the 108 perturbed-circle pairs of the
@@ -69,6 +70,10 @@ DOUBLING_TOL = 1e-12
 # 0.71-0.87 ms in one block and 0.35-0.46 ms in blocks of 102 rows (2048 x
 # 2048: 78-94 against 60-63 ms). The rows of a block change no result's bits.
 BLOCK_PAIRS = 2 ** 14
+# the pair sum cubes distances, and the crossing count and the fan's
+# orientation check square face normals and sum them over up to MAX_POINTS
+# triangles: fourth powers of the coordinates, finite up to this size
+MAX_COORDINATE = 1e72
 
 
 def periodic_midpoints(points):
@@ -202,6 +207,9 @@ def linking_integral(path, curve) -> float:
             b = biot_savart(mc, wc, mp)
         return float(np.einsum("ij,ij->", b, wp)) / (4.0 * np.pi)
 
+    size = max(float(np.abs(c.points).max()) for c in (path, curve))
+    if size > MAX_COORDINATE:
+        raise GeometryError(f"curve coordinates reach {size:.3g}, above {MAX_COORDINATE:.0e}")
     n = min(path.n, curve.n)
     m = TRUNCATE_FROM
     while 4 * m <= n and not (_tail_ok(path, m) and _tail_ok(curve, m)):

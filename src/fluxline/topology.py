@@ -8,14 +8,16 @@ from .curves import (SCAN_BLOCK, ClosedCurve, _box_bound, _boxes, _min_segment_d
                      min_distance, point_segment_distance)
 from .errors import GeometryError, SchemaError, UnderResolvedError, check_numbers, read_json
 from .parallel import CHUNK_ROWS
-from .quadrature import _cross, _factored_sum, linking_integral
+from .quadrature import _NEXT, _PREV, MAX_COORDINATE, _cross, _factored_sum, linking_integral
 
 TOUCH_GUARD = 1e-9
 DEFAULT_LINK_TOL = 1e-3
-# the crossing count and the fan's orientation check square face normals
-# and their sum over up to MAX_POINTS triangles: fourth powers of the
-# coordinates, finite up to this size
-MAX_COORDINATE = 1e72
+# rounding bounds of the crossing count's float signs, in u = 2^-53; orient3d's
+# is Shewchuk's bound A (Discrete Comput. Geom. 18:305, 1997)
+ORIENT_BOUND = 2.0 * (7.0 + 56.0 * 2.0 ** -53) * 2.0 ** -53  # twice bound A
+GRADIENT_BOUND = 8.0 * 2.0 ** -53  # twice the 4 u of a 2x2 determinant of differences
+PLANE_BOUND = 128.0 * 2.0 ** -53  # over twice the 55 u of `crossing_linking`'s plane values
+UNDERFLOW = 2.0 ** -1070  # what underflow adds to an orient3d, times 1 + |x - o|
 
 
 @dataclass(frozen=True)
@@ -120,31 +122,12 @@ def span_surface(c: ClosedCurve) -> Surface:
     return surf
 
 
-def _min_barycentric(x, a, b, c):
-    """Smallest barycentric weight of each point x[i] in triangle (a[i], b[i], c[i]).
-
-    All arrays are (k, 3). The weights are signed areas over the full normal
-    (b - a) x (c - a), so a point in the triangle's plane is inside when the
-    result is positive and on an edge or corner when it is 0.
-    """
-    x, a, b, c = x.T, a.T, b.T, c.T
-    # each product back in (k, 3) rows: einsum rounds a sum along a row
-    # otherwise than one across rows, and the weights keep their bits
-    n, n0, n1 = (np.ascontiguousarray(_cross(p, q).T)
-                 for p, q in ((b - a, c - a), (b - x, c - x), (c - x, a - x)))
-    n2 = np.einsum("ij,ij->i", n, n)
-    w0 = np.einsum("ij,ij->i", n0, n) / n2
-    w1 = np.einsum("ij,ij->i", n1, n) / n2
-    return np.minimum(np.minimum(w0, w1), 1.0 - w0 - w1)
-
-
 def _boundary_distance(path: ClosedCurve, surf: Surface, cutoff=np.inf) -> float:
     """Distance from the path to the mesh edges used by exactly one triangle.
 
     cutoff: as for `curves.min_distance`, exact when the distance is <= cutoff.
     """
-    t = surf.triangles
-    edges = np.stack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]], axis=1).reshape(-1, 2)
+    edges = surf.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
     _, first, count = np.unique(np.sort(edges, axis=1), axis=0,
                                 return_index=True, return_counts=True)
     # in mesh order, so that runs of consecutive edges stay close together
@@ -156,93 +139,100 @@ def _boundary_distance(path: ClosedCurve, surf: Surface, cutoff=np.inf) -> float
     return _min_segment_distance(*path.segments(), v[start], v[end] - v[start], cutoff=cutoff)
 
 
+def _ints(*points):
+    """The (k, 3) float rows as (3, k) Python-integer object arrays, each row of
+    all of them over one power of 2, so that their sums and products are exact."""
+    m, e = np.frexp(np.stack(points))
+    low = np.where(m == 0.0, 1 << 20, e).min(axis=(0, 2), keepdims=True)  # zeros set no scale
+    shift = np.where(m == 0.0, 0, e - low).astype(object)
+    return [i.T for i in (m * 2.0 ** 53).astype(np.int64).astype(object) << shift]
+
+
+def _pcross(a, b):
+    """The permanent of `_cross`: a x b with its minus signs made plus."""
+    return a[_NEXT] * b[_PREV] + a[_PREV] * b[_NEXT]
+
+
+def _orient_signs(o, x, y, z, edge):
+    """Exact signs of det[x - o, y - o, z - o] over (k, 3) rows of points, and
+    the rows where it is 0, a tie, broken as if the path's points, z (plane
+    tests) or y and z (edge tests), moved by (e, e^2, e^3), e -> 0+: by the
+    first nonzero of the gradient in that move, (x - o) x (y - o) or
+    (x - o) x (y - z). A float term keeps its sign past its rounding bound,
+    is 0 if each product has an exact 0 factor, else goes to `_ints`."""
+    X, Y, Z = ((v - o).T for v in (x, y, z))
+    W = (y - z).T if edge else Y
+    value = np.vstack([(X * _cross(Y, Z)).sum(axis=0), _cross(X, W)])
+    bound = np.vstack([ORIENT_BOUND * (abs(X) * _pcross(abs(Y), abs(Z))).sum(axis=0),
+                       GRADIENT_BOUND * _pcross(abs(X), abs(W))]) \
+        + UNDERFLOW * (1.0 + abs(X).max(axis=0))
+    nonzero = np.vstack([((X != 0.0) & _pcross(Y != 0.0, Z != 0.0)).any(axis=0),
+                         _pcross(X != 0.0, W != 0.0)])
+    s = np.where(abs(value) > bound, np.sign(value), 0.0)
+    rows = np.flatnonzero((nonzero & ~np.logical_or.accumulate(s != 0.0)).any(axis=0))
+    if rows.size:
+        io, ix, iy, iz = _ints(o[rows], x[rows], y[rows], z[rows])
+        xi = ix - io
+        s[:, rows] = np.sign(np.vstack([(xi * _cross(iy - io, iz - io)).sum(axis=0),
+                                        _cross(xi, iy - (iz if edge else io))]))
+    return s[np.argmax(s != 0.0, axis=0), np.arange(s.shape[1])], s[0] == 0.0
+
+
+@np.errstate(under="ignore", over="ignore", invalid="ignore")  # the bounds or `_ints` cover these
 def crossing_linking(path: ClosedCurve, surf: Surface, threads=None) -> int:
     """Signed count of path crossings through an oriented spanning surface.
 
     Equal to the linking number of the path with the surface boundary.
-    Crossing along the face normal counts +1, against it -1. A segment
-    crosses a triangle at parameter t in [0, 1). Path segments that lie in
-    a face plane and overlap the face raise. A crossing too close to a
-    triangle edge or corner to classify, or a path vertex lying exactly on
-    a face, where the path may touch the surface and turn back, moves the
-    whole path by 1e-9 * 3^k of its scale, k = 1..11, in a fixed generic
-    direction, and the count is repeated; a move that reaches half the
-    path's distance to the surface boundary raises instead. Serial: a
-    CHUNK_ROWS block of segments meets only the triangles of the runs whose
-    padded `curves._boxes` lie at `_box_bound` 0 from one of its own runs'.
+    Segment pq crosses triangle abc when det[b - a, c - a, x - a] has
+    opposite signs at x = p and q and det[b - a, p - a, q - a] and its two
+    shifts in abc agree; it counts the sign at q, +1 along the face normal.
+    Signs are exact, ties broken as if the path moved (`_orient_signs`). A
+    tie in a pair whose boxes meet raises if the path comes within
+    TOUCH_GUARD of its diameter of the boundary, where the move may matter.
     """
-    pts = path.points
-    scale = max(path.diameter(), 1e-30)
+    pts, n = path.points, path.n
     a, b, c = surf.corners()
-    nrm = np.cross(b - a, c - a)
-    nlen = np.linalg.norm(nrm, axis=1)
-    # s = n.(a - o) - n.(p - o) about the path centroid o: n.a - n.p loses
-    # the digits of t far from the origin and miscounts there
-    o = path.centroid()
-    na = np.einsum("tj,tj->t", nrm, a - o)
-    eps = 1e-12
-    # a pair the body counts, flags or rejects has its hit point or midpoint
-    # within 1e-9 in barycentric weight (2e-9 of the mesh's extent) and
-    # eps * scale of the triangle; eps of the largest coordinate is rounding
-    lo, hi = _boxes(a, b, c)[2:]
-    pad = 2e-9 * float(np.max(hi.max(axis=1) - lo.min(axis=1))) \
-        + eps * (scale + max(float(np.abs(x).max()) for x in (lo, hi, pts)))
-    lo, hi, run = lo - pad, hi + pad, np.arange(a.shape[0]) // SCAN_BLOCK
-    # crossings that land on a triangle edge or vertex (fan apex hits are
-    # common for symmetric inputs) are escaped by translating the whole path
-    # a hair in a fixed generic direction; a translation far smaller than the
-    # path-to-boundary distance cannot change the linking class
-    generic = np.array([np.pi - 3.0, np.e - 2.0, np.sqrt(2.0) - 1.0])
-    generic /= np.linalg.norm(generic)
-    for attempt in range(12):
-        nudge = 1e-9 * scale * 3.0 ** attempt
-        if attempt == 1:
-            # only a clearance within twice the largest nudge decides, and
-            # then it is exact; 2 * 1e-9 rounds as 1e-9, so the bound is
-            # twice the last nudge bit for bit
-            clearance = _boundary_distance(path, surf, 2e-9 * scale * 3.0 ** 11)
-        if attempt and nudge >= 0.5 * clearance:
-            raise GeometryError(
-                f"crossing nudge {nudge:.3g} reaches half the path's distance "
-                f"{clearance:.3g} to the surface boundary")
-        work = pts + nudge * generic if attempt else pts
-        d = np.roll(work, -1, axis=0) - work
-        # CHUNK_ROWS is a multiple of SCAN_BLOCK: a block's runs are the path's
-        plo, phi = _boxes(work, work + d)[2:]
-        count, suspicious = 0, False
-        for i0 in range(0, pts.shape[0], CHUNK_ROWS):
-            p, u = work[i0:i0 + CHUNK_ROWS], d[i0:i0 + CHUNK_ROWS]
-            block = slice(i0 // SCAN_BLOCK, (i0 + CHUNK_ROWS) // SCAN_BLOCK)
-            near = (_box_bound(plo[:, block], phi[:, block], lo, hi, 0.0) <= 0.0).any(axis=0)[run]
-            ta, tb, tc, tn, tl, tna = (x[near] for x in (a, b, c, nrm, nlen, na))
-            # den = n.d and s = n.(a - p), so n.(q - a) = den - s
-            den = u @ tn.T
-            s = tna - (p - o) @ tn.T
-            if not attempt:
-                # a segment in a face plane, overlapping the face, has no
-                # well-defined crossing parity
-                i, j = np.nonzero(np.abs(s) < eps * scale * tl)
-                flat = (np.abs(den[i, j]) <= eps * tl[j] * np.linalg.norm(u[i], axis=1)) \
-                    & (np.abs(den[i, j] - s[i, j]) < eps * scale * tl[j])
-                i, j = i[flat], j[flat]
-                if i.size and np.any(
-                        _min_barycentric(p[i] + 0.5 * u[i], ta[j], tb[j], tc[j]) > -1e-9):
-                    raise GeometryError(
-                        "path segment lies in the surface; crossings are undefined")
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t = s / den
-            i, j = np.nonzero((den != 0.0) & (t >= 0.0) & (t < 1.0))
-            if not i.size:
-                continue
-            wmin = _min_barycentric(p[i] + t[i, j, None] * u[i], ta[j], tb[j], tc[j])
-            inside = wmin > eps
-            # a path vertex on a face may touch the surface and turn back,
-            # which the half-open rule would count; nudge it off like an edge
-            suspicious |= np.any((wmin > -eps) & ~inside) | np.any(inside & (t[i, j] == 0.0))
-            count += int(np.sign(den[i[inside], j[inside]]).sum())
-        if not suspicious:
-            return count
-    raise GeometryError("could not resolve crossings away from triangle edges")
+    # v = n.(x - o) - n.(a - o), so that the bound holds |x - o|, not |x|
+    e1, e2, ao, po = b - a, c - a, a - path.centroid(), pts - path.centroid()
+    nrm = np.cross(e1, e2)
+    na = np.einsum("tj,tj->t", nrm, ao)
+    # |v - n*.(x - a)| <= 55 u |b - a| |c - a| (|a - o| + |x - o|) in the max
+    # norm to first order, n* the exact normal; 2^-1000 covers underflow
+    size = max(float(abs(e1).max() * abs(e2).max()), 2.0 ** -1000)
+    bound = PLANE_BOUND * size * float(abs(ao).max() + abs(po).max()) + 2.0 ** -1000
+    (tlo, thi, lo, hi), run = _boxes(a, b, c), np.arange(a.shape[0]) // SCAN_BLOCK
+    # CHUNK_ROWS is a multiple of SCAN_BLOCK: a block's runs are the path's
+    slo, shi, plo, phi = _boxes(pts, np.roll(pts, -1, axis=0))
+
+    def meet(s, t):  # a pair whose boxes meet, which every count evaluates, culled or not
+        return ((slo[:, s] <= thi[:, t]) & (tlo[:, t] <= shi[:, s])).all(axis=0).any()
+
+    count, tied = 0, False
+    for i0 in range(0, n, CHUNK_ROWS):
+        block = slice(i0 // SCAN_BLOCK, (i0 + CHUNK_ROWS) // SCAN_BLOCK)
+        t = np.flatnonzero((_box_bound(plo[:, block], phi[:, block], lo, hi, 0.0)
+                            <= 0.0).any(axis=0)[run])
+        # the block's segments join its rows of vertices
+        k = np.arange(i0, min(i0 + CHUNK_ROWS, n) + 1) % n
+        v = po[k] @ nrm[t].T - na[t]
+        side = np.where(abs(v) > bound, np.sign(v), 0.0)
+        i, j = np.nonzero(side == 0.0)
+        if i.size:
+            side[i, j], tie = _orient_signs(a[t[j]], b[t[j]], c[t[j]], pts[k[i]], False)
+            i, j = k[i[tie]], t[j[tie]]
+            tied |= meet(i - 1, j) or meet(i, j)  # a vertex ends two segments
+        i, j = np.nonzero(side[:-1] != side[1:])
+        if not i.size:
+            continue
+        p, q, tj = pts[k[i]], pts[k[i + 1]], t[j]
+        (s0, z0), (s1, z1), (s2, z2) = (_orient_signs(e[tj], f[tj], p, q, True)
+                                        for e, f in ((a, b), (b, c), (c, a)))
+        tied |= meet(k[i[z0 | z1 | z2]], tj[z0 | z1 | z2])
+        count += int(side[i + 1, j][(s0 == s1) & (s1 == s2)].sum())
+    touch = TOUCH_GUARD * path.diameter()
+    if tied and _boundary_distance(path, surf, touch) < touch:
+        raise GeometryError("path touches or nearly touches the surface boundary")
+    return count
 
 
 def surface_point_distance(x, surf: Surface) -> float:
@@ -254,10 +244,13 @@ def surface_point_distance(x, surf: Surface) -> float:
     good = areas > 0.0
     best = np.inf
     if np.any(good):
+        ga, gb, gc = a[good], b[good], c[good]
         nhat = nrm[good] / areas[good][:, None]
-        off = np.einsum("tj,tj->t", x[None, :] - a[good], nhat)
+        off = np.einsum("tj,tj->t", x[None, :] - ga, nhat)
         proj = x[None, :] - off[:, None] * nhat
-        inside = _min_barycentric(proj, a[good], b[good], c[good]) >= 0.0
+        # inside: on the left of every edge, seen against the normal
+        inside = np.all([np.einsum("tj,tj->t", np.cross(q - p, proj - p), nhat) >= 0.0
+                         for p, q in ((ga, gb), (gb, gc), (gc, ga))], axis=0)
         if np.any(inside):
             best = float(np.min(np.abs(off[inside])))
     for p, q in ((a, b), (b, c), (c, a)):
@@ -309,10 +302,7 @@ def grad_solid_angle(x, c: ClosedCurve, threads=None):
 def save_surface(surf: Surface, path):
     """Write the mesh as JSON {"vertices": [...], "triangles": [...]}."""
     with open(path, "w") as fh:
-        json.dump(
-            {"vertices": surf.vertices.tolist(), "triangles": surf.triangles.tolist()},
-            fh,
-        )
+        json.dump({"vertices": surf.vertices.tolist(), "triangles": surf.triangles.tolist()}, fh)
         fh.write("\n")
 
 

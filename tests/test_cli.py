@@ -146,6 +146,21 @@ def test_link_curve_file_that_is_a_list_exits_2(tmp_path, capsys):
     assert "listed.json: expected an object with a 'points' field" in err
 
 
+def test_link_on_curves_too_large_to_sum_exits_2(tmp_path):
+    # a Hopf pair scaled by 1e160: the pair sum was NaN, and `link` printed
+    # the traceback of rounding it
+    for name, c in (("a", fl.make_circle((0, 0, 0), 1.0, (0, 0, 1), 256)),
+                    ("b", fl.make_circle((1, 0, 0), 1.0, (0, 1, 0), 256))):
+        fl.save_curve(fl.ClosedCurve(c.points * 1e160), tmp_path / f"{name}.json")
+    proc = subprocess.run(
+        [sys.executable, "-m", "fluxline", "link", "--curve-a", str(tmp_path / "b.json"),
+         "--curve-b", str(tmp_path / "a.json")], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(Path(fl.__file__).parents[1])})
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "error: curve coordinates reach 2e+160, above 1e+72" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_config_file_overrides_defaults(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"alpha": 2.0, "samples": 256}))

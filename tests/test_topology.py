@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import fluxline as fl
-from fluxline import topology
+from fluxline import cli, topology
 from conftest import (
     Y,
     Z,
@@ -105,6 +105,25 @@ def test_linking_thread_count_invariant():
     assert r1.raw == r4.raw
 
 
+@pytest.mark.parametrize("scale", [1e70, 1e80, 1e150, 1e160])
+def test_linking_sum_counts_or_names_the_coordinate_size(scale):
+    # a 256-point Hopf pair, scaled: the pair sum read 0 at 1e150, where its
+    # cubed distances overflow, and NaN at 1e160; curves above the surfaces'
+    # bound are refused by the sum that the Gauss count and the circulation share
+    path, flux_curve = (fl.ClosedCurve(c.points * scale) for c in hopf_pair(256))
+    want = fl.gauss_linking(*hopf_pair(256)).rounded
+    if scale < topology.MAX_COORDINATE:
+        assert fl.gauss_linking(path, flux_curve).rounded == want
+        assert round(fl.circulation(fl.FluxLine(flux_curve, 1.0), path)) == want
+        return
+    size = f"curve coordinates reach 2e\\+{round(np.log10(scale))}, above 1e\\+72"
+    with pytest.raises(fl.GeometryError, match=size):
+        fl.gauss_linking(path, flux_curve)
+    # at 1e160 the circulation's guard, whose squared distances overflow, refuses first
+    with pytest.raises(fl.GeometryError, match=size if scale < 1e155 else "touches"):
+        fl.circulation(fl.FluxLine(flux_curve, 1.0), path)
+
+
 def _crossing_or_error(path, surf):
     """crossing_linking's count, or the message of the GeometryError it raises."""
     try:
@@ -137,36 +156,38 @@ def test_crossing_count_thread_count_invariant(monkeypatch, started_threads, uni
     # two threads start no thread
     monkeypatch.setenv("FLUXLINE_THREADS", "2")
     long = rectangle_loop(2.0, 1.0, (0.3, 0, 0), n_per_side=80)
-    apex = circle((1, 0, 0), 1.0, Y, 1024)  # hits the fan apex: nudged
+    apex = circle((1, 0, 0), 1.0, Y, 1024)  # passes within 1e-10 of the fan apex
+    # lies in the fan and away from its rim: the path moved off the fan
+    # plane does not cross it
     coplanar = circle((0.2, 0, 0), 0.3, Z, 600)
     small_disk = fl.span_surface(circle((0, 0, 0), 1.0, Z, 64))
-    for path, surf, want in ((long, unit_disk, -1), (apex, unit_disk, 1), (
-            coplanar, small_disk, "path segment lies in the surface; crossings are undefined")):
+    for path, surf, want in ((long, unit_disk, -1), (apex, unit_disk, 1),
+                             (coplanar, small_disk, 0)):
         assert _crossing_or_error(path, surf) == want == _unculled_crossing(monkeypatch, path, surf)
     assert started_threads == []
 
 
 @pytest.mark.parametrize("shift", [0.0, 1e7])
-def test_crossing_cull_keeps_pairs_met_only_within_the_pad(monkeypatch, shift):
-    # each path lies in the plane y = -d and the triangle in y >= 0, so the
-    # path's box meets the triangle's only by the pad; at 1e7 every
-    # coordinate stays exact
+def test_crossing_cull_drops_only_pairs_whose_boxes_are_apart(monkeypatch, shift):
+    # each path lies in the plane y = -d and the triangle in y >= 0, so at
+    # d > 0 their boxes are d apart and the cull drops every pair, and at
+    # d = 0 the boxes meet on the triangle's boundary edge y = 0, which the
+    # path then touches; at 1e7 every coordinate stays exact
     side = 2.0 ** 16
     tri = fl.Surface(np.array([(0, 0, 0), (side, 0, 0), (0, side, 0)]) + shift, [[0, 1, 2]])
     x0, x1, h = side / 4, 2 * side, side / 4
-    # a segment pierces z = 0 a weight of 2^-44 outside the edge y = 0: too
-    # close to the edge to classify, and to the boundary to nudge
-    d = 2.0 ** -28
-    pierce = [(x0, -d, -h), (x0, -d, h), (x1, -d, h), (x1, -d, -h)]
-    # a segment lies in z = 0, its midpoint a weight of 2^-32 outside that edge
-    d = 2.0 ** -16
-    flat = [(x0, -d, 0), (3 * x0, -d, 0), (3 * x0, -d, h), (x0, -d, h)]
-    for points, match in ((pierce, "reaches half the path's distance"),
-                          (flat, "path segment lies in the surface")):
-        path = fl.ClosedCurve(np.array(points) + shift)
-        got = _crossing_or_error(path, tri)
-        assert match in got
-        assert got == _unculled_crossing(monkeypatch, path, tri)
+    for apart, want in ((1.0, 0), (0.0, "path touches or nearly touches the surface boundary")):
+        # a segment pierces z = 0 2^-28 outside the edge y = 0, or on it
+        d = apart * 2.0 ** -28
+        pierce = [(x0, -d, -h), (x0, -d, h), (x1, -d, h), (x1, -d, -h)]
+        # a segment lies in z = 0 2^-16 outside that edge, every plane value
+        # an exact zero, or along it
+        d = apart * 2.0 ** -16
+        flat = [(x0, -d, 0), (3 * x0, -d, 0), (3 * x0, -d, h), (x0, -d, h)]
+        for points in (pierce, flat):
+            path = fl.ClosedCurve(np.array(points) + shift)
+            got = _crossing_or_error(path, tri)
+            assert got == want == _unculled_crossing(monkeypatch, path, tri)
 
 
 def test_span_disk_area():
@@ -240,29 +261,47 @@ def test_crossing_twice_opposite_cancels(unit_disk):
 
 def test_crossing_coplanar_path_inside_fan_raises():
     # every segment lies in the fan, most with their midpoints in the half
-    # of a triangle away from the apex
+    # of a triangle away from the apex: the path moved off the fan plane,
+    # as exact zeros are broken, crosses nothing, and it stays 0.5 from the
+    # rim, so nothing is refused
     disk = fl.span_surface(circle((0, 0, 0), 1.0, Z, 64))
     path = circle((0.2, 0, 0), 0.3, Z, 64)
-    with pytest.raises(fl.GeometryError, match="lies in the surface"):
-        fl.crossing_linking(path, disk)
+    assert fl.crossing_linking(path, disk) == 0
+    assert fl.crossing_linking(path.reversed(), disk) == 0
 
 
-@pytest.mark.parametrize("scale", [1e70, 1e80])
+@pytest.mark.parametrize("scale", [1e-150, 1e-100, 1e-75, 1e70, 1e80])
 def test_crossing_count_counts_or_names_the_coordinate_size(scale):
     # a 64-point unit disk's fan and its threading circle, scaled: squared
     # face normals overflow near 1e77, where the count read 0 and the fan
-    # looked inverted; a surface that large is refused
+    # looked inverted; a surface that large is refused. Below about 1e-100
+    # products underflow, and the count read 0 there; `span_surface` calls
+    # such small fans degenerate, so they are built directly
     disk, ring = circle((0, 0, 0), 1.0, Z, 64), circle((1, 0, 0), 1.0, Y, 64)
     fan = fl.span_surface(disk)
     path = fl.ClosedCurve(ring.points * scale)
     with np.errstate(all="raise"):
-        for build in (lambda: fl.Surface(fan.vertices * scale, fan.triangles),
-                      lambda: fl.span_surface(fl.ClosedCurve(disk.points * scale))):
+        builds = (lambda: fl.Surface(fan.vertices * scale, fan.triangles),
+                  lambda: fl.span_surface(fl.ClosedCurve(disk.points * scale)))
+        for build in builds[:1 + (scale > 1)]:
             if scale < topology.MAX_COORDINATE:
                 assert fl.crossing_linking(path, build()) == 1
                 continue
             with pytest.raises(fl.GeometryError, match=r"coordinates reach 1e\+80, above 1e\+72"):
                 fl.crossing_linking(path, build())
+
+
+@pytest.mark.parametrize("size", [1e100, 1e200, 1e300])
+def test_crossing_count_of_a_path_far_larger_than_the_surface(size):
+    # a rectangle whose near side pierces a 64-point unit-disk fan and whose
+    # far corners reach size: its float plane and edge values overflow, and
+    # the exact integers count the one crossing
+    disk = fl.span_surface(circle((0, 0, 0), 1.0, Z, 64))
+    path = fl.ClosedCurve(np.array([(0.5, 0, -size), (0.5, 0, size), (size, 0, size),
+                                    (size, 0, -size)]))
+    with np.errstate(all="raise"):
+        assert fl.crossing_linking(path, disk) == 1
+        assert fl.crossing_linking(path.reversed(), disk) == -1
 
 
 def test_crossing_count_survives_translation_far_from_origin():
@@ -301,20 +340,123 @@ def test_crossing_vertex_touch_is_not_a_crossing(unit_disk):
     assert fl.crossing_linking(through.reversed(), unit_disk) == -1
 
 
+def square_fan(flip=False):
+    """Four triangles about the apex (0, 0, 0) spanning the square of corners
+    (+-1, +-1, 0), with normal +z, or -z flipped; every coordinate exact."""
+    v = [(0, 0, 0), (1, -1, 0), (1, 1, 0), (-1, 1, 0), (-1, -1, 0)]
+    t = np.array([(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 1)])
+    return fl.Surface(np.array(v, dtype=float), t[:, ::-1] if flip else t)
+
+
+def square_grid(flip=False):
+    """Eight triangles on the 3 x 3 grid x, y in {-1, 0, 1}, z = 0, with normal
+    +z, or -z flipped: (0, 0, 0) is an interior mesh vertex."""
+    v = [(x, y, 0) for y in (-1, 0, 1) for x in (-1, 0, 1)]
+    t = np.array([f for i in (0, 1, 3, 4) for f in ((i, i + 1, i + 4), (i, i + 4, i + 3))])
+    return fl.Surface(np.array(v, dtype=float), t[:, ::-1] if flip else t)
+
+
+def staple(x, y, via=False):
+    """The loop in the plane y that rises through (x, y, 0) and comes back
+    down at x = 3, outside the squares: it links their boundary once, +1
+    against normal +z. via: with a vertex at (x, y, 0)."""
+    pts = [(x, y, -1)] + [(x, y, 0)] * via + [(x, y, 1), (3, y, 1), (3, y, -1)]
+    return fl.ClosedCurve(np.array(pts, dtype=float))
+
+
+@pytest.mark.parametrize("build, x, y", [
+    (square_fan, 0.0, 0.0),  # the apex, on every triangle
+    (square_fan, 0.5, 0.5),  # inside the fan edge to (1, 1, 0)
+    (square_fan, 0.25, 0.0),  # inside a face, on the plane y = 0 of the apex
+    (square_grid, 0.0, 0.0),  # an interior mesh vertex
+    (square_grid, 0.5, 0.0),  # inside an edge of the grid
+    (square_grid, 0.5, 0.5),  # inside a cell's diagonal
+])
+@pytest.mark.parametrize("via", [False, True])
+def test_crossing_through_a_vertex_or_an_edge_counts_once(build, x, y, via):
+    # every hit is an exact zero of some sign, broken the same way in every
+    # triangle that shares it, so the one crossing counts once; a reversed
+    # path or a flipped surface flips the sign
+    path = staple(x, y, via)
+    for flip in (False, True):
+        for p, want in ((path, 1), (path.reversed(), -1)):
+            assert fl.crossing_linking(p, build(flip)) == (-want if flip else want)
+
+
+@pytest.mark.parametrize("build", [square_fan, square_grid])
+def test_crossing_touch_at_a_vertex_or_along_a_face_counts_0(build):
+    # a path that touches the apex, or the interior vertex, from below and
+    # turns back, and a path that lies in the surface around that vertex:
+    # both link the boundary 0 times
+    touch = fl.ClosedCurve(np.array([(-0.5, 0, -1), (0, 0, 0), (0.5, 0, -1)], dtype=float))
+    flat = fl.ClosedCurve(np.array(
+        [(-0.5, -0.5, 0), (0.5, -0.5, 0), (0.5, 0.5, 0), (-0.5, 0.5, 0)], dtype=float))
+    for path in (touch, flat):
+        for flip in (False, True):
+            assert fl.crossing_linking(path, build(flip)) == 0
+            assert fl.crossing_linking(path.reversed(), build(flip)) == 0
+
+
+def test_crossing_under_a_cone_rim_counts_0_through_every_tie():
+    # an inverted square pyramid, apex (0, 0, 0), rim in the plane z = 1:
+    # a loop below that plane links the rim 0 times. Loops on the half-integer
+    # grid meet the apex, the slanted edges and the face planes exactly, in
+    # every order of tie, and the ties of the plane and edge tests must be
+    # broken by one and the same motion of the path. Moved by 2^20, every
+    # coordinate stays exact, but the path's centroid does not, and the
+    # float plane values of the ties are rounding noise
+    vertices = np.array([(0, 0, 0), (2, 0, 1), (0, 2, 1), (-2, 0, 1), (0, -2, 1)], dtype=float)
+    cone = np.array([(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 1)])
+    rng = np.random.default_rng(749)
+    for k in range(400):
+        pts = rng.integers(-4, 5, size=(rng.integers(3, 9), 3)) / 2.0
+        pts[:, 2] = np.minimum(pts[:, 2], 0.5)
+        if np.any(np.all(pts == np.roll(pts, -1, axis=0), axis=1)):
+            continue
+        shift = np.array([1.0, -0.5, 2.0]) * 2.0 ** 20 * (k % 2)
+        path = fl.ClosedCurve(pts + shift)
+        for t in (cone, cone[:, ::-1]):
+            surf = fl.Surface(vertices + shift, t)
+            assert fl.crossing_linking(path, surf) == 0
+            assert fl.crossing_linking(path.reversed(), surf) == 0
+
+
+def test_crossing_count_measures_the_boundary_only_after_a_tie(monkeypatch):
+    # the clearance scan costs more than a whole unlinked count, so it runs
+    # only after an exact zero in a pair whose boxes meet
+    calls = []
+
+    def boundary_distance(*args):
+        calls.append(args)
+        return np.inf
+
+    monkeypatch.setattr(topology, "_boundary_distance", boundary_distance)
+    for name in ("unlinked", "l2"):
+        for n in (128, 1024):
+            a, b = cli._preset_curves(name, n)
+            for p, s in ((a, b), (b, a)):
+                fl.crossing_linking(p, fl.span_surface(s))
+    assert calls == []
+    assert fl.crossing_linking(staple(0.0, 0.0), square_fan()) == 1
+    assert len(calls) == 1
+
+
 def test_crossing_nudge_next_to_the_boundary_raises(unit_disk):
-    # the path pierces the fan apex, which forces a nudge, and passes 3e-9
-    # above the rim vertex (1, 0, 0): the first nudge, 1e-9 * scale * 3,
-    # already reaches half that clearance
+    # each path passes about 1.2e-16 from the fan apex, the disk's centroid, too
+    # close for a float sign, and then 3e-9 or 0.1 above the rim vertex
+    # (1, 0, 0): the exact signs count the one crossing, and no tie is broken
+    for clearance in (3e-9, 0.1):
+        path = fl.ClosedCurve(np.array([(0, 0, -1), (0, 0, 1), (1, 0, clearance),
+                                        (2, 0, clearance), (2, 0, -1)], dtype=float))
+        assert fl.crossing_linking(path, unit_disk) == 1
+        assert fl.crossing_linking(path.reversed(), unit_disk) == -1
+    # through the rim vertex the path touches the boundary, where the count
+    # depends on the side it is moved to
     path = fl.ClosedCurve(np.array(
-        [(0, 0, -1), (0, 0, 1), (1, 0, 3e-9), (2, 0, 3e-9), (2, 0, -1)], dtype=float))
-    # the clearance scan stops at twice the largest nudge; a clearance under
-    # that is exact, as the message shows
-    with pytest.raises(fl.GeometryError, match="half the path's distance 3e-09 to"):
-        fl.crossing_linking(path, unit_disk)
-    # 0.1 above the rim the same nudge resolves the apex hit
-    clear = fl.ClosedCurve(np.array(
-        [(0, 0, -1), (0, 0, 1), (1, 0, 0.1), (2, 0, 0.1), (2, 0, -1)], dtype=float))
-    assert fl.crossing_linking(clear, unit_disk) == 1
+        [(0, 0, -1), (0, 0, 1), (1, 0, 0), (2, 0, 0), (2, 0, -1)], dtype=float))
+    for p in (path, path.reversed()):
+        with pytest.raises(fl.GeometryError, match="path touches or nearly touches the surface"):
+            fl.crossing_linking(p, unit_disk)
 
 
 def test_solid_angle_axial_closed_form(unit_disk):

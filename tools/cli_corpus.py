@@ -35,7 +35,16 @@ that this file runs against an older `src/` too:
   seeds 0, 1 and 2 and on the presets at 128 and 1024 samples;
   `crossing_linking` both ways on those presets; and
   `open_path_gauge_shift` on the probe line, along open paths from the
-  axis to the points across the guard.
+  axis to the points across the guard;
+- `crossing_linking` on inputs with exact ties, each both ways round and on
+  both orientations of its surface: loops through the apex of a square fan
+  of exact coordinates, inside one of its edges and inside a face on a plane
+  of the apex; through an interior vertex, an edge and a diagonal of a
+  3 x 3 grid, each with and without a path vertex there; paths that touch
+  the apex or the grid's interior vertex and turn back, or lie in the
+  surface around it; and, on fans of the unit circle, paths 3e-9 above and
+  through a rim vertex, coplanar paths inside the fan, and a fan and its
+  threading circle scaled by 1e-150, 1e-100 and 1e-75.
 
 Each set gets a directory OUT/NNN-label holding `values`: per probe, its
 arguments (a point's hex bytes, or a name) and the hex bytes of the result,
@@ -144,6 +153,49 @@ def probe_sets():
         f"{end.tobytes().hex()} "
         f"{value(fluxline.open_path_gauge_shift, line, start + steps * (end - start))}"
         for end in ends]
+    yield "ties-crossing_linking", [
+        f"{label}-{way}-{side} {value(fluxline.crossing_linking, p, surf)}"
+        for label, path, (square, flipped) in tie_probes()
+        for way, p in (("forward", path), ("reversed", path.reversed()))
+        for side, surf in (("up", square), ("down", flipped))]
+
+
+def tie_probes():
+    """(label, path, (surface, the surface flipped)) of the crossing-count tie probes."""
+    def surfaces(vertices, triangles):
+        t = np.array(triangles)
+        return tuple(fluxline.Surface(np.array(vertices, dtype=float), f) for f in (t, t[:, ::-1]))
+
+    def loop(points):
+        return fluxline.ClosedCurve(np.array(points, dtype=float))
+
+    fan = surfaces([(0, 0, 0), (1, -1, 0), (1, 1, 0), (-1, 1, 0), (-1, -1, 0)],
+                   [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 1)])
+    grid = surfaces([(x, y, 0) for y in (-1, 0, 1) for x in (-1, 0, 1)],
+                    [f for i in (0, 1, 3, 4) for f in ((i, i + 1, i + 4), (i, i + 4, i + 3))])
+    for name, mesh, x, y in (("fan-apex", fan, 0, 0), ("fan-edge", fan, 0.5, 0.5),
+                             ("fan-face", fan, 0.25, 0), ("grid-vertex", grid, 0, 0),
+                             ("grid-edge", grid, 0.5, 0), ("grid-diagonal", grid, 0.5, 0.5)):
+        for via in (0, 1):
+            points = [(x, y, -1)] + [(x, y, 0)] * via + [(x, y, 1), (3, y, 1), (3, y, -1)]
+            yield f"{name}-via{via}", loop(points), mesh
+    for name, mesh in (("fan", fan), ("grid", grid)):
+        yield f"{name}-touch", loop([(-0.5, 0, -1), (0, 0, 0), (0.5, 0, -1)]), mesh
+        square = [(-0.5, -0.5, 0), (0.5, -0.5, 0), (0.5, 0.5, 0), (-0.5, 0.5, 0)]
+        yield f"{name}-flat", loop(square), mesh
+    z = (0.0, 0.0, 1.0)
+    unit = fluxline.span_surface(fluxline.make_circle((0.0, 0.0, 0.0), 1.0, z, 1024))
+    disk = fluxline.span_surface(fluxline.make_circle((0.0, 0.0, 0.0), 1.0, z, 64))
+    for rim in (3e-9, 0.0):
+        yield (f"rim-{rim:g}", loop([(0, 0, -1), (0, 0, 1), (1, 0, rim), (2, 0, rim), (2, 0, -1)]),
+               surfaces(unit.vertices, unit.triangles))
+    for n, mesh in ((64, disk), (600, disk)):
+        yield (f"coplanar-{n}", fluxline.make_circle((0.2, 0.0, 0.0), 0.3, z, n),
+               surfaces(mesh.vertices, mesh.triangles))
+    ring = fluxline.make_circle((1.0, 0.0, 0.0), 1.0, (0.0, 1.0, 0.0), 64)
+    for scale in (1e-150, 1e-100, 1e-75):
+        yield (f"scaled-{scale:g}", fluxline.ClosedCurve(ring.points * scale),
+               surfaces(disk.vertices * scale, disk.triangles))
 
 
 def distance_probes(pairs):
