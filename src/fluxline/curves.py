@@ -38,8 +38,9 @@ class ClosedCurve:
     are uniform samples of a smooth periodic curve. `spectrum` holds its
     `rfft` coefficients and `nodes` the quadrature nodes at the native n
     built from them (`quadrature._nodes`), so every line integral over the
-    curve reads one model, computed once per curve. They, the centroid and
-    the diameter are cached on first use; every array is read-only.
+    curve reads one model, computed once per curve. They, the centroid, the
+    diameter and the largest coordinate are cached on first use; every
+    array is read-only.
     Instances are immutable and safe to share across threads: two threads
     that fill a cache at once compute the same values.
     """
@@ -93,9 +94,15 @@ class ClosedCurve:
         return _read_only(self.points.mean(axis=0))
 
     @cached_property
+    def _size(self) -> float:
+        """The largest absolute coordinate."""
+        return float(np.abs(self.points).max())
+
+    @cached_property
     def _diameter(self) -> float:
-        d = self.points - self._centroid
-        return 2.0 * float(np.sqrt(np.max(np.einsum("ij,ij->i", d, d))))
+        k = _exponent(self._size)
+        d = np.ldexp(self.points, -k) - np.ldexp(self._centroid, -k)
+        return float(np.ldexp(2.0 * np.sqrt(np.max(np.einsum("ij,ij->i", d, d))), k))
 
     def segments(self):
         """Segment start points and direction vectors, each (n, 3)."""
@@ -120,6 +127,14 @@ class ClosedCurve:
 def _read_only(a):
     a.flags.writeable = False
     return a
+
+
+def _exponent(size):
+    """The k with 2^(k - 1) <= size < 2^k (0 for size 0). Scaled by 2^-k, the
+    coordinates lie in (-1, 1), where no square overflows or underflows, and
+    every rounding is that of the unscaled values times 2^-k, so results in
+    the normal range keep their bits."""
+    return int(np.frexp(size)[1])
 
 
 @dataclass(frozen=True)
@@ -258,8 +273,12 @@ def _min_segment_distance(p0, u, q0, v, skip_adjacent=False, cutoff=np.inf) -> f
     otherwise some value above cutoff (inf when no pair comes within it).
     A caller that only compares the distance with a tolerance passes the
     tolerance and skips the pairs farther apart; the default inf is the
-    exact scan.
+    exact scan. The scan runs on the inputs scaled by a power of 2
+    (`_exponent`), so it is exact at any scale and keeps its bits.
     """
+    k = _exponent(max(float(np.abs(x).max()) for x in (p0, u, q0, v)))
+    p0, u, q0, v = (np.ldexp(x, -k) for x in (p0, u, q0, v))
+    cutoff = np.ldexp(cutoff, -k)
     n = p0.shape[0]
     boxes_p = _boxes(p0, p0 + u)
     boxes_q = boxes_p if skip_adjacent else _boxes(q0, q0 + v)
@@ -296,7 +315,7 @@ def _min_segment_distance(p0, u, q0, v, skip_adjacent=False, cutoff=np.inf) -> f
     first = np.zeros(runs.shape, dtype=bool)
     first.flat[np.argmin(runs)] = runs.min() <= cutoff
     ub = scan(first, np.inf)
-    return scan((runs <= min(ub, cutoff)) & ~first, ub)
+    return float(np.ldexp(scan((runs <= min(ub, cutoff)) & ~first, ub), k))
 
 
 def min_distance(a: ClosedCurve, b: ClosedCurve, threads=None, *, cutoff=np.inf) -> float:

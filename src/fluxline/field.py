@@ -7,7 +7,7 @@ import numpy as np
 
 from .curves import ClosedCurve, distance_to_curve, min_distance
 from .errors import GeometryError
-from .quadrature import _factored_sum, linking_integral
+from .quadrature import _check_size, _factored_sum, linking_integral
 from .topology import Surface, crossing_linking, grad_solid_angle
 
 GUARD_FACTOR = 1e-6
@@ -47,7 +47,10 @@ def vector_potential(f: FluxLine, x, threads=None):
 
 
 def _guarded_potential(f: FluxLine, xs):
-    """`potential_at`, or GeometryError if a point lies within the guard of the line."""
+    """`potential_at`, or GeometryError if a point lies within the guard of the
+    line or the line's coordinates pass `quadrature.MAX_COORDINATE`, where the
+    pair sum's squared distances overflow."""
+    _check_size(f.curve)
     guard = _guard(f)
     if np.any(distance_to_curve(xs, f.curve, cutoff=guard) <= guard):
         raise GeometryError("evaluation point is too close to the flux line")

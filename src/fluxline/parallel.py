@@ -1,9 +1,10 @@
 """The block size of the serial kernels and the `FLUXLINE_THREADS` check.
 
-Every kernel runs on the calling thread. `topology.crossing_linking` takes
-its rows in fixed blocks of CHUNK_ROWS, and `quadrature.biot_savart` in
-blocks of at most CHUNK_ROWS rows and `quadrature.BLOCK_PAIRS` node pairs,
-which bounds the memory of one block. `--threads` and `FLUXLINE_THREADS`
+Every kernel runs on the calling thread. `quadrature.biot_savart` takes
+its points in blocks of at most CHUNK_ROWS rows and `quadrature.BLOCK_PAIRS`
+node pairs, which bounds the memory of one block, and
+`topology.crossing_linking` its run pairs in chunks of BLOCK_PAIRS
+segment-triangle pairs. `--threads` and `FLUXLINE_THREADS`
 are checked and otherwise unused, and results do not depend on
 `OPENBLAS_NUM_THREADS` either (`biot_savart` contracts in numpy's own loop).
 """

@@ -207,9 +207,7 @@ def linking_integral(path, curve) -> float:
             b = biot_savart(mc, wc, mp)
         return float(np.einsum("ij,ij->", b, wp)) / (4.0 * np.pi)
 
-    size = max(float(np.abs(c.points).max()) for c in (path, curve))
-    if size > MAX_COORDINATE:
-        raise GeometryError(f"curve coordinates reach {size:.3g}, above {MAX_COORDINATE:.0e}")
+    _check_size(path, curve)
     n = min(path.n, curve.n)
     m = TRUNCATE_FROM
     while 4 * m <= n and not (_tail_ok(path, m) and _tail_ok(curve, m)):
@@ -225,7 +223,14 @@ def linking_integral(path, curve) -> float:
     return total()
 
 
+def _check_size(*curves):
+    """GeometryError naming the size if the curves' coordinates pass MAX_COORDINATE."""
+    size = max(c._size for c in curves)
+    if size > MAX_COORDINATE:
+        raise GeometryError(f"curve coordinates reach {size:.3g}, above {MAX_COORDINATE:.0e}")
+
+
 def _tail_ok(c, m):
     """Whether truncating the curve to m nodes moves no coordinate past rounding level."""
     tail = np.abs(c.spectrum[m // 2:]).sum(axis=0).max() * (2.0 / c.n)
-    return tail <= TAIL_TOL * np.abs(c.points).max()
+    return tail <= TAIL_TOL * c._size

@@ -7,8 +7,8 @@ import numpy as np
 from .curves import (SCAN_BLOCK, ClosedCurve, _box_bound, _boxes, _min_segment_distance,
                      min_distance, point_segment_distance)
 from .errors import GeometryError, SchemaError, UnderResolvedError, check_numbers, read_json
-from .parallel import CHUNK_ROWS
-from .quadrature import _NEXT, _PREV, MAX_COORDINATE, _cross, _factored_sum, linking_integral
+from .quadrature import (_NEXT, _PREV, BLOCK_PAIRS, MAX_COORDINATE, _cross, _factored_sum,
+                         linking_integral)
 
 TOUCH_GUARD = 1e-9
 DEFAULT_LINK_TOL = 1e-3
@@ -159,23 +159,33 @@ def _orient_signs(o, x, y, z, edge):
     tests) or y and z (edge tests), moved by (e, e^2, e^3), e -> 0+: by the
     first nonzero of the gradient in that move, (x - o) x (y - o) or
     (x - o) x (y - z). A float term keeps its sign past its rounding bound,
-    is 0 if each product has an exact 0 factor, else goes to `_ints`."""
+    is 0 if each product has an exact 0 factor, else goes to `_ints`. The
+    value is taken first: only the rows its bound leaves open build the rest."""
     X, Y, Z = ((v - o).T for v in (x, y, z))
-    W = (y - z).T if edge else Y
-    value = np.vstack([(X * _cross(Y, Z)).sum(axis=0), _cross(X, W)])
-    bound = np.vstack([ORIENT_BOUND * (abs(X) * _pcross(abs(Y), abs(Z))).sum(axis=0),
-                       GRADIENT_BOUND * _pcross(abs(X), abs(W))]) \
-        + UNDERFLOW * (1.0 + abs(X).max(axis=0))
+    slack = UNDERFLOW * (1.0 + abs(X).max(axis=0))
+    value = (X * _cross(Y, Z)).sum(axis=0)
+    sign = np.where(abs(value) > ORIENT_BOUND * (abs(X) * _pcross(abs(Y), abs(Z))).sum(axis=0)
+                    + slack, np.sign(value), 0.0)
+    tie = sign == 0.0
+    rows = np.flatnonzero(tie)
+    if not rows.size:
+        return sign, tie
+    X, Y, Z, slack = X[:, rows], Y[:, rows], Z[:, rows], slack[rows]
+    W = (y[rows] - z[rows]).T if edge else Y
+    grad = _cross(X, W)
+    s = np.vstack([np.zeros(rows.size),
+                   np.where(abs(grad) > GRADIENT_BOUND * _pcross(abs(X), abs(W)) + slack,
+                            np.sign(grad), 0.0)])
     nonzero = np.vstack([((X != 0.0) & _pcross(Y != 0.0, Z != 0.0)).any(axis=0),
                          _pcross(X != 0.0, W != 0.0)])
-    s = np.where(abs(value) > bound, np.sign(value), 0.0)
-    rows = np.flatnonzero((nonzero & ~np.logical_or.accumulate(s != 0.0)).any(axis=0))
-    if rows.size:
-        io, ix, iy, iz = _ints(o[rows], x[rows], y[rows], z[rows])
+    exact = np.flatnonzero((nonzero & ~np.logical_or.accumulate(s != 0.0)).any(axis=0))
+    if exact.size:
+        io, ix, iy, iz = _ints(*(v[rows[exact]] for v in (o, x, y, z)))
         xi = ix - io
-        s[:, rows] = np.sign(np.vstack([(xi * _cross(iy - io, iz - io)).sum(axis=0),
-                                        _cross(xi, iy - (iz if edge else io))]))
-    return s[np.argmax(s != 0.0, axis=0), np.arange(s.shape[1])], s[0] == 0.0
+        s[:, exact] = np.sign(np.vstack([(xi * _cross(iy - io, iz - io)).sum(axis=0),
+                                         _cross(xi, iy - (iz if edge else io))]))
+    sign[rows], tie[rows] = s[np.argmax(s != 0.0, axis=0), np.arange(rows.size)], s[0] == 0.0
+    return sign, tie
 
 
 @np.errstate(under="ignore", over="ignore", invalid="ignore")  # the bounds or `_ints` cover these
@@ -189,9 +199,15 @@ def crossing_linking(path: ClosedCurve, surf: Surface, threads=None) -> int:
     Signs are exact, ties broken as if the path moved (`_orient_signs`). A
     tie in a pair whose boxes meet raises if the path comes within
     TOUCH_GUARD of its diameter of the boundary, where the move may matter.
+
+    Only the pairs of a SCAN_BLOCK-segment run and a SCAN_BLOCK-triangle run
+    whose boxes meet are evaluated, in chunks of BLOCK_PAIRS segment-triangle
+    pairs: each chunk takes the plane values of its runs' vertices against
+    their triangles as one batched product.
     """
     pts, n = path.points, path.n
     a, b, c = surf.corners()
+    tris = a.shape[0]
     # v = n.(x - o) - n.(a - o), so that the bound holds |x - o|, not |x|
     e1, e2, ao, po = b - a, c - a, a - path.centroid(), pts - path.centroid()
     nrm = np.cross(e1, e2)
@@ -200,35 +216,39 @@ def crossing_linking(path: ClosedCurve, surf: Surface, threads=None) -> int:
     # norm to first order, n* the exact normal; 2^-1000 covers underflow
     size = max(float(abs(e1).max() * abs(e2).max()), 2.0 ** -1000)
     bound = PLANE_BOUND * size * float(abs(ao).max() + abs(po).max()) + 2.0 ** -1000
-    (tlo, thi, lo, hi), run = _boxes(a, b, c), np.arange(a.shape[0]) // SCAN_BLOCK
-    # CHUNK_ROWS is a multiple of SCAN_BLOCK: a block's runs are the path's
+    tlo, thi, lo, hi = _boxes(a, b, c)
     slo, shi, plo, phi = _boxes(pts, np.roll(pts, -1, axis=0))
 
     def meet(s, t):  # a pair whose boxes meet, which every count evaluates, culled or not
         return ((slo[:, s] <= thi[:, t]) & (tlo[:, t] <= shi[:, s])).all(axis=0).any()
 
+    # the first segment and the first triangle of every pair of runs whose boxes meet
+    starts = np.argwhere(_box_bound(plo, phi, lo, hi, 0.0) <= 0.0) * SCAN_BLOCK
+    chunk = BLOCK_PAIRS // SCAN_BLOCK ** 2  # run pairs
     count, tied = 0, False
-    for i0 in range(0, n, CHUNK_ROWS):
-        block = slice(i0 // SCAN_BLOCK, (i0 + CHUNK_ROWS) // SCAN_BLOCK)
-        t = np.flatnonzero((_box_bound(plo[:, block], phi[:, block], lo, hi, 0.0)
-                            <= 0.0).any(axis=0)[run])
-        # the block's segments join its rows of vertices
-        k = np.arange(i0, min(i0 + CHUNK_ROWS, n) + 1) % n
-        v = po[k] @ nrm[t].T - na[t]
+    for r0 in range(0, starts.shape[0], chunk):
+        first = starts[r0:r0 + chunk]
+        # each run pair's SCAN_BLOCK + 1 vertices, which its segments join, and
+        # its triangles; the ragged last runs are padded, and masked by `live`
+        k, t = first[:, :1] + np.arange(SCAN_BLOCK + 1), first[:, 1:] + np.arange(SCAN_BLOCK)
+        live = (k <= n)[:, :, None] & (t < tris)[:, None, :]
+        k, t = k % n, np.minimum(t, tris - 1)
+        v = po[k] @ nrm[t].transpose(0, 2, 1) - na[t][:, None, :]
         side = np.where(abs(v) > bound, np.sign(v), 0.0)
-        i, j = np.nonzero(side == 0.0)
-        if i.size:
-            side[i, j], tie = _orient_signs(a[t[j]], b[t[j]], c[t[j]], pts[k[i]], False)
-            i, j = k[i[tie]], t[j[tie]]
-            tied |= meet(i - 1, j) or meet(i, j)  # a vertex ends two segments
-        i, j = np.nonzero(side[:-1] != side[1:])
-        if not i.size:
+        r, i, j = np.nonzero((side == 0.0) & live)
+        if r.size:
+            x, y = k[r, i], t[r, j]
+            side[r, i, j], tie = _orient_signs(a[y], b[y], c[y], pts[x], False)
+            x, y = x[tie], y[tie]
+            tied |= meet(x - 1, y) or meet(x, y)  # a vertex ends two segments
+        r, i, j = np.nonzero((side[:, :-1] != side[:, 1:]) & live[:, 1:])
+        if not r.size:
             continue
-        p, q, tj = pts[k[i]], pts[k[i + 1]], t[j]
+        p, q, tj = pts[k[r, i]], pts[k[r, i + 1]], t[r, j]
         (s0, z0), (s1, z1), (s2, z2) = (_orient_signs(e[tj], f[tj], p, q, True)
                                         for e, f in ((a, b), (b, c), (c, a)))
-        tied |= meet(k[i[z0 | z1 | z2]], tj[z0 | z1 | z2])
-        count += int(side[i + 1, j][(s0 == s1) & (s1 == s2)].sum())
+        tied |= meet(k[r, i][z0 | z1 | z2], tj[z0 | z1 | z2])
+        count += int(side[r, i + 1, j][(s0 == s1) & (s1 == s2)].sum())
     touch = TOUCH_GUARD * path.diameter()
     if tied and _boundary_distance(path, surf, touch) < touch:
         raise GeometryError("path touches or nearly touches the surface boundary")

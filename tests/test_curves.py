@@ -397,6 +397,27 @@ def test_self_check_decides_as_the_full_scan(tmp_path, make, args, crosses):
         assert fl.load_curve(path).n == len(pts)
 
 
+@pytest.mark.parametrize("scale", [pytest.param(2.0 ** -530, id="2^-530"), 1e-150, 1e-100, 1e100,
+                                   1e150, 1e160, pytest.param(2.0 ** 530, id="2^530")])
+def test_segment_scans_hold_at_any_scale(scale):
+    # the kernel's squared lengths overflowed above about 1e77 and flushed
+    # to 0 below about 1e-77: the figure-eights passed the self check at
+    # 1e100, 1e150 and 1e-150, and min_distance of a Hopf pair read inf at
+    # 1e160. Scaled by a power of 2, every distance keeps its bits
+    with np.errstate(over="raise", invalid="raise"):
+        for offset, roll in EIGHTS:
+            with pytest.raises(fl.GeometryError, match="non-adjacent segments intersect"):
+                curves._check_self_avoiding(_eight(offset, roll) * scale, "eight")
+        pair = hopf_pair(256)
+        scaled = [fl.ClosedCurve(c.points * scale) for c in pair]
+        got = [fl.min_distance(*scaled), scaled[0].diameter()]
+    want = [fl.min_distance(*pair) * scale, pair[0].diameter() * scale]
+    if np.frexp(scale)[0] == 0.5:
+        assert got == want
+    else:
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
 @pytest.mark.parametrize("shift", [0.0, 1e7])
 @pytest.mark.parametrize("factor", [0.5, 2.0])
 def test_touch_check_decides_as_the_full_scan(factor, shift):

@@ -58,6 +58,24 @@ def test_potential_guard_near_curve(unit_flux_line):
         fl.vector_potential(unit_flux_line, np.array([1.0, 0.0, 0.0]))
 
 
+
+@pytest.mark.parametrize("scale", [1e70, 1e80, 1e160])
+def test_potential_counts_or_names_the_coordinate_size(scale):
+    # a 1024-point unit circle, scaled: at 1e160 the potential read
+    # [0, 0, nan] with only RuntimeWarnings, its squared distances overflowed
+    unit = fl.FluxLine(circle((0, 0, 0), 1.0, Z, 1024), 1.0)
+    line = fl.FluxLine(fl.ClosedCurve(unit.curve.points * scale), 1.0)
+    x = np.array([0.1, 0.2, 0.5])
+    with np.errstate(all="raise"):
+        if scale < fl.quadrature.MAX_COORDINATE:
+            np.testing.assert_allclose(fl.vector_potential(line, x * scale) * scale,
+                                       fl.vector_potential(unit, x), rtol=1e-12, atol=1e-15)
+            return
+        size = f"curve coordinates reach 1e\\+{round(np.log10(scale))}, above 1e\\+72"
+        with pytest.raises(fl.GeometryError, match=size):
+            fl.vector_potential(line, x * scale)
+
+
 def guard_sweep(c, rng, count=240):
     """Points 1e-9 to 10^0.5 from points of c's polyline, a third of them
     within 10% of the guard, 1e-6 diameters."""

@@ -1,5 +1,6 @@
 """Linking integrals, spanning fans, crossing counts, and solid angles."""
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from conftest import (
     random_pair,
     refined_solid_angle,
 )
+from test_curves import _circle_pair, _rotated
 
 
 def rectangle_loop(width, height, center, n_per_side=64):
@@ -119,8 +121,9 @@ def test_linking_sum_counts_or_names_the_coordinate_size(scale):
     size = f"curve coordinates reach 2e\\+{round(np.log10(scale))}, above 1e\\+72"
     with pytest.raises(fl.GeometryError, match=size):
         fl.gauss_linking(path, flux_curve)
-    # at 1e160 the circulation's guard, whose squared distances overflow, refuses first
-    with pytest.raises(fl.GeometryError, match=size if scale < 1e155 else "touches"):
+    # the circulation's guard scans at any scale: at 1e160 its squared
+    # distances overflowed, and it refused the pair as touching
+    with pytest.raises(fl.GeometryError, match=size):
         fl.circulation(fl.FluxLine(flux_curve, 1.0), path)
 
 
@@ -133,9 +136,10 @@ def _crossing_or_error(path, surf):
 
 
 def _unculled_crossing(monkeypatch, path, surf):
-    """_crossing_or_error with every run box infinite, so that no triangle is
-    culled: the dense reference, each block against the whole mesh. Fails if
-    the count no longer builds its boxes through the patched builder."""
+    """_crossing_or_error with every run box infinite, so that no pair is
+    culled: the dense reference, every segment run against every triangle
+    run. Fails if the count no longer builds its boxes through the patched
+    builder."""
     boxes, calls = topology._boxes, []
 
     def infinite(*corners):
@@ -152,8 +156,8 @@ def _unculled_crossing(monkeypatch, path, surf):
 
 
 def test_crossing_count_thread_count_invariant(monkeypatch, started_threads, unit_disk):
-    # every path has more than one 256-row block, and the count is serial:
-    # two threads start no thread
+    # unculled, every count spans several chunks of run pairs, and the count
+    # is serial: two threads start no thread
     monkeypatch.setenv("FLUXLINE_THREADS", "2")
     long = rectangle_loop(2.0, 1.0, (0.3, 0, 0), n_per_side=80)
     apex = circle((1, 0, 0), 1.0, Y, 1024)  # passes within 1e-10 of the fan apex
@@ -188,6 +192,31 @@ def test_crossing_cull_drops_only_pairs_whose_boxes_are_apart(monkeypatch, shift
             path = fl.ClosedCurve(np.array(points) + shift)
             got = _crossing_or_error(path, tri)
             assert got == want == _unculled_crossing(monkeypatch, path, tri)
+
+
+
+def test_crossing_count_evaluates_few_plane_values(monkeypatch):
+    # only the pairs of a segment run and a triangle run whose boxes meet
+    # are evaluated: on these pairs, 0.9-3.2% of the (n + 1) t plane values,
+    # against 7-25% when the cull took 256-row blocks, which meet every run
+    # of the fan beside its apex
+    box_bound, meets = topology._box_bound, []
+
+    def recording(*args):
+        gaps = box_bound(*args)
+        meets.append(gaps <= 0.0)
+        return gaps
+
+    monkeypatch.setattr(topology, "_box_bound", recording)
+    for seed in range(3):
+        for pair in (_circle_pair(seed, 1024, True), _rotated(_circle_pair, seed, 1024, True)):
+            for path, flux_curve in (pair, pair[::-1]):
+                meets.clear()
+                assert abs(fl.crossing_linking(path, fl.span_surface(flux_curve))) == 1
+                # one cull; each pair of full runs holds 33 vertices and 32 triangles
+                (m,) = meets
+                assert m.shape == (32, 32)
+                assert m.sum() * 33 * 32 < 0.05 * 1025 * 1024
 
 
 def test_span_disk_area():
@@ -241,7 +270,8 @@ def test_crossing_single_pierce_plus_one(unit_disk):
     assert fl.crossing_linking(loop, unit_disk) == -1
     assert fl.crossing_linking(loop.reversed(), unit_disk) == 1
     # 320 segments: the pierce lands on vertex 280, which relabelling moves
-    # to 256, the first row of the second 256-row block, and into the first
+    # to 256 and 240, each the end of one 32-segment run and the start of the
+    # next, and to 255 and 60, inside runs
     long = rectangle_loop(2.0, 1.0, (0.3, 0, 0), n_per_side=80)
     assert np.all(long.points[280] == [-0.7, 0.0, 0.0])
     for shift in (0, -24, -25, -40, 100):
@@ -419,6 +449,47 @@ def test_crossing_under_a_cone_rim_counts_0_through_every_tie():
             surf = fl.Surface(vertices + shift, t)
             assert fl.crossing_linking(path, surf) == 0
             assert fl.crossing_linking(path.reversed(), surf) == 0
+
+
+
+def _fraction_signs(o, x, y, z, edge):
+    """`_orient_signs` in exact rationals: the sign of det[x - o, y - o, z - o],
+    else of the first nonzero component of (x - o) x (y - o), or of
+    (x - o) x (y - z) for an edge test; and whether the determinant is 0."""
+    signs, ties = [], []
+    for row in zip(o, x, y, z):
+        po, px, py, pz = ([Fraction(float(c)) for c in v] for v in row)
+        X, Y, Z = ([a - b for a, b in zip(v, po)] for v in (px, py, pz))
+        W = [a - b for a, b in zip(py, pz)] if edge else Y
+
+        def cross(a, b):
+            return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
+
+        det = sum(a * b for a, b in zip(X, cross(Y, Z)))
+        terms = [det, *cross(X, W)]
+        signs.append(next((float(np.sign(t)) for t in terms if t != 0), 0.0))
+        ties.append(det == 0)
+    return signs, ties
+
+
+@pytest.mark.parametrize("edge", [False, True])
+def test_orient_signs_match_exact_rationals(edge):
+    # value first, then gradient: random rows, which the value's float bound
+    # decides; small integer grids, full of exact zeros and ties; points
+    # within rounding of one plane, which go to the integers; and the grids
+    # scaled into the subnormals and far up, where products underflow or
+    # the float terms overflow
+    rng = np.random.default_rng(24)
+    k = 150
+    grid = rng.integers(-2, 3, size=(4, k, 3)).astype(float)
+    o, x, y = rng.normal(size=(3, k, 3)) * 10.0 ** rng.uniform(-150, 60, size=(k, 1))
+    st = rng.normal(size=(2, k, 1))
+    flat = (o, x, y, o + st[0] * (x - o) + st[1] * (y - o))
+    for rows in (rng.normal(size=(4, k, 3)), grid, flat, grid * 2.0 ** -1060, grid * 2.0 ** 500):
+        with np.errstate(under="ignore", over="ignore", invalid="ignore"):
+            sign, tie = topology._orient_signs(*rows, edge)
+        want, ties = _fraction_signs(*rows, edge)
+        assert sign.tolist() == want and tie.tolist() == ties
 
 
 def test_crossing_count_measures_the_boundary_only_after_a_tie(monkeypatch):

@@ -20,6 +20,12 @@ this checkout's `src/`:
   tolerance of 1e-12 times the largest coordinate (exit 2), and on one
   whose legs lie 1e-9 apart (exit 0).
 
+The runs on scaled curves come last, after the library probes below:
+`link` on a Hopf pair of 256-point circles scaled by 1e160, and on the
+figure-eight and the circle of radius 3 about it, scaled by 1e-150,
+1e-100, 1e100, 1e150 and 1e160, where squared distances overflow or
+underflow.
+
 Each run gets a directory OUT/NNN-label holding its argv, stdout, stderr,
 exit code and a copy of every file it wrote.
 
@@ -44,7 +50,11 @@ that this file runs against an older `src/` too:
   the apex or the grid's interior vertex and turn back, or lie in the
   surface around it; and, on fans of the unit circle, paths 3e-9 above and
   through a rim vertex, coplanar paths inside the fan, and a fan and its
-  threading circle scaled by 1e-150, 1e-100 and 1e-75.
+  threading circle scaled by 1e-150, 1e-100 and 1e-75;
+- `crossing_linking` both ways on the `link_files` pairs of seeds 0, 1 and
+  2, and on a 1023-point star whose every 32-segment run passes the apex
+  of a 1024-triangle fan, so that every pair of runs meets, forward and
+  reversed.
 
 Each set gets a directory OUT/NNN-label holding `values`: per probe, its
 arguments (a point's hex bytes, or a name) and the hex bytes of the result,
@@ -137,16 +147,15 @@ def probe_sets():
     mid = 0.5 * (line.curve.points[0] + line.curve.points[1])
     ends = [mid + [0.0, 0.0, d] for d in (1e-9, 1.9e-6, 2.1e-6, 1e-5, 1e-3)]
     yield "guard-probes", [probe(line, p) for p in ends]
+    link_pairs = {}
     for seed in SEEDS:
         ops = workloads.build("link_files", seed, WORK / f"link_files-{seed}")[1]
-        pairs = [(f"{k}-{op.kind}", *map(fluxline.load_curve, op.spec["argv"][2:5:2]))
-                 for k, op in enumerate(ops)]
-        yield f"link_files-{seed}-min_distance", distance_probes(pairs)
+        link_pairs[seed] = [(f"{k}-{op.kind}", *map(fluxline.load_curve, op.spec["argv"][2:5:2]))
+                            for k, op in enumerate(ops)]
+        yield f"link_files-{seed}-min_distance", distance_probes(link_pairs[seed])
     presets = [(f"{name}-{n}", *preset_curves(name, n)) for name in cli.PRESETS for n in SAMPLES]
     yield "presets-min_distance", distance_probes(presets)
-    yield "presets-crossing_linking", [
-        f"{label}-{way} {value(fluxline.crossing_linking, p, fluxline.span_surface(s))}"
-        for label, a, b in presets for way, p, s in (("ab", a, b), ("ba", b, a))]
+    yield "presets-crossing_linking", crossing_probes(presets)
     # straight open paths of 64 segments from the axis to the points across the guard
     start, steps = np.array([0.0, 0.0, 0.5]), np.linspace(0.0, 1.0, 65)[:, None]
     yield "guard-open-paths", [
@@ -158,6 +167,48 @@ def probe_sets():
         for label, path, (square, flipped) in tie_probes()
         for way, p in (("forward", path), ("reversed", path.reversed()))
         for side, surf in (("up", square), ("down", flipped))]
+    for seed in SEEDS:
+        yield f"link_files-{seed}-crossing_linking", crossing_probes(link_pairs[seed])
+    # 341 spikes, each at its own golden-angle step: in at radius 0.05 and
+    # z = 0.5, down through the fan to radius 1.5 and z = -0.5, and back up
+    # outside it. Each 32-segment run's box holds the origin, the apex of
+    # every triangle run's box; the last of its 32 runs holds 31 segments,
+    # and the star crosses the fan 341 times
+    phi = np.repeat(np.arange(341) * math.pi * (3.0 - math.sqrt(5.0)), 3)
+    r, z = np.tile([0.05, 1.5, 1.5], 341), np.tile([0.5, -0.5, 0.5], 341)
+    star = fluxline.ClosedCurve(np.column_stack([r * np.cos(phi), r * np.sin(phi), z]))
+    fan = fluxline.span_surface(fluxline.make_circle((0.0, 0.0, 0.0), 1.0, (0.0, 0.0, 1.0), 1024))
+    yield "all-runs-meet-crossing_linking", [
+        f"star-{way} {value(fluxline.crossing_linking, p, fan)}"
+        for way, p in (("forward", star), ("reversed", star.reversed()))]
+
+
+def scaled_runs():
+    """(label, argv, files written) of the runs on scaled curve files, in order."""
+    tmp = WORK / "scaled"
+    tmp.mkdir(parents=True)
+    files = []
+    for name, c in zip(("a", "b"), preset_curves("hopf", 256)):
+        files.append(tmp / f"hopf-{name}-1e+160.json")
+        files[-1].write_text(json.dumps({"points": (c.points * 1e160).tolist()}) + "\n")
+    yield "link-hopf-1e+160", ["link", "--curve-a", str(files[1]), "--curve-b", str(files[0])], []
+    # the figure-eight that `runs` wrote, and the circle of radius 3 about it
+    eight, circle = (json.loads((WORK / "curves" / f"{name}.json").read_text())["points"]
+                     for name in ("eight", "circle"))
+    for scale in (1e-150, 1e-100, 1e100, 1e150, 1e160):
+        files = []
+        for name, points, size in (("eight", eight, scale), ("circle", circle, 3.0 * scale)):
+            files.append(tmp / f"{name}-{scale:g}.json")
+            scaled = [[size * x for x in p] for p in points]
+            files[-1].write_text(json.dumps({"points": scaled}) + "\n")
+        yield (f"link-eight-{scale:g}",
+               ["link", "--curve-a", str(files[0]), "--curve-b", str(files[1])], [])
+
+
+def crossing_probes(pairs):
+    """`values` lines of crossing_linking on each (label, a, b), both ways round."""
+    return [f"{label}-{way} {value(fluxline.crossing_linking, p, fluxline.span_surface(s))}"
+            for label, a, b in pairs for way, p, s in (("ab", a, b), ("ba", b, a))]
 
 
 def tie_probes():
@@ -260,23 +311,29 @@ def main(argv):
     out.mkdir(parents=True, exist_ok=True)
     shutil.rmtree(WORK, ignore_errors=True)
     for k, (label, args, files) in enumerate(runs()):
-        code, stdout, stderr = run(args)
-        d = out / f"{k:03d}-{label}"
-        d.mkdir()
-        (d / "argv.json").write_text(json.dumps(args) + "\n")
-        (d / "code").write_text(f"{code}\n")
-        (d / "stdout").write_text(stdout)
-        (d / "stderr").write_text(stderr)
-        for path in map(Path, files):
-            if path.exists():
-                shutil.copy(path, d / path.name)
-        print(f"{k:03d} {label}: exit {code}")
+        write_run(out / f"{k:03d}-{label}", args, files)
     for k, (label, lines) in enumerate(probe_sets(), start=k + 1):
         d = out / f"{k:03d}-{label}"
         d.mkdir()
         (d / "values").write_text("".join(x + "\n" for x in lines))
-        print(f"{k:03d} {label}: {len(lines)} probes")
+        print(f"{d.name}: {len(lines)} probes")
+    for k, (label, args, files) in enumerate(scaled_runs(), start=k + 1):
+        write_run(out / f"{k:03d}-{label}", args, files)
     shutil.rmtree(WORK, ignore_errors=True)
+
+
+def write_run(d, args, files):
+    """Run args and write its argv, exit code, output and written files to d."""
+    code, stdout, stderr = run(args)
+    d.mkdir()
+    (d / "argv.json").write_text(json.dumps(args) + "\n")
+    (d / "code").write_text(f"{code}\n")
+    (d / "stdout").write_text(stdout)
+    (d / "stderr").write_text(stderr)
+    for path in map(Path, files):
+        if path.exists():
+            shutil.copy(path, d / path.name)
+    print(f"{d.name}: exit {code}")
 
 
 if __name__ == "__main__":
