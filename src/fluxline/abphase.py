@@ -7,7 +7,7 @@ sets the shape-independent scale and cancels out of every phase.
 import math
 from dataclasses import dataclass, replace
 
-from .curves import ClosedCurve, DeformationSpec, _deform, deform_homotopy, min_distance
+from .curves import ClosedCurve, DeformationSpec, _deform, min_distance
 from .errors import GeometryError
 from .field import FluxLine, _guard, circulation
 from .quadrature import linking_integral
@@ -89,13 +89,6 @@ def _suite_entry(phases, base, tol):
     }
 
 
-def _released(states):
-    """Yield the items of the list states in order, dropping each from the list first."""
-    states.reverse()
-    while states:
-        yield states.pop()
-
-
 def invariance_suite(p: PhaseParams, f: FluxLine, path: ClosedCurve,
                      spec: DeformationSpec, tol: float = DEFAULT_SUITE_TOL,
                      threads=None) -> dict:
@@ -115,23 +108,19 @@ def invariance_suite(p: PhaseParams, f: FluxLine, path: ClosedCurve,
             return p.alpha * linking_integral(c, flux_curve)
         return ab_phase_circulation(p, FluxLine(curve=flux_curve, flux=f.flux), c)
 
-    # each state is released as its phases are taken, and with it the
-    # spectra and nodes its curves cached: one family's points at a time
     suites = {}
     suites["path"] = _suite_entry(
-        [phase(f.curve, c) for c in _released(deform_homotopy(path, f.curve, spec))],
-        base, tol)
+        [phase(f.curve, c) for c, _ in _deform(path, f.curve, spec, False)], base, tol)
 
     flux_spec = replace(spec, seed=spec.seed + 1)
     suites["flux_curve"] = _suite_entry(
-        [phase(c, path) for c in _released(deform_homotopy(f.curve, path, flux_spec))],
-        base, tol)
+        [phase(c, path) for c, _ in _deform(f.curve, path, flux_spec, False)], base, tol)
 
     # role swap: the linking integrand is symmetric under exchanging the
     # curves, so using the path as the flux line must reproduce the phase
     both_spec = replace(spec, seed=spec.seed + 2)
     both = [(phase(fc, pc), phase(pc, fc))
-            for pc, fc in _released(_deform(path, f.curve, both_spec, True))]
+            for pc, fc in _deform(path, f.curve, both_spec, True)]
     suites["simultaneous"] = _suite_entry([sim for sim, _ in both], base, tol)
     suites["swap"] = _suite_entry([swap for _, swap in both], base, tol)
 

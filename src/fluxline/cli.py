@@ -28,6 +28,7 @@ from .gauge import SolenoidConfig, singular_gauge_closed_line_demo, solenoid_sin
 from .interference import (TwoSlitConfig, _csv, ab_shift_analytic, ab_shift_measured,
                            beam_geometry, fringe_spacing, pattern, write_pattern)
 from .parallel import check_threads_env
+from .quadrature import MAX_COORDINATE
 from .topology import crossing_linking, gauss_linking, span_surface
 
 
@@ -45,7 +46,7 @@ class Opt:
     key: config key and report key. kind: "int", "real", "str", "bool" or
     "choice". A null value is accepted only where the default is null.
     at_least / above: inclusive / exclusive lower bound of a number; at_most:
-    inclusive upper bound, on options that size an array up front. choices:
+    inclusive upper bound. choices:
     allowed values; argparse enforces them only for kind "choice". A choice
     whose flags are one switch per value takes one help text per switch.
     """
@@ -147,10 +148,8 @@ PHASE = (
     FLUX, SAMPLES, TOL, SEED, THREADS,
     Opt("invariance", "bool", False,
         "also run the four deformation-invariance suites"),
-    # the suite holds one family at a time, steps + 1 states of at most two
-    # curves, 393 KB a curve at the largest samples: 1024 steps is 0.8 GB; a
-    # curve's spectrum, nodes and kernel factor, six times its points, go
-    # with its state
+    # the suite takes each state's phases as it is drawn and holds one state,
+    # so memory does not grow with steps; the bound caps the suite's time
     Opt("steps", "int", 20, "deformation steps", at_least=1, at_most=1024),
     Opt("amplitude", "real", 0.2, "deformation amplitude", at_least=0),
     Opt("clearance", "real", 0.05, "minimum curve separation", above=0),
@@ -161,8 +160,11 @@ PHASE = (
 FIELD = (
     FLUX,
     Opt("radius", "real", 1.0, "flux circle radius"),
-    Opt("start", "real", 0.0, flags=("--from",), metavar="Z0"),
-    Opt("stop", "real", 2.0, flags=("--to",), metavar="Z1"),
+    # the pair sum and the analytic column cube distances, finite to MAX_COORDINATE
+    Opt("start", "real", 0.0, flags=("--from",), metavar="Z0",
+        at_least=-MAX_COORDINATE, at_most=MAX_COORDINATE),
+    Opt("stop", "real", 2.0, flags=("--to",), metavar="Z1",
+        at_least=-MAX_COORDINATE, at_most=MAX_COORDINATE),
     Opt("steps", "int", 64, "number of axis samples", at_least=2, at_most=1048576),
     SAMPLES, SEED, TOL, THREADS, OUTPUT,
 )
@@ -300,11 +302,12 @@ def cmd_field(o, config) -> int:
     # zeros, not zs times the axis: a negative z would put -0.0 in x and y
     points = np.zeros((zs.size, 3))
     points[:, 2] = zs
+    # first, so that its refusals of the curve's size come before the column below
+    potential = _guarded_potential(f, points)
     # per value, not over the array: numpy's vectorised power rounds
     # otherwise than the C library's in the last bit
     analytic = [flux * radius ** 2 / (2.0 * (radius ** 2 + z ** 2) ** 1.5) for z in zs.tolist()]
-    _emit(_csv("z,A_x,A_y,A_z,A_axial_analytic", (zs, _guarded_potential(f, points), analytic)),
-          o["output"], config)
+    _emit(_csv("z,A_x,A_y,A_z,A_axial_analytic", (zs, potential, analytic)), o["output"], config)
     return 0
 
 

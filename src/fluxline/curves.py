@@ -56,7 +56,7 @@ class ClosedCurve:
         if not np.all(np.isfinite(pts)):
             raise GeometryError("curve points must be finite")
         seg = np.roll(pts, -1, axis=0) - pts
-        if float(np.min(np.einsum("ij,ij->i", seg, seg))) == 0.0:
+        if not (seg != 0.0).any(axis=1).all():  # exact, where squared lengths underflow
             raise GeometryError("consecutive curve points must be distinct")
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
@@ -477,12 +477,12 @@ def _displacement(rng, cos, sin):
 def _deform(a: ClosedCurve, b: ClosedCurve, spec: DeformationSpec, move_b: bool):
     """Seeded rejection loop: deform a, and b too when move_b, keeping clearance.
 
-    Returns spec.steps + 1 pairs (a_i, b_i), the first being (a, b), each
-    more than spec.clearance apart. Every attempt draws one displacement per
-    moving curve, a first. Each moving curve steps at most half the clearance
-    split among the moving curves, so the relative motion between accepted
-    states stays below half the clearance and the pair cannot pass through
-    each other between steps.
+    Yields spec.steps + 1 pairs (a_i, b_i) as they are drawn, the first
+    being (a, b), each more than spec.clearance apart. Every attempt draws
+    one displacement per moving curve, a first. Each moving curve steps at
+    most half the clearance split among the moving curves, so the relative
+    motion between accepted states stays below half the clearance and the
+    pair cannot pass through each other between steps.
 
     The pair's distance is carried as a lower bound lb (conservative
     advancement, Mirtich 1996). A step moves every vertex of a moving curve,
@@ -504,7 +504,7 @@ def _deform(a: ClosedCurve, b: ClosedCurve, spec: DeformationSpec, move_b: bool)
     moving = [a, b] if move_b else [a]
     modes = [_mode_columns(2.0 * np.pi * np.arange(c.n) / c.n, spec.n_modes) for c in moving]
     step = min(spec.amplitude / spec.steps, 0.5 * spec.clearance / len(moving))
-    out = [(a, b)]
+    yield a, b
     for _ in range(spec.steps):
         for attempt in range(spec.max_tries + 1):
             if attempt == spec.max_tries:
@@ -524,9 +524,8 @@ def _deform(a: ClosedCurve, b: ClosedCurve, spec: DeformationSpec, move_b: bool)
             if dist > spec.clearance:
                 lb = dist
                 break
-        out.append(pair)
+        yield pair
         moving = cand
-    return out
 
 
 def deform_homotopy(c: ClosedCurve, obstacle: ClosedCurve, spec: DeformationSpec, threads=None):

@@ -41,7 +41,7 @@ def _open_polyline(gamma):
     if not np.all(np.isfinite(pts)):
         raise GeometryError("open path points must be finite")
     d = np.diff(pts, axis=0)
-    if float(np.min(np.einsum("ij,ij->i", d, d))) == 0.0:
+    if not (d != 0.0).any(axis=1).all():  # exact, where squared lengths underflow
         raise GeometryError("consecutive open path points must be distinct")
     return pts, d
 

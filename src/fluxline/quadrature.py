@@ -131,6 +131,7 @@ def _factor(mids, weights):
     return o, rel, np.concatenate([w, _cross(w, rel)])
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")  # the sum's check covers these
 def _factored_sum(factor, xs):
     """`biot_savart` at xs on the curve whose `_factor` is factor; (m, 3).
 
@@ -142,7 +143,9 @@ def _factored_sum(factor, xs):
     distance d from the line. On a unit circle of 1024 nodes, at points
     across the circle from o, it is 1e-14 relative at d = diameter and
     3.1e-11 at d = 1e-4 diameters, where the quadrature error is already
-    near 1 (far larger than the rounding).
+    near 1 (far larger than the rounding). A sum that is not finite, on a
+    curve so small that r^-3 overflows or at a point that is not finite,
+    raises GeometryError naming the curve's extent.
     """
     o, rel, rows6 = factor
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
@@ -163,6 +166,9 @@ def _factored_sum(factor, xs):
         # changes with its thread count, and so would the result's last bits
         st = np.einsum("ij,kj->ik", np.power(r2, -1.5, out=r2), rows6).T
         out[:, i0:i0 + rows] = _cross(st[:3], x.T) - st[3:]
+    if not np.isfinite(out).all():
+        raise GeometryError(
+            f"the pair sum is not finite on a curve {np.ptp(rel, axis=1).max():.3g} across")
     return out.T
 
 

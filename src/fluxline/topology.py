@@ -35,7 +35,7 @@ def gauss_linking(c: ClosedCurve, k: ClosedCurve, tol: float = DEFAULT_LINK_TOL,
     with both curves evaluated at spectral parameter midpoints so smooth
     inputs converge far faster than the segment count suggests.
     """
-    touch = TOUCH_GUARD * max(c.diameter(), k.diameter(), 1e-30)
+    touch = TOUCH_GUARD * max(c.diameter(), k.diameter())
     if min_distance(c, k, cutoff=touch) < touch:
         raise GeometryError("curves touch or nearly touch; linking is undefined")
     raw = linking_integral(c, k)
@@ -107,7 +107,7 @@ def span_surface(c: ClosedCurve) -> Surface:
     surf = Surface(vertices, triangles)
     nrm = surf.normals()
     areas = np.linalg.norm(nrm, axis=1)
-    scale = max(c.diameter(), 1e-30)
+    scale = c.diameter()
     if float(areas.sum()) < 1e-12 * scale * scale:
         raise GeometryError("degenerate spanning surface: total area vanishes")
     good = areas > 1e-14 * scale * scale
@@ -203,7 +203,9 @@ def crossing_linking(path: ClosedCurve, surf: Surface, threads=None) -> int:
     Only the pairs of a SCAN_BLOCK-segment run and a SCAN_BLOCK-triangle run
     whose boxes meet are evaluated, in chunks of BLOCK_PAIRS segment-triangle
     pairs: each chunk takes the plane values of its runs' vertices against
-    their triangles as one batched product.
+    their triangles as one batched product. Of those, only the pairs whose
+    own boxes meet get exact plane signs and edge tests: a segment and a
+    triangle whose boxes are apart cannot cross, even after the move.
     """
     pts, n = path.points, path.n
     a, b, c = surf.corners()
@@ -216,11 +218,13 @@ def crossing_linking(path: ClosedCurve, surf: Surface, threads=None) -> int:
     # norm to first order, n* the exact normal; 2^-1000 covers underflow
     size = max(float(abs(e1).max() * abs(e2).max()), 2.0 ** -1000)
     bound = PLANE_BOUND * size * float(abs(ao).max() + abs(po).max()) + 2.0 ** -1000
+    # a sentinel triangle tris, whose plane value is +inf at every vertex
+    nrm, na = np.vstack([nrm, np.zeros(3)]), np.append(na, -np.inf)
     tlo, thi, lo, hi = _boxes(a, b, c)
     slo, shi, plo, phi = _boxes(pts, np.roll(pts, -1, axis=0))
 
-    def meet(s, t):  # a pair whose boxes meet, which every count evaluates, culled or not
-        return ((slo[:, s] <= thi[:, t]) & (tlo[:, t] <= shi[:, s])).all(axis=0).any()
+    def meet(s, t):  # whether the boxes of segments s and triangles t meet, pair by pair
+        return ((slo[:, s] <= thi[:, t]) & (tlo[:, t] <= shi[:, s])).all(axis=0)
 
     # the first segment and the first triangle of every pair of runs whose boxes meet
     starts = np.argwhere(_box_bound(plo, phi, lo, hi, 0.0) <= 0.0) * SCAN_BLOCK
@@ -229,25 +233,26 @@ def crossing_linking(path: ClosedCurve, surf: Surface, threads=None) -> int:
     for r0 in range(0, starts.shape[0], chunk):
         first = starts[r0:r0 + chunk]
         # each run pair's SCAN_BLOCK + 1 vertices, which its segments join, and
-        # its triangles; the ragged last runs are padded, and masked by `live`
+        # its triangles; the ragged last runs are padded with the path's first
+        # vertex, whose segments to itself cross nothing, and the sentinel
         k, t = first[:, :1] + np.arange(SCAN_BLOCK + 1), first[:, 1:] + np.arange(SCAN_BLOCK)
-        live = (k <= n)[:, :, None] & (t < tris)[:, None, :]
-        k, t = k % n, np.minimum(t, tris - 1)
+        k, t = np.minimum(k, n) % n, np.minimum(t, tris)
         v = po[k] @ nrm[t].transpose(0, 2, 1) - na[t][:, None, :]
         side = np.where(abs(v) > bound, np.sign(v), 0.0)
-        r, i, j = np.nonzero((side == 0.0) & live)
-        if r.size:
-            x, y = k[r, i], t[r, j]
-            side[r, i, j], tie = _orient_signs(a[y], b[y], c[y], pts[x], False)
-            x, y = x[tie], y[tie]
-            tied |= meet(x - 1, y) or meet(x, y)  # a vertex ends two segments
-        r, i, j = np.nonzero((side[:, :-1] != side[:, 1:]) & live[:, 1:])
-        if not r.size:
-            continue
+        # an open sign only matters where a segment that the vertex ends meets
+        # the triangle; a straddle by a segment that meets none is not tested
+        r, i, j = np.nonzero(side == 0.0)
+        x, y = k[r, i], t[r, j]
+        keep = meet(x - 1, y) | meet(x, y)
+        r, i, j, x, y = r[keep], i[keep], j[keep], x[keep], y[keep]
+        side[r, i, j], tie = _orient_signs(a[y], b[y], c[y], pts[x], False)
+        r, i, j = np.nonzero(side[:, :-1] != side[:, 1:])
+        keep = meet(k[r, i], t[r, j])
+        r, i, j = r[keep], i[keep], j[keep]
         p, q, tj = pts[k[r, i]], pts[k[r, i + 1]], t[r, j]
         (s0, z0), (s1, z1), (s2, z2) = (_orient_signs(e[tj], f[tj], p, q, True)
                                         for e, f in ((a, b), (b, c), (c, a)))
-        tied |= meet(k[r, i][z0 | z1 | z2], tj[z0 | z1 | z2])
+        tied = tied or bool(tie.any() or (z0 | z1 | z2).any())
         count += int(side[r, i + 1, j][(s0 == s1) & (s1 == s2)].sum())
     touch = TOUCH_GUARD * path.diameter()
     if tied and _boundary_distance(path, surf, touch) < touch:

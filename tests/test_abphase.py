@@ -156,14 +156,14 @@ def suite_peak(n, steps):
         tracemalloc.stop()
 
 
-def test_invariance_suite_holds_one_family_at_a_time():
-    # the three families hold four curves a state, which held at once would
-    # pass this bound alone; one family at a time is two curves a state, and
-    # a curve's cached spectrum and nodes go with its state
+def test_invariance_suite_holds_one_state_at_a_time():
+    # each state's phases are taken as it is drawn, and the state goes with
+    # its curves' cached spectra and nodes: a family held whole, one curve of
+    # points a step, would pass this bound alone
     n, few, many = 128, 32, 160
     suite_peak(n, 1)  # a first run's one-time allocations
     growth = suite_peak(n, many) - suite_peak(n, few)
-    assert growth < 3 * (many - few) * n * 3 * 8
+    assert growth < (many - few) * n * 3 * 8
 
 
 def test_invariance_suite_hopf():

@@ -289,6 +289,22 @@ def test_field_profile_csv(tmp_path, capsys):
     assert sidecar["config"]["steps"] == 5
 
 
+@pytest.mark.parametrize("argv", [["--to", "1e200"], ["--radius", "1e200"], ["--radius", "1e-110"],
+                                  ["--radius", "1e-105"], "config"],
+                         ids=["to-1e200", "radius-1e200", "radius-1e-110", "radius-1e-105",
+                              "config-start--1e200"])
+def test_field_refuses_sizes_its_sums_cannot_take(tmp_path, capsys, argv):
+    # these printed an OverflowError or a ZeroDivisionError traceback from the
+    # analytic column, or a row of NaN with exit 0 (1e-105)
+    if argv == "config":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"start": -1e200}))
+        argv = ["--config", str(cfg)]
+    code, out, err = run(["field", *argv, "--samples", "64", "--steps", "3"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_field_takes_the_axis_in_one_sum(capsys):
     # -1 to 1 in 65 steps holds the row z = 0 exactly; at radius 0.6 and
     # flux 1.5 numpy's vectorised power over the whole axis rounds two

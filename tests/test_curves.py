@@ -585,6 +585,22 @@ def test_closed_curve_validation():
         fl.ClosedCurve(pts)
 
 
+@pytest.mark.parametrize("scale", [1e-165, 1e-200, 1e-300])
+def test_tiny_curves_build_and_a_repeated_point_is_refused(scale):
+    # their squared segment lengths underflow to 0, which once read as a
+    # repeated point
+    from fluxline.gauge import _open_polyline
+
+    pts = circle((0, 0, 0), 1.0, Z, 256).points * scale
+    fl.ClosedCurve(pts)
+    _open_polyline(pts)
+    pts[5] = pts[6]
+    with pytest.raises(fl.GeometryError, match="consecutive curve points must be distinct"):
+        fl.ClosedCurve(pts)
+    with pytest.raises(fl.GeometryError, match="consecutive open path points must be distinct"):
+        _open_polyline(pts)
+
+
 def test_curve_points_immutable():
     c = circle((0, 0, 0), 1.0, Z, 16)
     with pytest.raises(ValueError):
@@ -657,7 +673,7 @@ def test_simultaneous_deform_moves_each_curve_a_quarter_clearance():
     path, flux_curve = hopf_pair(128)
     spec = fl.DeformationSpec(amplitude=5.0, n_modes=3, seed=4, steps=6,
                               clearance=0.05)
-    states = _deform(path, flux_curve, spec, True)
+    states = list(_deform(path, flux_curve, spec, True))
     assert len(states) == 7
     for curves in zip(*states):
         for move in _largest_moves(curves):
@@ -745,7 +761,7 @@ def test_deform_scans_every_attempt_near_the_clearance(monkeypatch):
     expected = _deform_scanning_every_attempt(knot, obstacle, spec)
     scans = _counted(monkeypatch, "min_distance")
     draws = _counted(monkeypatch, "_displacement")
-    _assert_same_states(curves._deform(knot, obstacle, spec, False), expected)
+    _assert_same_states(list(curves._deform(knot, obstacle, spec, False)), expected)
     assert draws[0] > spec.steps
     assert scans[0] == 1 + draws[0]
 
@@ -760,7 +776,7 @@ def test_deform_scans_again_once_the_bound_runs_out(monkeypatch, move_b, scans_m
                               clearance=0.3)
     expected = _deform_scanning_every_attempt(knot, obstacle, spec, move_b)
     scans = _counted(monkeypatch, "min_distance")
-    _assert_same_states(curves._deform(knot, obstacle, spec, move_b), expected)
+    _assert_same_states(list(curves._deform(knot, obstacle, spec, move_b)), expected)
     assert scans[0] == scans_made
 
 
@@ -769,7 +785,7 @@ def test_deform_far_from_the_origin_keeps_clearance():
     obstacle, path = (fl.ClosedCurve(c.points + shift) for c in hopf_pair(128))
     spec = fl.DeformationSpec(amplitude=0.2, n_modes=3, seed=2, steps=20,
                               clearance=0.05)
-    states = curves._deform(path, obstacle, spec, False)
+    states = list(curves._deform(path, obstacle, spec, False))
     _assert_same_states(states, _deform_scanning_every_attempt(path, obstacle, spec))
     for s, _ in states:
         assert _unpruned_min(*s.segments(), *obstacle.segments()) > 0.05

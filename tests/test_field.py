@@ -59,14 +59,19 @@ def test_potential_guard_near_curve(unit_flux_line):
 
 
 
-@pytest.mark.parametrize("scale", [1e70, 1e80, 1e160])
+@pytest.mark.parametrize("scale", [1e-110, 1e70, 1e80, 1e160])
 def test_potential_counts_or_names_the_coordinate_size(scale):
     # a 1024-point unit circle, scaled: at 1e160 the potential read
-    # [0, 0, nan] with only RuntimeWarnings, its squared distances overflowed
+    # [0, 0, nan] with only RuntimeWarnings, its squared distances overflowed;
+    # at 1e-110 it read [nan, nan, nan], its r^-3 overflowed
     unit = fl.FluxLine(circle((0, 0, 0), 1.0, Z, 1024), 1.0)
     line = fl.FluxLine(fl.ClosedCurve(unit.curve.points * scale), 1.0)
     x = np.array([0.1, 0.2, 0.5])
     with np.errstate(all="raise"):
+        if scale < 1.0:
+            with pytest.raises(fl.GeometryError, match="pair sum is not finite on a curve 2e-110"):
+                fl.vector_potential(line, np.array([0.0, 0.0, scale]))
+            return
         if scale < fl.quadrature.MAX_COORDINATE:
             np.testing.assert_allclose(fl.vector_potential(line, x * scale) * scale,
                                        fl.vector_potential(unit, x), rtol=1e-12, atol=1e-15)

@@ -107,16 +107,24 @@ def test_linking_thread_count_invariant():
     assert r1.raw == r4.raw
 
 
-@pytest.mark.parametrize("scale", [1e70, 1e80, 1e150, 1e160])
+@pytest.mark.parametrize("scale", [1e-120, 1e-80, 1e-50, 1e70, 1e80, 1e150, 1e160])
 def test_linking_sum_counts_or_names_the_coordinate_size(scale):
     # a 256-point Hopf pair, scaled: the pair sum read 0 at 1e150, where its
     # cubed distances overflow, and NaN at 1e160; curves above the surfaces'
-    # bound are refused by the sum that the Gauss count and the circulation share
+    # bound are refused by the sum that the Gauss count and the circulation share.
+    # At 1e-120 its r^-3 overflows, and the sum gave NaN; at 1e-80 and 1e-50
+    # the touch guard's floor of 1e-39 refused the pair as touching
     path, flux_curve = (fl.ClosedCurve(c.points * scale) for c in hopf_pair(256))
     want = fl.gauss_linking(*hopf_pair(256)).rounded
+    if scale < 1e-100:
+        for fn, args in ((fl.gauss_linking, (path, flux_curve)),
+                         (fl.circulation, (fl.FluxLine(flux_curve, 1.0), path))):
+            with pytest.raises(fl.GeometryError, match="pair sum is not finite on a curve 2e-120"):
+                fn(*args)
+        return
     if scale < topology.MAX_COORDINATE:
         assert fl.gauss_linking(path, flux_curve).rounded == want
-        assert round(fl.circulation(fl.FluxLine(flux_curve, 1.0), path)) == want
+        assert fl.circulation(fl.FluxLine(flux_curve, 1.0), path) == pytest.approx(want, abs=1e-12)
         return
     size = f"curve coordinates reach 2e\\+{round(np.log10(scale))}, above 1e\\+72"
     with pytest.raises(fl.GeometryError, match=size):
@@ -136,9 +144,10 @@ def _crossing_or_error(path, surf):
 
 
 def _unculled_crossing(monkeypatch, path, surf):
-    """_crossing_or_error with every run box infinite, so that no pair is
-    culled: the dense reference, every segment run against every triangle
-    run. Fails if the count no longer builds its boxes through the patched
+    """_crossing_or_error with every run box infinite, so that no run pair is
+    culled: every segment run against every triangle run. Pairs whose own
+    boxes are apart are still dropped, as the tie rule reads those boxes.
+    Fails if the count no longer builds its boxes through the patched
     builder."""
     boxes, calls = topology._boxes, []
 
@@ -195,6 +204,50 @@ def test_crossing_cull_drops_only_pairs_whose_boxes_are_apart(monkeypatch, shift
 
 
 
+def _star():
+    """`tools/cli_corpus.py`'s 1023-point star: 341 spikes, each down through the
+    unit disk's fan and back up outside it, every 32-segment run's box
+    holding the fan's apex, so that every pair of runs meets."""
+    phi = np.repeat(np.arange(341) * np.pi * (3.0 - np.sqrt(5.0)), 3)
+    r, z = np.tile([0.05, 1.5, 1.5], 341), np.tile([0.5, -0.5, 0.5], 341)
+    return fl.ClosedCurve(np.column_stack([r * np.cos(phi), r * np.sin(phi), z]))
+
+
+def test_crossing_count_edge_tests_only_pairs_whose_boxes_meet(monkeypatch, unit_disk):
+    # the star straddles the fan's plane in 698,368 pairs of meeting runs,
+    # 2,095,104 edge rows, of which 84,080 pairs have meeting boxes
+    orient, rows = topology._orient_signs, [0]
+
+    def counted(o, x, y, z, edge):
+        rows[0] += edge * o.shape[0]
+        return orient(o, x, y, z, edge)
+
+    monkeypatch.setattr(topology, "_orient_signs", counted)
+    for path, want in ((_star(), -341), (_star().reversed(), 341)):
+        rows[0] = 0
+        assert fl.crossing_linking(path, unit_disk) == want
+        assert rows[0] < 300_000
+
+
+def test_crossing_count_equals_the_count_over_every_pair():
+    # a segment and a triangle whose boxes are apart cannot cross: with every
+    # box infinite, the count evaluates every pair and gives the same number
+    boxes = topology._boxes
+
+    def infinite(*corners):
+        lo, hi, run_lo, run_hi = boxes(*corners)
+        return lo - np.inf, hi + np.inf, run_lo - np.inf, run_hi + np.inf
+
+    for seed in range(3):
+        pair = _circle_pair(seed, 256, True)
+        for path, flux_curve in (pair, pair[::-1]):
+            surf = fl.span_surface(flux_curve)
+            want = fl.crossing_linking(path, surf)
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(topology, "_boxes", infinite)
+                assert fl.crossing_linking(path, surf) == want
+
+
 def test_crossing_count_evaluates_few_plane_values(monkeypatch):
     # only the pairs of a segment run and a triangle run whose boxes meet
     # are evaluated: on these pairs, 0.9-3.2% of the (n + 1) t plane values,
@@ -223,6 +276,15 @@ def test_span_disk_area():
     surf = fl.span_surface(circle((0, 0, 0), 1.0, Z, 1024))
     assert len(surf.triangles) == 1024
     assert abs(surf.area() - np.pi) < 1e-4
+
+
+@pytest.mark.parametrize("scale", [1e-50, 1e-76])
+def test_span_tiny_circle_and_count_through_it(scale):
+    # the fan's degeneracy test once floored the diameter at 1e-30
+    disk = fl.span_surface(fl.ClosedCurve(circle((0, 0, 0), 1.0, Z, 64).points * scale))
+    assert disk.area() == pytest.approx(np.pi * scale ** 2, rel=1e-2)
+    ring = fl.ClosedCurve(circle((1, 0, 0), 1.0, Y, 64).points * scale)
+    assert fl.crossing_linking(ring, disk) == 1
 
 
 def test_span_triangle_exact_area():

@@ -24,10 +24,15 @@ The runs on scaled curves come last, after the library probes below:
 `link` on a Hopf pair of 256-point circles scaled by 1e160, and on the
 figure-eight and the circle of radius 3 about it, scaled by 1e-150,
 1e-100, 1e100, 1e150 and 1e160, where squared distances overflow or
-underflow.
+underflow. After them come `field --to 1e200`, `field --radius 1e200`,
+`field --radius 1e-110` and `field --radius 1e-105 --samples 64 --steps
+3`, where the pair sum or the analytic column overflows; `link` on the
+Hopf pair scaled by 1e-50 and 1e-120; and `phase --preset hopf --samples
+128 --invariance --steps 256`.
 
 Each run gets a directory OUT/NNN-label holding its argv, stdout, stderr,
-exit code and a copy of every file it wrote.
+exit code and a copy of every file it wrote. A run that raises records the
+exception's type and message in place of its exit code.
 
 After the CLI runs come library probes, through public names only, so
 that this file runs against an older `src/` too:
@@ -183,15 +188,11 @@ def probe_sets():
         for way, p in (("forward", star), ("reversed", star.reversed()))]
 
 
-def scaled_runs():
-    """(label, argv, files written) of the runs on scaled curve files, in order."""
+def last_runs():
+    """(label, argv, files written) of the runs after the library probes, in order."""
     tmp = WORK / "scaled"
     tmp.mkdir(parents=True)
-    files = []
-    for name, c in zip(("a", "b"), preset_curves("hopf", 256)):
-        files.append(tmp / f"hopf-{name}-1e+160.json")
-        files[-1].write_text(json.dumps({"points": (c.points * 1e160).tolist()}) + "\n")
-    yield "link-hopf-1e+160", ["link", "--curve-a", str(files[1]), "--curve-b", str(files[0])], []
+    yield scaled_hopf(tmp, 1e160)
     # the figure-eight that `runs` wrote, and the circle of radius 3 about it
     eight, circle = (json.loads((WORK / "curves" / f"{name}.json").read_text())["points"]
                      for name in ("eight", "circle"))
@@ -203,6 +204,23 @@ def scaled_runs():
             files[-1].write_text(json.dumps({"points": scaled}) + "\n")
         yield (f"link-eight-{scale:g}",
                ["link", "--curve-a", str(files[0]), "--curve-b", str(files[1])], [])
+    for argv in (["--to", "1e200"], ["--radius", "1e200"], ["--radius", "1e-110"],
+                 ["--radius", "1e-105", "--samples", "64", "--steps", "3"]):
+        yield f"field-{argv[0][2:]}-{argv[1]}", ["field", *argv], []
+    for scale in (1e-50, 1e-120):
+        yield scaled_hopf(tmp, scale)
+    yield ("phase-hopf-128-steps-256",
+           ["phase", "--preset", "hopf", "--samples", "128", "--invariance", "--steps", "256"], [])
+
+
+def scaled_hopf(tmp, scale):
+    """The run of `link` on the 256-point Hopf pair scaled by scale, after writing its files."""
+    files = []
+    for name, c in zip(("a", "b"), preset_curves("hopf", 256)):
+        files.append(tmp / f"hopf-{name}-{scale:g}.json")
+        files[-1].write_text(json.dumps({"points": (c.points * scale).tolist()}) + "\n")
+    return (f"link-hopf-{scale:g}",
+            ["link", "--curve-a", str(files[1]), "--curve-b", str(files[0])], [])
 
 
 def crossing_probes(pairs):
@@ -301,6 +319,8 @@ def run(argv):
             code = cli.main(argv)
         except SystemExit as e:
             code = e.code
+        except Exception as e:  # a traceback: recorded, so that the runs after it still run
+            code = f"{type(e).__name__}: {e}"
     return code, out.getvalue(), err.getvalue()
 
 
@@ -317,7 +337,7 @@ def main(argv):
         d.mkdir()
         (d / "values").write_text("".join(x + "\n" for x in lines))
         print(f"{d.name}: {len(lines)} probes")
-    for k, (label, args, files) in enumerate(scaled_runs(), start=k + 1):
+    for k, (label, args, files) in enumerate(last_runs(), start=k + 1):
         write_run(out / f"{k:03d}-{label}", args, files)
     shutil.rmtree(WORK, ignore_errors=True)
 
