@@ -7,7 +7,7 @@ sets the shape-independent scale and cancels out of every phase.
 import math
 from dataclasses import dataclass, replace
 
-from .curves import ClosedCurve, DeformationSpec, _deform, min_distance
+from .curves import ClosedCurve, DeformationSpec, _deform
 from .errors import GeometryError
 from .field import FluxLine, _guard, circulation
 from .quadrature import linking_integral
@@ -57,15 +57,10 @@ def ab_phase_solid_angle(p: PhaseParams, path: ClosedCurve, f: FluxLine,
     """Phase from the closed line integral of the solid-angle gradient.
 
     (alpha / 4pi) * closed integral of grad(solid angle of the flux curve)
-    along the path. The gradient is the smooth single-branch one, whose
-    closed integral is 4pi times the linking number; crossings of any
-    particular spanning surface are bookkeeping of the multi-valued branch
-    and carry no extra contribution here.
+    along the path, the smooth single-branch gradient: that integral is the
+    circulation's, 4pi times the linking number.
     """
-    guard = _guard(f)
-    if min_distance(path, f.curve, cutoff=guard) <= guard:
-        raise GeometryError("path touches or nearly touches the flux line")
-    return p.alpha * linking_integral(path, f.curve)
+    return ab_phase_circulation(p, f, path)
 
 
 def ab_phase_crossing(p: PhaseParams, f: FluxLine, path: ClosedCurve,

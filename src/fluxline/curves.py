@@ -82,12 +82,10 @@ class ClosedCurve:
 
     @cached_property
     def _run_box(self):
-        """(lo, hi, scale, run): the segments' run boxes from `_boxes`, the
-        largest corner coordinate, which sets the bounds' slack, and each segment's run."""
+        """(lo, hi, run): the segments' run boxes from `_boxes` and each segment's run."""
         p0, u = self.segments()
         lo, hi = _boxes(p0, p0 + u)[2:]
-        scale = max(float(np.abs(c).max()) for c in (lo, hi))
-        return _read_only(lo), _read_only(hi), scale, _read_only(np.arange(self.n) // SCAN_BLOCK)
+        return _read_only(lo), _read_only(hi), _read_only(np.arange(self.n) // SCAN_BLOCK)
 
     @cached_property
     def _centroid(self):
@@ -100,9 +98,7 @@ class ClosedCurve:
 
     @cached_property
     def _diameter(self) -> float:
-        k = _exponent(self._size)
-        d = np.ldexp(self.points, -k) - np.ldexp(self._centroid, -k)
-        return float(np.ldexp(2.0 * np.sqrt(np.max(np.einsum("ij,ij->i", d, d))), k))
+        return _diameter_of(self.points, self._centroid)
 
     def segments(self):
         """Segment start points and direction vectors, each (n, 3)."""
@@ -130,11 +126,23 @@ def _read_only(a):
 
 
 def _exponent(size):
-    """The k with 2^(k - 1) <= size < 2^k (0 for size 0). Scaled by 2^-k, the
-    coordinates lie in (-1, 1), where no square overflows or underflows, and
-    every rounding is that of the unscaled values times 2^-k, so results in
-    the normal range keep their bits."""
+    """The k with 2^(k - 1) <= size < 2^k (0 for size 0)."""
     return int(np.frexp(size)[1])
+
+
+def _scaled(*arrays):
+    """(k, the arrays times 2^-k), k the `_exponent` of their largest |entry|: the
+    one scale rule of every geometric kernel. Scaled, they lie in (-1, 1), where no
+    square or cube overflows or underflows, and each rounding is the unscaled one
+    times 2^-k, so results in the normal range keep their bits at any scale."""
+    k = _exponent(max(float(np.abs(a).max()) for a in arrays))
+    return k, [np.ldexp(a, -k) for a in arrays]
+
+
+def _diameter_of(points, centroid) -> float:
+    k, (p, c) = _scaled(points, centroid)
+    d = p - c
+    return float(np.ldexp(2.0 * np.sqrt(np.max(np.einsum("ij,ij->i", d, d))), k))
 
 
 @dataclass(frozen=True)
@@ -273,11 +281,9 @@ def _min_segment_distance(p0, u, q0, v, skip_adjacent=False, cutoff=np.inf) -> f
     otherwise some value above cutoff (inf when no pair comes within it).
     A caller that only compares the distance with a tolerance passes the
     tolerance and skips the pairs farther apart; the default inf is the
-    exact scan. The scan runs on the inputs scaled by a power of 2
-    (`_exponent`), so it is exact at any scale and keeps its bits.
+    exact scan. The scan runs on the inputs `_scaled`.
     """
-    k = _exponent(max(float(np.abs(x).max()) for x in (p0, u, q0, v)))
-    p0, u, q0, v = (np.ldexp(x, -k) for x in (p0, u, q0, v))
+    k, (p0, u, q0, v) = _scaled(p0, u, q0, v)
     cutoff = np.ldexp(cutoff, -k)
     n = p0.shape[0]
     boxes_p = _boxes(p0, p0 + u)
@@ -329,13 +335,13 @@ def min_distance(a: ClosedCurve, b: ClosedCurve, threads=None, *, cutoff=np.inf)
 
 
 def point_segment_distance(x, p0, d):
-    """Distances from points x (m, 3) to segments (p0, d) (k, 3); returns (m, k)."""
+    """Distances (m, k) from points x (m, 3) to segments (p0, d) (k, 3), on x - p0, d `_scaled`."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    w = x[:, None, :] - p0[None, :, :]
+    k, (w, d) = _scaled(x[:, None, :] - p0[None, :, :], d)
     dd = np.einsum("ij,ij->i", d, d)[None, :]
     t = np.clip(np.einsum("jk,ijk->ij", d, w) / dd, 0.0, 1.0)
     diff = w - t[:, :, None] * d[None, :, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    return np.ldexp(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)), k)
 
 
 def distance_to_curve(x, c: ClosedCurve, *, cutoff=np.inf):
@@ -352,14 +358,14 @@ def distance_to_curve(x, c: ClosedCurve, *, cutoff=np.inf):
     """
     x = np.asarray(x, dtype=float)
     pts = np.atleast_2d(x)
-    lo, hi, scale, seg_run = c._run_box
+    lo, hi, seg_run = c._run_box
     n = c.n
     out = np.full(pts.shape[0], np.inf)
     rows = max(1, BLOCK_PAIRS // n)
     for i0 in range(0, pts.shape[0], rows):
         p = pts[i0:i0 + rows]
         corners = np.ascontiguousarray(p.T)
-        slack = 1e-12 * max(scale, float(np.abs(p).max()))
+        slack = 1e-12 * max(c._size, float(np.abs(p).max()))
         # not "bound <= cutoff": a point with a nan coordinate is evaluated
         near = ~(_box_bound(corners, corners, lo, hi, slack) > cutoff)
         if near.any():

@@ -70,9 +70,9 @@ DOUBLING_TOL = 1e-12
 # 0.71-0.87 ms in one block and 0.35-0.46 ms in blocks of 102 rows (2048 x
 # 2048: 78-94 against 60-63 ms). The rows of a block change no result's bits.
 BLOCK_PAIRS = 2 ** 14
-# the pair sum cubes distances, and the crossing count and the fan's
-# orientation check square face normals and sum them over up to MAX_POINTS
-# triangles: fourth powers of the coordinates, finite up to this size
+# the pair sum cubes distances, and the crossing count's plane values take
+# products of three coordinates unscaled: finite up to this size, which every
+# curve of a sum and every surface shares
 MAX_COORDINATE = 1e72
 
 

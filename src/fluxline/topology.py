@@ -1,11 +1,12 @@
 """Linking numbers, spanning surfaces, crossing counts, signed solid angles."""
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .curves import (SCAN_BLOCK, ClosedCurve, _box_bound, _boxes, _min_segment_distance,
-                     min_distance, point_segment_distance)
+from .curves import (SCAN_BLOCK, ClosedCurve, _box_bound, _boxes, _diameter_of,
+                     _min_segment_distance, _scaled, min_distance, point_segment_distance)
 from .errors import GeometryError, SchemaError, UnderResolvedError, check_numbers, read_json
 from .quadrature import (_NEXT, _PREV, BLOCK_PAIRS, MAX_COORDINATE, _cross, _factored_sum,
                          linking_integral)
@@ -71,8 +72,8 @@ class Surface:
             raise GeometryError("triangle indices out of vertex range")
         size = float(np.abs(v).max())
         if size > MAX_COORDINATE:
-            raise GeometryError(f"surface coordinates reach {size:.3g}, above"
-                                f" {MAX_COORDINATE:.0e}: squared face normals would overflow")
+            raise GeometryError(f"surface coordinates reach {size:.3g},"
+                                f" above {MAX_COORDINATE:.0e}")
         v.flags.writeable = False
         t.flags.writeable = False
         object.__setattr__(self, "vertices", v)
@@ -83,13 +84,25 @@ class Surface:
         v, t = self.vertices, self.triangles
         return v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
 
+    @cached_property
+    def _diameter(self) -> float:
+        """As `ClosedCurve.diameter`, of the vertices."""
+        return _diameter_of(self.vertices, self.vertices.mean(axis=0))
+
     def normals(self):
         """Unnormalized face normals, 0.5 * (b - a) x (c - a); (t, 3)."""
         a, b, c = self.corners()
         return 0.5 * np.cross(b - a, c - a)
 
+    def _normals(self):
+        """(k, `normals` times 2^-2k), from the edge vectors `_scaled` by 2^-k."""
+        a, b, c = self.corners()
+        k, (e1, e2) = _scaled(b - a, c - a)
+        return k, 0.5 * np.cross(e1, e2)
+
     def area(self) -> float:
-        return float(np.linalg.norm(self.normals(), axis=1).sum())
+        k, nrm = self._normals()
+        return float(np.ldexp(np.linalg.norm(nrm, axis=1).sum(), 2 * k))
 
 
 def span_surface(c: ClosedCurve) -> Surface:
@@ -98,16 +111,13 @@ def span_surface(c: ClosedCurve) -> Surface:
     Triangle i is (centroid, p_i, p_{i+1}), so face normals follow the
     right-hand rule applied to the curve orientation.
     """
-    pts = c.points
-    n = pts.shape[0]
-    centroid = c.centroid()
-    vertices = np.vstack([centroid[None, :], pts])
+    n = c.n
     i = np.arange(n)
     triangles = np.column_stack([np.zeros(n, dtype=int), i + 1, (i + 1) % n + 1])
-    surf = Surface(vertices, triangles)
-    nrm = surf.normals()
+    surf = Surface(np.vstack([c.centroid()[None, :], c.points]), triangles)
+    k, nrm = surf._normals()
     areas = np.linalg.norm(nrm, axis=1)
-    scale = c.diameter()
+    scale = np.ldexp(c.diameter(), -k)
     if float(areas.sum()) < 1e-12 * scale * scale:
         raise GeometryError("degenerate spanning surface: total area vanishes")
     good = areas > 1e-14 * scale * scale
@@ -116,9 +126,7 @@ def span_surface(c: ClosedCurve) -> Surface:
     if mean_norm > 0.0:
         dots = nrm[good] @ (mean / mean_norm) / areas[good]
         if float(dots.min()) <= 0.0:
-            raise GeometryError(
-                "inverted spanning surface: fan triangles disagree in orientation"
-            )
+            raise GeometryError("inverted spanning surface: fan triangles disagree in orientation")
     return surf
 
 
@@ -198,7 +206,8 @@ def crossing_linking(path: ClosedCurve, surf: Surface, threads=None) -> int:
     shifts in abc agree; it counts the sign at q, +1 along the face normal.
     Signs are exact, ties broken as if the path moved (`_orient_signs`). A
     tie in a pair whose boxes meet raises if the path comes within
-    TOUCH_GUARD of its diameter of the boundary, where the move may matter.
+    TOUCH_GUARD of the boundary, relative to the smaller of the path's and
+    the surface's diameters, where the move may matter.
 
     Only the pairs of a SCAN_BLOCK-segment run and a SCAN_BLOCK-triangle run
     whose boxes meet are evaluated, in chunks of BLOCK_PAIRS segment-triangle
@@ -254,38 +263,29 @@ def crossing_linking(path: ClosedCurve, surf: Surface, threads=None) -> int:
                                         for e, f in ((a, b), (b, c), (c, a)))
         tied = tied or bool(tie.any() or (z0 | z1 | z2).any())
         count += int(side[r, i + 1, j][(s0 == s1) & (s1 == s2)].sum())
-    touch = TOUCH_GUARD * path.diameter()
-    if tied and _boundary_distance(path, surf, touch) < touch:
-        raise GeometryError("path touches or nearly touches the surface boundary")
+    if tied:
+        touch = TOUCH_GUARD * min(path.diameter(), surf._diameter)
+        if _boundary_distance(path, surf, touch) < touch:
+            raise GeometryError("path touches or nearly touches the surface boundary")
     return count
 
 
 def surface_point_distance(x, surf: Surface) -> float:
-    """Euclidean distance from a point to a triangle mesh."""
-    x = np.asarray(x, dtype=float)
-    a, b, c = surf.corners()
-    nrm = surf.normals()
+    """Euclidean distance from a point to a triangle mesh, on the corners relative to x."""
+    k, (a, b, c) = _scaled(*(p - np.asarray(x, dtype=float) for p in surf.corners()))
+    nrm = np.cross(b - a, c - a)
     areas = np.linalg.norm(nrm, axis=1)
     good = areas > 0.0
-    best = np.inf
-    if np.any(good):
-        ga, gb, gc = a[good], b[good], c[good]
-        nhat = nrm[good] / areas[good][:, None]
-        off = np.einsum("tj,tj->t", x[None, :] - ga, nhat)
-        proj = x[None, :] - off[:, None] * nhat
-        # inside: on the left of every edge, seen against the normal
-        inside = np.all([np.einsum("tj,tj->t", np.cross(q - p, proj - p), nhat) >= 0.0
-                         for p, q in ((ga, gb), (gb, gc), (gc, ga))], axis=0)
-        if np.any(inside):
-            best = float(np.min(np.abs(off[inside])))
-    for p, q in ((a, b), (b, c), (c, a)):
-        best = min(best, float(point_segment_distance(x, p, q - p).min()))
-    return best
-
-
-def _mesh_scale(surf: Surface) -> float:
-    d = surf.vertices - surf.vertices.mean(axis=0)
-    return max(2.0 * float(np.sqrt(np.max(np.einsum("ij,ij->i", d, d)))), 1e-30)
+    ga, gb, gc = a[good], b[good], c[good]
+    nhat = nrm[good] / areas[good][:, None]
+    off = np.einsum("tj,tj->t", ga, nhat)
+    proj = off[:, None] * nhat
+    # inside: on the left of every edge, seen against the normal
+    inside = np.all([np.einsum("tj,tj->t", np.cross(q - p, proj - p), nhat) >= 0.0
+                     for p, q in ((ga, gb), (gb, gc), (gc, ga))], axis=0)
+    edges = point_segment_distance(np.zeros(3), np.vstack([a, b, c]),
+                                   np.vstack([b - a, c - b, a - c]))
+    return float(np.ldexp(min(np.abs(off[inside]).min(initial=np.inf), edges.min()), k))
 
 
 def solid_angle(x, surf: Surface, threads=None) -> float:
@@ -294,13 +294,11 @@ def solid_angle(x, surf: Surface, threads=None) -> float:
     Sum of per-triangle signed angles; positive when the face normals point
     away from x. Follows the convention of accumulating (x' - x) . dS' /
     |x' - x|^3, so a viewer on the side the normals point toward sees a
-    negative value. One vectorised pass over the triangles.
+    negative value. One vectorised pass over the corners relative to x, `_scaled`.
     """
-    x = np.asarray(x, dtype=float)
-    if surface_point_distance(x, surf) <= 1e-9 * _mesh_scale(surf):
+    if surface_point_distance(x, surf) <= 1e-9 * surf._diameter:
         raise GeometryError("point lies on the surface; the solid angle jumps there")
-    a, b, c = surf.corners()
-    r1, r2, r3 = a - x, b - x, c - x
+    _, (r1, r2, r3) = _scaled(*(p - x for p in surf.corners()))
     n1, n2, n3 = (np.linalg.norm(r, axis=1) for r in (r1, r2, r3))
     num = np.einsum("ij,ij->i", r1, np.cross(r2, r3))
     den = (

@@ -190,7 +190,7 @@ def test_invariance_requires_clearance():
 
 @pytest.mark.parametrize("clearance,calls", [(0.05, 4), (1e-9, 16)])
 def test_invariance_suite_measures_each_pair_once(monkeypatch, clearance, calls):
-    from fluxline import abphase, curves, field
+    from fluxline import curves, field
 
     count = [0]
     measure = curves.min_distance
@@ -199,7 +199,7 @@ def test_invariance_suite_measures_each_pair_once(monkeypatch, clearance, calls)
         count[0] += 1
         return measure(*args, **kw)
 
-    for module in (curves, field, abphase):
+    for module in (curves, field):
         monkeypatch.setattr(module, "min_distance", counted)
     flux_curve, path = hopf_pair(64)
     invariance_suite(PhaseParams(1.0), fl.FluxLine(flux_curve, 1.0), path,

@@ -214,9 +214,10 @@ def test_phase_report_forms(capsys):
 def test_plain_phase_measures_the_pair_once(monkeypatch, capsys):
     from fluxline import abphase, field, topology
 
-    calls = {"min_distance": 0, "linking_integral": 0}
-    for mod in (topology, field, abphase):
-        for name in calls:
+    holders = {"min_distance": (topology, field), "linking_integral": (topology, field, abphase)}
+    calls = dict.fromkeys(holders, 0)
+    for name, mods in holders.items():
+        for mod in mods:
             def counted(*args, _fn=getattr(mod, name), _name=name, **kw):
                 calls[_name] += 1
                 return _fn(*args, **kw)
@@ -714,6 +715,17 @@ def test_config_over_the_samples_bound_exits_2(tmp_path, capsys):
     assert "samples must be an integer >= 8 <= 16384" in err
 
 
+def test_config_number_past_the_float_range_exits_2(tmp_path, capsys):
+    # a JSON integer of 401 digits has no float: math.isfinite overflows on it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tol": 10 ** 400}))
+    code, out, err = run(["link", "--preset", "hopf", "--samples", "64", "--config", str(cfg)],
+                         capsys)
+    assert code == 2
+    assert out == ""
+    assert "tol must be a finite number > 0" in err
+
+
 def test_config_over_the_steps_bound_exits_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"steps": 1025}))
@@ -740,7 +752,8 @@ def test_config_over_the_modes_bound_exits_2(tmp_path, capsys):
     b'{"points": [[0, 0, 0], [1, 0], [0, 1, 0]]}',
     b'\xff\xfe{"points": []}',
     b'{"points": [[true, 0, 5], [0, 1, 5], [-1, 0, 5]]}',
-], ids=["string", "object", "ragged", "utf16-bom", "bool"])
+    b'{"points": []}',
+], ids=["string", "object", "ragged", "utf16-bom", "bool", "empty"])
 def test_undecodable_curve_file_exits_2(tmp_path, capsys, content):
     bad = tmp_path / "bad_curve.json"
     bad.write_bytes(content)

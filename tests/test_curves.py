@@ -626,7 +626,7 @@ def test_deform_zero_amplitude_is_identity():
         assert np.array_equal(s.points, path.points)
 
 
-def test_deform_same_seed_deterministic():
+def test_deform_same_seed_deterministic(monkeypatch):
     path, obstacle = hopf_pair(256)
     spec = fl.DeformationSpec(amplitude=0.2, n_modes=3, seed=42, steps=8,
                               clearance=0.05)
@@ -634,6 +634,17 @@ def test_deform_same_seed_deterministic():
     second = fl.deform_homotopy(path, obstacle, spec)
     for s1, s2 in zip(first, second):
         assert np.array_equal(s1.points, s2.points)
+    # a zero displacement cannot be normalised and is redrawn: one that takes
+    # no draws from the generator leaves the states as they were
+    draw, zeros = curves._displacement, [np.zeros((256, 3))]
+
+    def zero_once(rng, cos, sin):
+        return zeros.pop() if zeros else draw(rng, cos, sin)
+
+    monkeypatch.setattr(curves, "_displacement", zero_once)
+    for s1, s2 in zip(first, fl.deform_homotopy(path, obstacle, spec), strict=True):
+        assert np.array_equal(s1.points, s2.points)
+    assert zeros == []
 
 
 def test_deform_respects_clearance_every_step():

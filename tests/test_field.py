@@ -312,3 +312,5 @@ def test_flux_line_validation():
     c = circle((0, 0, 0), 1.0, Z, 64)
     with pytest.raises(fl.GeometryError):
         fl.FluxLine(c, np.inf)
+    with pytest.raises(fl.GeometryError, match="FluxLine.curve must be a ClosedCurve"):
+        fl.FluxLine(c.points, 1.0)

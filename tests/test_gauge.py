@@ -104,6 +104,8 @@ def test_open_path_validation(unit_flux_line):
     dup = np.array([[2.0, 0, 0], [2.0, 0, 0], [2.0, 1, 0]])
     with pytest.raises(fl.GeometryError):
         open_path_gauge_shift(unit_flux_line, dup)
+    with pytest.raises(fl.GeometryError, match="open path points must be finite"):
+        open_path_gauge_shift(unit_flux_line, [[2.0, 0, 0], [2.0, np.nan, 0]])
 
 
 def test_solenoid_potential_profile():
@@ -114,6 +116,8 @@ def test_solenoid_potential_profile():
     assert abs(inner - outer) < 1e-9
     assert solenoid_potential(s, 0.0) == 0.0
     assert abs(solenoid_potential(s, 0.5) - 1.0 / (4.0 * np.pi)) < 1e-15
+    with pytest.raises(fl.GeometryError, match="rho must be finite and >= 0"):
+        solenoid_potential(s, -0.5)
 
 
 def test_solenoid_config_validation():
@@ -168,6 +172,8 @@ def test_solenoid_demo_inside_rejected():
     s = SolenoidConfig(R=1.0, flux=1.0)
     with pytest.raises(fl.GeometryError):
         solenoid_singular_gauge_demo(s, 0.5, 1)
+    with pytest.raises(fl.GeometryError, match="at least 16 quadrature samples"):
+        solenoid_singular_gauge_demo(s, 2.0, 1, n=15)
 
 
 def test_closed_line_demo_hopf(unit_flux_line):

@@ -49,6 +49,8 @@ def test_psi_finite_positive_modulus():
             val = psi_one_slit(CFG, x, s)
             assert np.isfinite(val.real) and np.isfinite(val.imag)
             assert abs(val) > 0.0
+    with pytest.raises(fl.GeometryError, match="slit_sign must be"):
+        psi_one_slit(CFG, 0.0, 0)
 
 
 def test_psi_mirror_reflection_exact():
@@ -114,6 +116,11 @@ def test_pattern_grid_validation():
         pattern(CFG, 0.0, n_grid=32)
     with pytest.raises(fl.GeometryError):
         pattern(CFG, 0.0, half_width=-1.0)
+    x = np.linspace(-1.0, 1.0, 5)
+    for grid, values, match in ((x, x[:4], "matching 1-d grids"),
+                                (x[::-1], x, "strictly increasing")):
+        with pytest.raises(fl.GeometryError, match=match):
+            fl.interference.Pattern(grid, values, CFG, 0.0)
 
 
 def test_pattern_default_half_width():
@@ -268,6 +275,9 @@ def test_quantization_parity():
     normal = quantization_report(7, 4, False)
     assert normal["phase_factor"] == pytest.approx(1.0 + 0.0j, abs=1e-12)
     assert normal["observable"] is False
+    for n_e, N, name in ((1.0, 3, "n_e"), (1, True, "N")):
+        with pytest.raises(fl.GeometryError, match=f"{name} must be an integer"):
+            quantization_report(n_e, N, True)
 
 
 def test_shifts_against_one_flux_off_pattern_keep_their_bits():

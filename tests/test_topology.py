@@ -323,6 +323,10 @@ def test_span_fold_through_centroid_rejected():
     crescent = fl.ClosedCurve(np.vstack([outer, inner]))
     with pytest.raises(fl.GeometryError):
         fl.span_surface(crescent)
+    # a curve along one line spans no area
+    line = fl.ClosedCurve(np.array([(0, 0, 0), (1, 0, 0), (3, 0, 0), (2, 0, 0)], dtype=float))
+    with pytest.raises(fl.GeometryError, match="degenerate spanning surface"):
+        fl.span_surface(line)
 
 
 def test_crossing_single_pierce_plus_one(unit_disk):
@@ -489,6 +493,21 @@ def test_crossing_touch_at_a_vertex_or_along_a_face_counts_0(build):
             assert fl.crossing_linking(path.reversed(), build(flip)) == 0
 
 
+def test_crossing_through_a_vertex_of_a_closed_surface_counts_0():
+    # a tetrahedron with its vertex (0, 0, 0) below the face z = 2: the staple
+    # enters through that vertex, a tie, and leaves through a side face. The
+    # surface has no boundary, so it is at infinite distance and nothing is refused
+    v = np.array([(0, 0, 0), (-1, -1, 2), (2, -1, 2), (-1, 2, 2)], dtype=float)
+    t = np.array([(0, 2, 1), (0, 3, 2), (0, 1, 3), (1, 2, 3)])
+    for via in (False, True):
+        path = staple(0.0, 0.0, via)
+        for flip in (False, True):
+            tetrahedron = fl.Surface(v, t[:, ::-1] if flip else t)
+            assert topology._boundary_distance(path, tetrahedron) == np.inf
+            for p in (path, path.reversed()):
+                assert fl.crossing_linking(p, tetrahedron) == 0
+
+
 def test_crossing_under_a_cone_rim_counts_0_through_every_tie():
     # an inverted square pyramid, apex (0, 0, 0), rim in the plane z = 1:
     # a loop below that plane links the rim 0 times. Loops on the half-integer
@@ -590,6 +609,15 @@ def test_crossing_nudge_next_to_the_boundary_raises(unit_disk):
     for p in (path, path.reversed()):
         with pytest.raises(fl.GeometryError, match="path touches or nearly touches the surface"):
             fl.crossing_linking(p, unit_disk)
+    # a rectangle far larger than the fan through its point (0.5, 0, 0), 0.5
+    # from its rim: a tie, and the guard is relative to the smaller diameter,
+    # so the count is not refused as it was when relative to the path's
+    disk = fl.span_surface(circle((0, 0, 0), 1.0, Z, 64))
+    for far in (1e20, 1e100, 1e160):
+        path = fl.ClosedCurve(np.array(
+            [(0.5, 0, -far), (0.5, 0, 0), (0.5, 0, far), (far, 0, far), (far, 0, -far)]))
+        assert fl.crossing_linking(path, disk) == 1
+        assert fl.crossing_linking(path.reversed(), disk) == -1
 
 
 def test_solid_angle_axial_closed_form(unit_disk):
@@ -751,6 +779,13 @@ def test_surface_io_malformed(tmp_path):
     path.write_text('{"vertices": [[0,0,0]], "triangles": [[0, 1, 2]]}')
     with pytest.raises(fl.SchemaError):
         fl.load_surface(path)
+    for vertices, triangles, match in (
+            ([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]], r"vertices must form an \(m, 3\) array"),
+            ([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1]], r"triangles must form a \(t, 3\)"),
+            ([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [], r"triangles must form a \(t, 3\)")):
+        path.write_text(json.dumps({"vertices": vertices, "triangles": triangles}))
+        with pytest.raises(fl.SchemaError, match="bad.json: surface " + match):
+            fl.load_surface(path)
 
 
 def test_surface_file_without_triangles(tmp_path):

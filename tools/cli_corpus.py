@@ -61,6 +61,16 @@ that this file runs against an older `src/` too:
   of a 1024-triangle fan, so that every pair of runs meets, forward and
   reversed.
 
+After the last runs come two more sets of library probes:
+
+- on the Hopf preset's 256-point flux circle scaled by 2^k, k in {-150,
+  -300, -550, 100}: `span_surface(...).area()`, and `solid_angle`,
+  `surface_point_distance` and `curves.distance_to_curve` at the point
+  2^k (0.3, 0.2, 0.1), 0.1 of the scale off the fan;
+- `crossing_linking` of rectangles in the xz-plane through the point
+  (0.5, 0, 0) of a 64-point unit-disk fan, with far corners at 1e20, 1e100
+  and 1e160, forward and reversed.
+
 Each set gets a directory OUT/NNN-label holding `values`: per probe, its
 arguments (a point's hex bytes, or a name) and the hex bytes of the result,
 or the refusal's exception and message. The curve files the runs read
@@ -213,6 +223,30 @@ def last_runs():
            ["phase", "--preset", "hopf", "--samples", "128", "--invariance", "--steps", "256"], [])
 
 
+def scale_probe_sets():
+    """(label, lines of `values`) of the probe sets after the last runs, in order."""
+    flux_curve = preset_curves("hopf", 256)[0]
+    lines = []
+    for k in (-150, -300, -550, 100):
+        c = fluxline.ClosedCurve(np.ldexp(flux_curve.points, k))
+        x = np.ldexp([0.3, 0.2, 0.1], k)
+        probes = (("area", lambda: fluxline.span_surface(c).area()),
+                  ("solid_angle", lambda: fluxline.solid_angle(x, fluxline.span_surface(c))),
+                  ("surface_point_distance",
+                   lambda: fluxline.surface_point_distance(x, fluxline.span_surface(c))),
+                  ("distance_to_curve", lambda: fluxline.curves.distance_to_curve(x, c)))
+        lines += [f"2^{k} {name} {value(fn)}" for name, fn in probes]
+    yield "scaled-hopf-surface", lines
+    disk = fluxline.span_surface(fluxline.make_circle((0.0, 0.0, 0.0), 1.0, (0.0, 0.0, 1.0), 64))
+    rows = []
+    for far in (1e20, 1e100, 1e160):
+        path = fluxline.ClosedCurve(np.array(
+            [(0.5, 0, -far), (0.5, 0, 0), (0.5, 0, far), (far, 0, far), (far, 0, -far)]))
+        rows += [f"rectangle-{far:g}-{way} {value(fluxline.crossing_linking, p, disk)}"
+                 for way, p in (("forward", path), ("reversed", path.reversed()))]
+    yield "far-rectangles-crossing_linking", rows
+
+
 def scaled_hopf(tmp, scale):
     """The run of `link` on the 256-point Hopf pair scaled by scale, after writing its files."""
     files = []
@@ -333,13 +367,19 @@ def main(argv):
     for k, (label, args, files) in enumerate(runs()):
         write_run(out / f"{k:03d}-{label}", args, files)
     for k, (label, lines) in enumerate(probe_sets(), start=k + 1):
-        d = out / f"{k:03d}-{label}"
-        d.mkdir()
-        (d / "values").write_text("".join(x + "\n" for x in lines))
-        print(f"{d.name}: {len(lines)} probes")
+        write_values(out / f"{k:03d}-{label}", lines)
     for k, (label, args, files) in enumerate(last_runs(), start=k + 1):
         write_run(out / f"{k:03d}-{label}", args, files)
+    for k, (label, lines) in enumerate(scale_probe_sets(), start=k + 1):
+        write_values(out / f"{k:03d}-{label}", lines)
     shutil.rmtree(WORK, ignore_errors=True)
+
+
+def write_values(d, lines):
+    """Write the probe lines to d/values."""
+    d.mkdir()
+    (d / "values").write_text("".join(x + "\n" for x in lines))
+    print(f"{d.name}: {len(lines)} probes")
 
 
 def write_run(d, args, files):
