@@ -7,7 +7,7 @@ sets the shape-independent scale and cancels out of every phase.
 import math
 from dataclasses import dataclass, replace
 
-from .curves import ClosedCurve, DeformationSpec, _deform
+from .curves import ClosedCurve, DeformationSpec, _deform, min_distance
 from .errors import GeometryError
 from .field import FluxLine, _guard, circulation
 from .quadrature import linking_integral
@@ -95,6 +95,7 @@ def invariance_suite(p: PhaseParams, f: FluxLine, path: ClosedCurve,
     initial value by tol or more is flagged with its index.
     """
     base = ab_phase_circulation(p, f, path)
+    lb = min_distance(path, f.curve)
 
     def phase(flux_curve, c):
         # every deformed state is more than spec.clearance apart, so when the
@@ -103,19 +104,18 @@ def invariance_suite(p: PhaseParams, f: FluxLine, path: ClosedCurve,
             return p.alpha * linking_integral(c, flux_curve)
         return ab_phase_circulation(p, FluxLine(curve=flux_curve, flux=f.flux), c)
 
+    # each family starts from (path, f.curve), whose phase is base
     suites = {}
-    suites["path"] = _suite_entry(
-        [phase(f.curve, c) for c, _ in _deform(path, f.curve, spec, False)], base, tol)
+    states = _deform(path, f.curve, spec, False, lb)
+    suites["path"] = _suite_entry([base] + [phase(f.curve, c) for c, _ in states], base, tol)
 
-    flux_spec = replace(spec, seed=spec.seed + 1)
-    suites["flux_curve"] = _suite_entry(
-        [phase(c, path) for c, _ in _deform(f.curve, path, flux_spec, False)], base, tol)
+    states = _deform(f.curve, path, replace(spec, seed=spec.seed + 1), False, lb)
+    suites["flux_curve"] = _suite_entry([base] + [phase(c, path) for c, _ in states], base, tol)
 
     # role swap: the linking integrand is symmetric under exchanging the
     # curves, so using the path as the flux line must reproduce the phase
-    both_spec = replace(spec, seed=spec.seed + 2)
-    both = [(phase(fc, pc), phase(pc, fc))
-            for pc, fc in _deform(path, f.curve, both_spec, True)]
+    states = _deform(path, f.curve, replace(spec, seed=spec.seed + 2), True, lb)
+    both = [(base, phase(path, f.curve))] + [(phase(fc, pc), phase(pc, fc)) for pc, fc in states]
     suites["simultaneous"] = _suite_entry([sim for sim, _ in both], base, tol)
     suites["swap"] = _suite_entry([swap for _, swap in both], base, tol)
 

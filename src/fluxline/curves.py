@@ -140,9 +140,11 @@ def _scaled(*arrays):
 
 
 def _diameter_of(points, centroid) -> float:
+    """Twice the largest |point - centroid|: the differences of the `_scaled` inputs,
+    `_scaled` again, so that an extent far below the coordinates keeps its bits."""
     k, (p, c) = _scaled(points, centroid)
-    d = p - c
-    return float(np.ldexp(2.0 * np.sqrt(np.max(np.einsum("ij,ij->i", d, d))), k))
+    j, (d,) = _scaled(p - c)
+    return float(np.ldexp(2.0 * np.sqrt(np.max(np.einsum("ij,ij->i", d, d))), k + j))
 
 
 @dataclass(frozen=True)
@@ -281,9 +283,18 @@ def _min_segment_distance(p0, u, q0, v, skip_adjacent=False, cutoff=np.inf) -> f
     otherwise some value above cutoff (inf when no pair comes within it).
     A caller that only compares the distance with a tolerance passes the
     tolerance and skips the pairs farther apart; the default inf is the
-    exact scan. The scan runs on the inputs `_scaled`.
+    exact scan. The scan runs on the inputs `_scaled`; a segment whose squared
+    length underflows to 0 there, where the kernel would divide by it, is refused.
     """
     k, (p0, u, q0, v) = _scaled(p0, u, q0, v)
+    for w in (u, v):
+        ww = np.einsum("ij,ij->i", w, w)
+        if not ww.all():
+            size = max(float(np.abs(x).max()) for x in (p0, q0))
+            raise GeometryError(
+                f"a segment of extent {np.ldexp(np.abs(w[np.argmin(ww)]).max(), k):.3g} is too"
+                f" short next to coordinates of size {np.ldexp(size, k):.3g}:"
+                " its squared length underflows")
     cutoff = np.ldexp(cutoff, -k)
     n = p0.shape[0]
     boxes_p = _boxes(p0, p0 + u)
@@ -480,11 +491,12 @@ def _displacement(rng, cos, sin):
     return disp
 
 
-def _deform(a: ClosedCurve, b: ClosedCurve, spec: DeformationSpec, move_b: bool):
+def _deform(a: ClosedCurve, b: ClosedCurve, spec: DeformationSpec, move_b: bool, lb: float):
     """Seeded rejection loop: deform a, and b too when move_b, keeping clearance.
 
-    Yields spec.steps + 1 pairs (a_i, b_i) as they are drawn, the first
-    being (a, b), each more than spec.clearance apart. Every attempt draws
+    lb is min_distance(a, b), which the caller measured; a start not above
+    spec.clearance is refused. Yields the spec.steps drawn pairs (a_i, b_i),
+    not (a, b), each more than spec.clearance apart. Every attempt draws
     one displacement per moving curve, a first. Each moving curve steps at
     most half the clearance split among the moving curves, so the relative
     motion between accepted states stays below half the clearance and the
@@ -501,7 +513,6 @@ def _deform(a: ClosedCurve, b: ClosedCurve, spec: DeformationSpec, move_b: bool)
     rejected one leaves lb as it was. The bound never changes a decision and
     the draws are the same, so the states are those of a scan per attempt.
     """
-    lb = min_distance(a, b)
     if lb <= spec.clearance:
         raise ClearanceError(
             f"initial clearance {lb:.6g} is not above the required {spec.clearance:.6g}"
@@ -510,7 +521,6 @@ def _deform(a: ClosedCurve, b: ClosedCurve, spec: DeformationSpec, move_b: bool)
     moving = [a, b] if move_b else [a]
     modes = [_mode_columns(2.0 * np.pi * np.arange(c.n) / c.n, spec.n_modes) for c in moving]
     step = min(spec.amplitude / spec.steps, 0.5 * spec.clearance / len(moving))
-    yield a, b
     for _ in range(spec.steps):
         for attempt in range(spec.max_tries + 1):
             if attempt == spec.max_tries:
@@ -524,7 +534,7 @@ def _deform(a: ClosedCurve, b: ClosedCurve, spec: DeformationSpec, move_b: bool)
             cand = [ClosedCurve(c.points + (step / pk) * d)
                     for c, d, pk in zip(moving, disps, peaks)]
             pair = (cand[0], cand[1] if move_b else b)
-            slack = 1e-12 * max(float(np.abs(c.points).max()) for c in pair)
+            slack = 1e-12 * max(c._size for c in pair)
             moved = lb - step * len(moving) - slack
             dist = moved if moved > spec.clearance else min_distance(*pair)
             if dist > spec.clearance:
@@ -544,7 +554,7 @@ def deform_homotopy(c: ClosedCurve, obstacle: ClosedCurve, spec: DeformationSpec
     cannot jump across the obstacle, so the homotopy class relative to the
     obstacle is preserved, not just sampled.
     """
-    return [a for a, _ in _deform(c, obstacle, spec, False)]
+    return [c] + [a for a, _ in _deform(c, obstacle, spec, False, min_distance(c, obstacle))]
 
 
 def save_curve(c: ClosedCurve, path):

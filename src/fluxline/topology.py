@@ -91,8 +91,8 @@ class Surface:
 
     def normals(self):
         """Unnormalized face normals, 0.5 * (b - a) x (c - a); (t, 3)."""
-        a, b, c = self.corners()
-        return 0.5 * np.cross(b - a, c - a)
+        k, nrm = self._normals()
+        return np.ldexp(nrm, 2 * k)
 
     def _normals(self):
         """(k, `normals` times 2^-2k), from the edge vectors `_scaled` by 2^-k."""
@@ -296,7 +296,7 @@ def solid_angle(x, surf: Surface, threads=None) -> float:
     |x' - x|^3, so a viewer on the side the normals point toward sees a
     negative value. One vectorised pass over the corners relative to x, `_scaled`.
     """
-    if surface_point_distance(x, surf) <= 1e-9 * surf._diameter:
+    if surface_point_distance(x, surf) <= TOUCH_GUARD * surf._diameter:
         raise GeometryError("point lies on the surface; the solid angle jumps there")
     _, (r1, r2, r3) = _scaled(*(p - x for p in surf.corners()))
     n1, n2, n3 = (np.linalg.norm(r, axis=1) for r in (r1, r2, r3))

@@ -188,9 +188,9 @@ def test_invariance_requires_clearance():
         invariance_suite(PhaseParams(1.0), f, path, suite_spec(clearance=2.0))
 
 
-@pytest.mark.parametrize("clearance,calls", [(0.05, 4), (1e-9, 16)])
+@pytest.mark.parametrize("clearance,calls", [(0.05, 2), (1e-9, 11)])
 def test_invariance_suite_measures_each_pair_once(monkeypatch, clearance, calls):
-    from fluxline import curves, field
+    from fluxline import abphase, curves, field
 
     count = [0]
     measure = curves.min_distance
@@ -199,14 +199,15 @@ def test_invariance_suite_measures_each_pair_once(monkeypatch, clearance, calls)
         count[0] += 1
         return measure(*args, **kw)
 
-    for module in (curves, field):
+    for module in (abphase, curves, field):
         monkeypatch.setattr(module, "min_distance", counted)
     flux_curve, path = hopf_pair(64)
     invariance_suite(PhaseParams(1.0), fl.FluxLine(flux_curve, 1.0), path,
                      suite_spec(amplitude=0.0, steps=2, clearance=clearance))
-    # 1 for the base phase and 1 per deformed family, its initial clearance:
-    # the displacement bound accepts every step unscanned; below the guard
-    # (2e-6 here) each of the 12 evaluated states is measured again
+    # 1 for the base phase and 1 for the initial clearance of all three
+    # deformed families: the displacement bound accepts every step unscanned;
+    # below the guard (2e-6 here) each of the 9 phases evaluated past base,
+    # the swap family's first one included, is measured again
     assert count[0] == calls
 
 

@@ -255,6 +255,39 @@ def test_invariance_transforms_each_curve_once(monkeypatch, capsys, preset, samp
     assert rffts[0] <= len(linked)
 
 
+def test_phase_invariance_measures_the_start_once(monkeypatch, capsys):
+    from fluxline import abphase, curves, field, quadrature, topology
+
+    start, scans, sums = [], [0], [0]
+
+    def preset(*args, _fn=cli._preset_curves):
+        start[:] = _fn(*args)  # flux curve, path
+        return tuple(start)
+
+    def scanned(a, b, *args, _fn=curves.min_distance, **kw):
+        # distance is symmetric: the start pair either way round
+        if {id(a), id(b)} == set(map(id, start)) and kw.get("cutoff", np.inf) == np.inf:
+            scans[0] += 1
+        return _fn(a, b, *args, **kw)
+
+    def summed(path, curve, _fn=quadrature.linking_integral):
+        # the swap family's first sum is of the exchanged pair: another sum
+        if path is start[1] and curve is start[0]:
+            sums[0] += 1
+        return _fn(path, curve)
+
+    monkeypatch.setattr(cli, "_preset_curves", preset)
+    for mod in (abphase, curves, field, topology):
+        monkeypatch.setattr(mod, "min_distance", scanned)
+    for mod in (abphase, field, topology):
+        monkeypatch.setattr(mod, "linking_integral", summed)
+    code, _, _ = run(["phase", "--preset", "hopf", "--samples", "128", "--invariance"], capsys)
+    assert code == 0
+    # one exact scan serves all three deformed families, and every family's
+    # first phase is the suite's base: one sum in gauss_linking, one in base
+    assert (scans[0], sums[0]) == (1, 2)
+
+
 def test_phase_invariance_clearance_violation(capsys):
     code, _, err = run(
         ["phase", "--preset", "hopf", "--samples", "128", "--invariance",

@@ -2,6 +2,7 @@
 import contextlib
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -418,6 +419,26 @@ def test_segment_scans_hold_at_any_scale(scale):
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
+def test_tiny_circle_far_from_the_origin():
+    # a circle of radius 1e-200 in the plane x = 1: scaled with the
+    # coordinates by 2^-1, its extent lost its bits and the diameter read 0,
+    # and the squared segment lengths flushed to 0, where min_distance to
+    # its copy above read inf with RuntimeWarnings
+    origin = circle((0, 0, 0), 1e-200, X, 64)
+    shifted = circle((1, 0, 0), 1e-200, X, 64)
+    above = fl.ClosedCurve(shifted.points + [0.0, 0.0, 3e-200])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert shifted.diameter() == origin.diameter()
+        with pytest.raises(fl.GeometryError, match="extent 9.8e-202 is too short next to "
+                                                   "coordinates of size 1: its squared length"):
+            fl.min_distance(shifted, above)
+        with pytest.raises(fl.GeometryError, match="squared length underflows"):
+            curves._check_self_avoiding(shifted.points, "circle")
+        assert fl.min_distance(origin, fl.ClosedCurve(origin.points + [0.0, 0.0, 3e-200])) \
+            == pytest.approx(1e-200, rel=1e-12)
+
+
 @pytest.mark.parametrize("shift", [0.0, 1e7])
 @pytest.mark.parametrize("factor", [0.5, 2.0])
 def test_touch_check_decides_as_the_full_scan(factor, shift):
@@ -684,9 +705,9 @@ def test_simultaneous_deform_moves_each_curve_a_quarter_clearance():
     path, flux_curve = hopf_pair(128)
     spec = fl.DeformationSpec(amplitude=5.0, n_modes=3, seed=4, steps=6,
                               clearance=0.05)
-    states = list(_deform(path, flux_curve, spec, True))
-    assert len(states) == 7
-    for curves in zip(*states):
+    states = list(_deform(path, flux_curve, spec, True, fl.min_distance(path, flux_curve)))
+    assert len(states) == 6
+    for curves in zip(*[(path, flux_curve)] + states):
         for move in _largest_moves(curves):
             assert move == pytest.approx(0.0125, rel=1e-9)
     for a, b in states:
@@ -726,11 +747,12 @@ def _counted(monkeypatch, name):
 
 
 def _deform_scanning_every_attempt(a, b, spec, move_b=False):
-    """curves._deform without the displacement bound: one scan per attempt."""
+    """curves._deform without the displacement bound: one scan per attempt.
+    Like it, the drawn states without the start (a, b)."""
     rng = np.random.default_rng(spec.seed)
     moving = [a, b] if move_b else [a]
     step = min(spec.amplitude / spec.steps, 0.5 * spec.clearance / len(moving))
-    out = [(a, b)]
+    out = []
     for _ in range(spec.steps):
         while True:
             cand = []
@@ -770,14 +792,15 @@ def test_deform_scans_every_attempt_near_the_clearance(monkeypatch):
     spec = fl.DeformationSpec(amplitude=0.2, n_modes=3, seed=0, steps=20,
                               clearance=0.999 * fl.min_distance(knot, obstacle))
     expected = _deform_scanning_every_attempt(knot, obstacle, spec)
+    lb = fl.min_distance(knot, obstacle)
     scans = _counted(monkeypatch, "min_distance")
     draws = _counted(monkeypatch, "_displacement")
-    _assert_same_states(list(curves._deform(knot, obstacle, spec, False)), expected)
+    _assert_same_states(list(curves._deform(knot, obstacle, spec, False, lb)), expected)
     assert draws[0] > spec.steps
-    assert scans[0] == 1 + draws[0]
+    assert scans[0] == draws[0]
 
 
-@pytest.mark.parametrize("move_b, scans_made", [(False, 49), (True, 37)])
+@pytest.mark.parametrize("move_b, scans_made", [(False, 48), (True, 36)])
 def test_deform_scans_again_once_the_bound_runs_out(monkeypatch, move_b, scans_made):
     # 40 steps of 0.025 against an initial distance 0.0976 above the
     # clearance: the loop scans, accepts or rejects, and runs on the bound
@@ -786,8 +809,9 @@ def test_deform_scans_again_once_the_bound_runs_out(monkeypatch, move_b, scans_m
     spec = fl.DeformationSpec(amplitude=1.0, n_modes=3, seed=0, steps=40,
                               clearance=0.3)
     expected = _deform_scanning_every_attempt(knot, obstacle, spec, move_b)
+    lb = fl.min_distance(knot, obstacle)
     scans = _counted(monkeypatch, "min_distance")
-    _assert_same_states(list(curves._deform(knot, obstacle, spec, move_b)), expected)
+    _assert_same_states(list(curves._deform(knot, obstacle, spec, move_b, lb)), expected)
     assert scans[0] == scans_made
 
 
@@ -796,7 +820,7 @@ def test_deform_far_from_the_origin_keeps_clearance():
     obstacle, path = (fl.ClosedCurve(c.points + shift) for c in hopf_pair(128))
     spec = fl.DeformationSpec(amplitude=0.2, n_modes=3, seed=2, steps=20,
                               clearance=0.05)
-    states = list(curves._deform(path, obstacle, spec, False))
+    states = list(curves._deform(path, obstacle, spec, False, fl.min_distance(path, obstacle)))
     _assert_same_states(states, _deform_scanning_every_attempt(path, obstacle, spec))
     for s, _ in states:
         assert _unpruned_min(*s.segments(), *obstacle.segments()) > 0.05

@@ -278,6 +278,20 @@ def test_span_disk_area():
     assert abs(surf.area() - np.pi) < 1e-4
 
 
+def test_normals_follow_the_right_hand_rule_and_sum_to_the_area():
+    c = circle((0, 0, 0), 1.0, Z, 64)
+    for curve, sign in ((c, 1.0), (c.reversed(), -1.0)):
+        surf = fl.span_surface(curve)
+        nrm = surf.normals()
+        assert nrm.shape == (64, 3)
+        assert not nrm[:, :2].any() and (sign * nrm[:, 2] > 0.0).all()
+        assert np.linalg.norm(nrm, axis=1).sum() == surf.area()
+        tiny = fl.Surface(np.ldexp(surf.vertices, -300), surf.triangles)
+        assert np.array_equal(tiny.normals(), np.ldexp(nrm, -600))
+    right = fl.Surface(np.array([(0, 0, 0), (3, 0, 0), (0, 2, 0)], dtype=float), [(0, 1, 2)])
+    assert right.normals().tolist() == [[0.0, 0.0, 3.0]]
+
+
 @pytest.mark.parametrize("scale", [1e-50, 1e-76])
 def test_span_tiny_circle_and_count_through_it(scale):
     # the fan's degeneracy test once floored the diameter at 1e-30

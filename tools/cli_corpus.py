@@ -61,7 +61,7 @@ that this file runs against an older `src/` too:
   of a 1024-triangle fan, so that every pair of runs meets, forward and
   reversed.
 
-After the last runs come two more sets of library probes:
+After the last runs come four more sets of library probes:
 
 - on the Hopf preset's 256-point flux circle scaled by 2^k, k in {-150,
   -300, -550, 100}: `span_surface(...).area()`, and `solid_angle`,
@@ -69,7 +69,13 @@ After the last runs come two more sets of library probes:
   2^k (0.3, 0.2, 0.1), 0.1 of the scale off the fan;
 - `crossing_linking` of rectangles in the xz-plane through the point
   (0.5, 0, 0) of a 64-point unit-disk fan, with far corners at 1e20, 1e100
-  and 1e160, forward and reversed.
+  and 1e160, forward and reversed;
+- every state of `deform_homotopy` of the hopf and l2 presets' paths about
+  their flux curves at 128 samples, with `phase`'s default deformation for
+  seeds 0 and 1;
+- `diameter` of 64-point circles of radius 1e-200 in the planes x = 0 and
+  x = 1, and `min_distance` to their copies 3e-200 above, where an extent
+  far below the coordinates loses its bits.
 
 Each set gets a directory OUT/NNN-label holding `values`: per probe, its
 arguments (a point's hex bytes, or a name) and the hex bytes of the result,
@@ -245,6 +251,23 @@ def scale_probe_sets():
         rows += [f"rectangle-{far:g}-{way} {value(fluxline.crossing_linking, p, disk)}"
                  for way, p in (("forward", path), ("reversed", path.reversed()))]
     yield "far-rectangles-crossing_linking", rows
+    rows = []
+    for name in ("hopf", "l2"):
+        flux_curve, path = preset_curves(name, 128)
+        for seed in (0, 1):
+            spec = fluxline.DeformationSpec(amplitude=0.2, n_modes=3, seed=seed, steps=20,
+                                            clearance=0.05)
+            states = value(lambda: [c.points for c in
+                                    fluxline.deform_homotopy(path, flux_curve, spec)])
+            rows.append(f"{name}-128-seed{seed} {states}")
+    yield "presets-deform_homotopy", rows
+    rows = []
+    for x in (0.0, 1.0):
+        c = fluxline.make_circle((x, 0.0, 0.0), 1e-200, (1.0, 0.0, 0.0), 64)
+        above = fluxline.ClosedCurve(c.points + [0.0, 0.0, 3e-200])
+        rows += [f"x={x:g} diameter {value(c.diameter)}",
+                 f"x={x:g} min_distance {value(fluxline.min_distance, c, above)}"]
+    yield "tiny-circles-off-the-origin", rows
 
 
 def scaled_hopf(tmp, scale):
