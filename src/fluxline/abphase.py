@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 
 from .curves import ClosedCurve, DeformationSpec, _deform, min_distance
 from .errors import GeometryError
-from .field import FluxLine, _guard, circulation
+from .field import GUARD_FACTOR, FluxLine, _guard, circulation
 from .quadrature import linking_integral
 from .topology import crossing_linking, span_surface
 
@@ -97,25 +97,42 @@ def invariance_suite(p: PhaseParams, f: FluxLine, path: ClosedCurve,
     base = ab_phase_circulation(p, f, path)
     lb = min_distance(path, f.curve)
 
-    def phase(flux_curve, c):
+    def clear(start):
+        """Whether the clearance exceeds circulation's guard on every curve
+        deformed from start, by a bound: False when the bound cannot tell."""
+        # a state's vertices lie within steps * step <= amplitude of the
+        # start's, and so does its centroid, so its diameter is at most the
+        # start's plus 4 amplitudes. In rounding, each step's sum moves a
+        # coordinate by at most 1.2e-16 of the largest one, size + amplitude,
+        # and the centroids and diameters are a few 1e-15 of it off: a slack
+        # of 1e-12 of it per step, and once more, covers both with room
+        slack = 1e-12 * (spec.steps + 1) * (start._size + spec.amplitude)
+        return spec.clearance > GUARD_FACTOR * (start.diameter() + 4.0 * spec.amplitude + slack)
+
+    def phase(flux_curve, c, far):
         # every deformed state is more than spec.clearance apart, so when the
-        # clearance exceeds circulation's guard, its distance check cannot fire
-        if spec.clearance > _guard(FluxLine(flux_curve, 1.0)):
+        # clearance exceeds circulation's guard, its distance check cannot fire;
+        # far is clear(start) of the family's flux-role curves, decided once
+        if far or spec.clearance > _guard(FluxLine(flux_curve, 1.0)):
             return p.alpha * linking_integral(c, flux_curve)
         return ab_phase_circulation(p, FluxLine(curve=flux_curve, flux=f.flux), c)
 
+    far_flux, far_path = clear(f.curve), clear(path)
     # each family starts from (path, f.curve), whose phase is base
     suites = {}
     states = _deform(path, f.curve, spec, False, lb)
-    suites["path"] = _suite_entry([base] + [phase(f.curve, c) for c, _ in states], base, tol)
+    suites["path"] = _suite_entry(
+        [base] + [phase(f.curve, c, far_flux) for c, _ in states], base, tol)
 
     states = _deform(f.curve, path, replace(spec, seed=spec.seed + 1), False, lb)
-    suites["flux_curve"] = _suite_entry([base] + [phase(c, path) for c, _ in states], base, tol)
+    suites["flux_curve"] = _suite_entry(
+        [base] + [phase(c, path, far_flux) for c, _ in states], base, tol)
 
     # role swap: the linking integrand is symmetric under exchanging the
     # curves, so using the path as the flux line must reproduce the phase
     states = _deform(path, f.curve, replace(spec, seed=spec.seed + 2), True, lb)
-    both = [(base, phase(path, f.curve))] + [(phase(fc, pc), phase(pc, fc)) for pc, fc in states]
+    both = [(base, phase(path, f.curve, far_path))] + [
+        (phase(fc, pc, far_flux), phase(pc, fc, far_path)) for pc, fc in states]
     suites["simultaneous"] = _suite_entry([sim for sim, _ in both], base, tol)
     suites["swap"] = _suite_entry([swap for _, swap in both], base, tol)
 

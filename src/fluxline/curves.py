@@ -53,10 +53,24 @@ class ClosedCurve:
             raise GeometryError("curve points must form an (n, 3) array")
         if pts.shape[0] < 3:
             raise GeometryError("a closed curve needs at least 3 points")
-        if not np.all(np.isfinite(pts)):
+        self._take(pts)
+
+    @classmethod
+    def _moved(cls, pts) -> "ClosedCurve":
+        """The curve on pts, a fresh (n, 3) float array: a validated curve's points
+        plus a finite displacement, as `_deform` builds. The array is taken over,
+        not copied, and its shape is not checked again; the sum can still overflow
+        or close a segment, so finiteness and distinct neighbours are checked."""
+        c = object.__new__(cls)
+        c._take(pts)
+        return c
+
+    def _take(self, pts):
+        """Check that pts is finite with distinct neighbours, and hold it read-only."""
+        if not np.isfinite(pts).all():
             raise GeometryError("curve points must be finite")
-        seg = np.roll(pts, -1, axis=0) - pts
-        if not (seg != 0.0).any(axis=1).all():  # exact, where squared lengths underflow
+        # exact, where squared lengths underflow: finite a - b is 0 only if a == b
+        if not ((pts[1:] != pts[:-1]).any(axis=1).all() and (pts[0] != pts[-1]).any()):
             raise GeometryError("consecutive curve points must be distinct")
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
@@ -291,10 +305,7 @@ def _min_segment_distance(p0, u, q0, v, skip_adjacent=False, cutoff=np.inf) -> f
         ww = np.einsum("ij,ij->i", w, w)
         if not ww.all():
             size = max(float(np.abs(x).max()) for x in (p0, q0))
-            raise GeometryError(
-                f"a segment of extent {np.ldexp(np.abs(w[np.argmin(ww)]).max(), k):.3g} is too"
-                f" short next to coordinates of size {np.ldexp(size, k):.3g}:"
-                " its squared length underflows")
+            raise _too_short(np.ldexp(np.abs(w[np.argmin(ww)]).max(), k), np.ldexp(size, k))
     cutoff = np.ldexp(cutoff, -k)
     n = p0.shape[0]
     boxes_p = _boxes(p0, p0 + u)
@@ -345,13 +356,29 @@ def min_distance(a: ClosedCurve, b: ClosedCurve, threads=None, *, cutoff=np.inf)
     return _min_segment_distance(*a.segments(), *b.segments(), cutoff=cutoff)
 
 
+def _too_short(extent, size):
+    """The refusal of a segment whose squared length underflows to 0 once `_scaled`."""
+    return GeometryError(f"a segment of extent {extent:.3g} is too short next to coordinates"
+                         f" of size {size:.3g}: its squared length underflows")
+
+
 def point_segment_distance(x, p0, d):
-    """Distances (m, k) from points x (m, 3) to segments (p0, d) (k, 3), on x - p0, d `_scaled`."""
+    """Distances (m, k) from points x (m, 3) to segments (p0, d) (k, 3), on x - p0, d `_scaled`.
+
+    A segment of length 0 is its point p0. One whose squared length underflows
+    to 0 once scaled with the offsets x - p0, where the projection would divide
+    by it, is refused with GeometryError, as in `_min_segment_distance`.
+    """
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    k, (w, d) = _scaled(x[:, None, :] - p0[None, :, :], d)
-    dd = np.einsum("ij,ij->i", d, d)[None, :]
-    t = np.clip(np.einsum("jk,ijk->ij", d, w) / dd, 0.0, 1.0)
-    diff = w - t[:, :, None] * d[None, :, :]
+    k, (w, u) = _scaled(x[:, None, :] - p0[None, :, :], d)
+    uu = np.einsum("ij,ij->i", u, u)
+    if not uu.all():
+        short = d[uu == 0.0]
+        if short.any():
+            raise _too_short(float(np.abs(short).max()), float(np.ldexp(np.abs(w).max(), k)))
+        uu[uu == 0.0] = np.inf  # t = 0 on a point
+    t = np.clip(np.einsum("jk,ijk->ij", u, w) / uu, 0.0, 1.0)
+    diff = w - t[:, :, None] * u[None, :, :]
     return np.ldexp(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)), k)
 
 
@@ -500,7 +527,10 @@ def _deform(a: ClosedCurve, b: ClosedCurve, spec: DeformationSpec, move_b: bool,
     one displacement per moving curve, a first. Each moving curve steps at
     most half the clearance split among the moving curves, so the relative
     motion between accepted states stays below half the clearance and the
-    pair cannot pass through each other between steps.
+    pair cannot pass through each other between steps. A candidate is built
+    by `ClosedCurve._moved`, without a copy and with only the checks that a
+    validated parent plus a finite displacement can still fail: finiteness,
+    as the sum may overflow, and distinct neighbours.
 
     The pair's distance is carried as a lower bound lb (conservative
     advancement, Mirtich 1996). A step moves every vertex of a moving curve,
@@ -531,7 +561,7 @@ def _deform(a: ClosedCurve, b: ClosedCurve, spec: DeformationSpec, move_b: bool,
             peaks = [float(np.sqrt(np.max(np.einsum("ij,ij->i", d, d)))) for d in disps]
             if 0.0 in peaks:
                 continue
-            cand = [ClosedCurve(c.points + (step / pk) * d)
+            cand = [ClosedCurve._moved(c.points + (step / pk) * d)
                     for c, d, pk in zip(moving, disps, peaks)]
             pair = (cand[0], cand[1] if move_b else b)
             slack = 1e-12 * max(c._size for c in pair)

@@ -16,6 +16,7 @@ from fluxline.abphase import (
     invariance_suite,
 )
 from fluxline.curves import DeformationSpec
+from fluxline.field import GUARD_FACTOR
 
 
 def suite_spec(**kw):
@@ -209,6 +210,52 @@ def test_invariance_suite_measures_each_pair_once(monkeypatch, clearance, calls)
     # below the guard (2e-6 here) each of the 9 phases evaluated past base,
     # the swap family's first one included, is measured again
     assert count[0] == calls
+
+
+@pytest.mark.parametrize("near, offset", [("start", -1e-12), ("start", 1e-12),
+                                          ("bound", -1e-15), ("bound", 1e-15), ("bound", 1e-9)])
+def test_family_guard_decides_as_each_state(monkeypatch, near, offset):
+    # clearances a hair from the start's own guard, GUARD_FACTOR * diameter,
+    # where the deformed states' guards fall either side of the clearance, and
+    # from the family bound, GUARD_FACTOR * (diameter + 4 amplitudes): against
+    # a run whose bound never settles, so that every state decides on its own
+    from fluxline import abphase, curves
+
+    flux_curve, path = hopf_pair(64)
+    amplitude = 1e-6
+    diameter = flux_curve.diameter()
+    clearance = GUARD_FACTOR * (diameter + (4.0 * amplitude if near == "bound" else 0.0))
+    clearance *= 1.0 + offset
+
+    def suite():
+        count = [0, 0]
+
+        def measured(*args, _fn=curves._diameter_of):
+            count[0] += 1
+            return _fn(*args)
+
+        def circulated(*args, _fn=abphase.ab_phase_circulation):
+            count[1] += 1
+            return _fn(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(curves, "_diameter_of", measured)
+            m.setattr(abphase, "ab_phase_circulation", circulated)
+            # fresh curves: no diameter cached from a run before
+            pair = [fl.ClosedCurve(c.points) for c in (flux_curve, path)]
+            rep = invariance_suite(PhaseParams(0.9), fl.FluxLine(pair[0], 1.0), pair[1],
+                                   suite_spec(amplitude=amplitude, steps=4, clearance=clearance))
+        return rep, count
+
+    got, (diameters, circulations) = suite()
+    with monkeypatch.context() as m:
+        m.setattr(abphase, "GUARD_FACTOR", np.inf)
+        want, (each_diameters, each_circulations) = suite()
+    assert got == want and circulations == each_circulations
+    # the two starts', and then each flux-role state's; the bound's rounding
+    # slack, 5e-18 here, leaves a clearance 1e-15 above it to the states
+    assert each_diameters == 2 + 3 * 4
+    assert diameters == (2 if offset == 1e-9 else each_diameters)
 
 
 def test_shift_recomputed_from_suite_phases_is_stable():

@@ -288,6 +288,32 @@ def test_phase_invariance_measures_the_start_once(monkeypatch, capsys):
     assert (scans[0], sums[0]) == (1, 2)
 
 
+@pytest.mark.parametrize("preset", ["hopf", "l2", "unlinked"])
+def test_phase_invariance_makes_the_same_diameters_at_any_steps(monkeypatch, capsys, preset):
+    from fluxline import curves, topology
+
+    count = [0]
+
+    def counted(*args, _fn=curves._diameter_of):
+        count[0] += 1
+        return _fn(*args)
+
+    for mod in (curves, topology):
+        monkeypatch.setattr(mod, "_diameter_of", counted)
+    counts = []
+    for steps in ("2", "20"):
+        count[0] = 0
+        code, _, _ = run(["phase", "--preset", preset, "--samples", "128", "--invariance",
+                          "--steps", steps], capsys)
+        assert code == 0
+        counts.append(count[0])
+    # the flux curve's and the path's, for the spanning surfaces, the guard
+    # and the one guard decision of each family's start, and on hopf, whose
+    # path passes the flux circle's centroid, the fan's for the crossing
+    # count's tie; no deformed state's
+    assert counts == [3 if preset == "hopf" else 2] * 2
+
+
 def test_phase_invariance_clearance_violation(capsys):
     code, _, err = run(
         ["phase", "--preset", "hopf", "--samples", "128", "--invariance",

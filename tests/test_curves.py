@@ -439,6 +439,28 @@ def test_tiny_circle_far_from_the_origin():
             == pytest.approx(1e-200, rel=1e-12)
 
 
+def test_point_distance_to_a_tiny_circle_far_from_the_origin_is_refused():
+    # the same circle: scaled with the offsets x - p0, the squared segment
+    # lengths flushed to 0, and the distance read nan at (2, 0, 0) and 1.0
+    # at (1, 0, 1), each with RuntimeWarnings
+    c = circle((1, 0, 0), 1e-200, X, 64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in ((2.0, 0.0, 0.0), (1.0, 0.0, 1.0)):
+            with pytest.raises(fl.GeometryError, match="extent 9.8e-202 is too short next to "
+                                                       "coordinates of size 1: its squared length"):
+                curves.distance_to_curve(np.array(x), c)
+
+
+def test_point_distance_to_a_segment_of_length_0_is_to_its_point():
+    p0 = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    d = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = curves.point_segment_distance([(-3.0, 4.0, 0.0), (0.5, 2.0, 0.0)], p0, d)
+    assert np.array_equal(got, [[5.0, 5.0], [math.hypot(0.5, 2.0), 2.0]])
+
+
 @pytest.mark.parametrize("shift", [0.0, 1e7])
 @pytest.mark.parametrize("factor", [0.5, 2.0])
 def test_touch_check_decides_as_the_full_scan(factor, shift):
@@ -620,6 +642,26 @@ def test_tiny_curves_build_and_a_repeated_point_is_refused(scale):
         fl.ClosedCurve(pts)
     with pytest.raises(fl.GeometryError, match="consecutive open path points must be distinct"):
         _open_polyline(pts)
+
+
+def test_moved_curve_refuses_what_a_finite_displacement_can_break():
+    # _deform's candidates: a validated curve plus a finite displacement can
+    # overflow or close a segment, with ClosedCurve's messages
+    square = fl.ClosedCurve([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)])
+    onto = np.zeros((4, 3))
+    onto[3] = (1.0, 0.0, 0.0)  # (0, 1, 0) onto its neighbour (1, 1, 0)
+    with np.errstate(over="ignore"):
+        overflowed = square.points * 1e308 + 1e308
+    for pts, message in ((overflowed, "curve points must be finite"),
+                         (square.points + onto, "consecutive curve points must be distinct")):
+        with pytest.raises(fl.GeometryError, match=message):
+            fl.ClosedCurve(pts)
+        with pytest.raises(fl.GeometryError, match=message):
+            fl.ClosedCurve._moved(pts)
+    pts = square.points + 0.5
+    moved = fl.ClosedCurve._moved(pts)
+    assert moved.points is pts and not pts.flags.writeable
+    assert moved.diameter() == fl.ClosedCurve(pts).diameter()
 
 
 def test_curve_points_immutable():

@@ -77,6 +77,10 @@ After the last runs come four more sets of library probes:
   x = 1, and `min_distance` to their copies 3e-200 above, where an extent
   far below the coordinates loses its bits.
 
+Last comes one more run: `phase --preset hopf --samples 128 --invariance
+--clearance 1e-7 --steps 8`, whose clearance is under the guard, so that
+each deformed state decides on its own whether circulation's check runs.
+
 Each set gets a directory OUT/NNN-label holding `values`: per probe, its
 arguments (a point's hex bytes, or a name) and the hex bytes of the result,
 or the refusal's exception and message. The curve files the runs read
@@ -270,6 +274,15 @@ def scale_probe_sets():
     yield "tiny-circles-off-the-origin", rows
 
 
+def end_runs():
+    """(label, argv, files written) of the runs after the last probe sets, in order."""
+    # a clearance under the guard of 1e-6 diameters, so under the invariance
+    # suite's bound for a family too: every state decides on its own
+    yield ("phase-hopf-128-clearance-1e-7",
+           ["phase", "--preset", "hopf", "--samples", "128", "--invariance",
+            "--clearance", "1e-7", "--steps", "8"], [])
+
+
 def scaled_hopf(tmp, scale):
     """The run of `link` on the 256-point Hopf pair scaled by scale, after writing its files."""
     files = []
@@ -395,6 +408,8 @@ def main(argv):
         write_run(out / f"{k:03d}-{label}", args, files)
     for k, (label, lines) in enumerate(scale_probe_sets(), start=k + 1):
         write_values(out / f"{k:03d}-{label}", lines)
+    for k, (label, args, files) in enumerate(end_runs(), start=k + 1):
+        write_run(out / f"{k:03d}-{label}", args, files)
     shutil.rmtree(WORK, ignore_errors=True)
 
 
