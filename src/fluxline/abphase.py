@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 
 from .curves import ClosedCurve, DeformationSpec, _deform, min_distance
 from .errors import GeometryError
-from .field import GUARD_FACTOR, FluxLine, _guard, circulation
+from .field import FluxLine, _guard_bound, circulation
 from .quadrature import linking_integral
 from .topology import crossing_linking, span_surface
 
@@ -107,13 +107,13 @@ def invariance_suite(p: PhaseParams, f: FluxLine, path: ClosedCurve,
         # and the centroids and diameters are a few 1e-15 of it off: a slack
         # of 1e-12 of it per step, and once more, covers both with room
         slack = 1e-12 * (spec.steps + 1) * (start._size + spec.amplitude)
-        return spec.clearance > GUARD_FACTOR * (start.diameter() + 4.0 * spec.amplitude + slack)
+        return spec.clearance > _guard_bound(start, 4.0 * spec.amplitude + slack)
 
     def phase(flux_curve, c, far):
         # every deformed state is more than spec.clearance apart, so when the
         # clearance exceeds circulation's guard, its distance check cannot fire;
         # far is clear(start) of the family's flux-role curves, decided once
-        if far or spec.clearance > _guard(FluxLine(flux_curve, 1.0)):
+        if far or spec.clearance > _guard_bound(flux_curve):
             return p.alpha * linking_integral(c, flux_curve)
         return ab_phase_circulation(p, FluxLine(curve=flux_curve, flux=f.flux), c)
 

@@ -53,20 +53,6 @@ class ClosedCurve:
             raise GeometryError("curve points must form an (n, 3) array")
         if pts.shape[0] < 3:
             raise GeometryError("a closed curve needs at least 3 points")
-        self._take(pts)
-
-    @classmethod
-    def _moved(cls, pts) -> "ClosedCurve":
-        """The curve on pts, a fresh (n, 3) float array: a validated curve's points
-        plus a finite displacement, as `_deform` builds. The array is taken over,
-        not copied, and its shape is not checked again; the sum can still overflow
-        or close a segment, so finiteness and distinct neighbours are checked."""
-        c = object.__new__(cls)
-        c._take(pts)
-        return c
-
-    def _take(self, pts):
-        """Check that pts is finite with distinct neighbours, and hold it read-only."""
         if not np.isfinite(pts).all():
             raise GeometryError("curve points must be finite")
         # exact, where squared lengths underflow: finite a - b is 0 only if a == b
@@ -527,10 +513,7 @@ def _deform(a: ClosedCurve, b: ClosedCurve, spec: DeformationSpec, move_b: bool,
     one displacement per moving curve, a first. Each moving curve steps at
     most half the clearance split among the moving curves, so the relative
     motion between accepted states stays below half the clearance and the
-    pair cannot pass through each other between steps. A candidate is built
-    by `ClosedCurve._moved`, without a copy and with only the checks that a
-    validated parent plus a finite displacement can still fail: finiteness,
-    as the sum may overflow, and distinct neighbours.
+    pair cannot pass through each other between steps.
 
     The pair's distance is carried as a lower bound lb (conservative
     advancement, Mirtich 1996). A step moves every vertex of a moving curve,
@@ -561,7 +544,7 @@ def _deform(a: ClosedCurve, b: ClosedCurve, spec: DeformationSpec, move_b: bool,
             peaks = [float(np.sqrt(np.max(np.einsum("ij,ij->i", d, d)))) for d in disps]
             if 0.0 in peaks:
                 continue
-            cand = [ClosedCurve._moved(c.points + (step / pk) * d)
+            cand = [ClosedCurve(c.points + (step / pk) * d)
                     for c, d, pk in zip(moving, disps, peaks)]
             pair = (cand[0], cand[1] if move_b else b)
             slack = 1e-12 * max(c._size for c in pair)

@@ -28,8 +28,15 @@ class FluxLine:
             raise GeometryError("flux must be finite")
 
 
+def _guard_bound(curve: ClosedCurve, drift: float = 0.0) -> float:
+    """The guard of a line on curve, GUARD_FACTOR times its diameter; with a
+    drift, a bound on the guard of any curve whose diameter is at most curve's
+    plus drift."""
+    return GUARD_FACTOR * (curve.diameter() + drift)
+
+
 def _guard(f: FluxLine) -> float:
-    return GUARD_FACTOR * f.curve.diameter()
+    return _guard_bound(f.curve)
 
 
 def potential_at(f: FluxLine, xs):

@@ -11,8 +11,7 @@ protected by their integer-valued limits.
 
 That interpolant is the curve model. It depends on the curve alone, so
 `curves.ClosedCurve` caches it: `spectrum`, the `rfft` coefficients,
-`nodes`, the (mids, weights) that `_nodes` builds from them in one
-`irfft` of six columns, points and tangents side by side, and
+`nodes`, the (mids, weights) that `_nodes` builds from them, and
 `kernel_factor`, the part of the pair sum below that depends on the nodes
 alone. The cached arrays are read-only, so threads may share them. The
 sums below take curves and read those caches, so a curve that enters many
@@ -94,17 +93,13 @@ def periodic_midpoints(points):
 
 def _nodes(coef, n):
     """`periodic_midpoints` of the n-node trigonometric interpolant whose
-    leading `rfft` coefficients are coef; the missing ones are 0.
-
-    The points and the tangents come from one `irfft` of the stacked (k, 6)
-    coefficients [coef * half | coef * ik * half]: it transforms each column
-    on its own, so each half has the bits of its own 3-column transform.
-    """
+    leading `rfft` coefficients are coef; the missing ones are 0."""
     k = np.arange(coef.shape[0])
     # evaluate the trigonometric interpolant half a cell to the right
     half = np.exp(1j * np.pi * k / n)[:, None]
-    both = np.fft.irfft(np.hstack([coef * half, coef * (1j * k)[:, None] * half]), n, axis=0)
-    return both[:, :3], both[:, 3:] * (2.0 * np.pi / n)
+    mids = np.fft.irfft(coef * half, n, axis=0)
+    tangents = np.fft.irfft(coef * (1j * k)[:, None] * half, n, axis=0)
+    return mids, tangents * (2.0 * np.pi / n)
 
 
 def biot_savart(mids, weights, xs):

@@ -248,8 +248,12 @@ def test_family_guard_decides_as_each_state(monkeypatch, near, offset):
         return rep, count
 
     got, (diameters, circulations) = suite()
+
+    def unsettled(curve, drift=0.0, _fn=abphase._guard_bound):
+        return np.inf if drift else _fn(curve)
+
     with monkeypatch.context() as m:
-        m.setattr(abphase, "GUARD_FACTOR", np.inf)
+        m.setattr(abphase, "_guard_bound", unsettled)
         want, (each_diameters, each_circulations) = suite()
     assert got == want and circulations == each_circulations
     # the two starts', and then each flux-role state's; the bound's rounding

@@ -644,24 +644,22 @@ def test_tiny_curves_build_and_a_repeated_point_is_refused(scale):
         _open_polyline(pts)
 
 
-def test_moved_curve_refuses_what_a_finite_displacement_can_break():
-    # _deform's candidates: a validated curve plus a finite displacement can
-    # overflow or close a segment, with ClosedCurve's messages
-    square = fl.ClosedCurve([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)])
-    onto = np.zeros((4, 3))
-    onto[3] = (1.0, 0.0, 0.0)  # (0, 1, 0) onto its neighbour (1, 1, 0)
-    with np.errstate(over="ignore"):
-        overflowed = square.points * 1e308 + 1e308
-    for pts, message in ((overflowed, "curve points must be finite"),
-                         (square.points + onto, "consecutive curve points must be distinct")):
-        with pytest.raises(fl.GeometryError, match=message):
+def test_curve_refuses_each_repeated_neighbour_and_an_overflowed_sum():
+    # a validated curve plus a finite displacement, as `_deform` builds, can
+    # overflow or close a segment, the closing one (last, first) included
+    square = np.array([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)], dtype=float)
+    for i in range(4):
+        pts = square.copy()
+        pts[i] = pts[(i + 1) % 4]
+        with pytest.raises(fl.GeometryError, match="consecutive curve points must be distinct"):
             fl.ClosedCurve(pts)
-        with pytest.raises(fl.GeometryError, match=message):
-            fl.ClosedCurve._moved(pts)
-    pts = square.points + 0.5
-    moved = fl.ClosedCurve._moved(pts)
-    assert moved.points is pts and not pts.flags.writeable
-    assert moved.diameter() == fl.ClosedCurve(pts).diameter()
+    with np.errstate(over="ignore"):
+        overflowed = square * 1e308 + 1e308
+    with pytest.raises(fl.GeometryError, match="curve points must be finite"):
+        fl.ClosedCurve(overflowed)
+    pts = square.copy()
+    pts[2] = pts[0]  # a repeat that is not a neighbour is a curve
+    fl.ClosedCurve(pts)
 
 
 def test_curve_points_immutable():

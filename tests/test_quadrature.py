@@ -30,30 +30,6 @@ def test_kernel_matches_a_plain_loop():
     assert np.allclose(biot_savart(mids, w, xs), want, rtol=1e-13, atol=0.0)
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 16, 127, 128, 160, 1024, 4097])
-def test_nodes_are_the_two_transforms_bit_for_bit(n):
-    # one irfft of the stacked (k, 6) coefficients transforms each column
-    # on its own: its halves have the bits of a 3-column transform each
-    def two_transforms(coef, n):
-        k = np.arange(coef.shape[0])
-        half = np.exp(1j * np.pi * k / n)[:, None]
-        mids = np.fft.irfft(coef * half, n, axis=0)
-        tangents = np.fft.irfft(coef * (1j * k)[:, None] * half, n, axis=0)
-        return mids, tangents * (2.0 * np.pi / n)
-
-    rng = np.random.default_rng(n)
-    shapes = [rng.normal(size=(n, 3)), 1e-150 * rng.normal(size=(n, 3)),
-              circle((0, 0, 0), 1.0, Z, n).points, circle((1, 0, 0), 1.0, Y, n).points]
-    if n >= 32:
-        shapes.append(fl.make_torus_knot(1, 2, 1.0, 0.4, n).points)
-    for pts in shapes:
-        coef = np.fft.rfft(pts, axis=0)
-        cases = [(coef, n)] + ([(coef[:32] * (64 / n), 64)] if n >= 256 else [])
-        for c, m in cases:
-            for got, want in zip(quadrature._nodes(c, m), two_transforms(c, m)):
-                assert got.shape == want.shape and got.tobytes() == want.tobytes()
-
-
 @pytest.mark.parametrize("n, m", [(3, 1), (160, 600), (1024, 300)])
 def test_kernel_blocks_do_not_change_its_bits(monkeypatch, n, m):
     rng = np.random.default_rng(n)
