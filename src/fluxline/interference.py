@@ -286,7 +286,9 @@ def ab_shift_measured(off: Pattern, on: Pattern) -> float:
             " the grid"
         )
     z_on = _fringe_signal(on.values, dx, fringe)
-    return float(np.angle(np.vdot(off._signal, z_on))) * fringe / (2.0 * np.pi)
+    # numpy's own loop, not BLAS's dot, whose summation order follows its thread count
+    correlation = np.einsum("i,i->", off._signal.conj(), z_on)
+    return float(np.angle(correlation)) * fringe / (2.0 * np.pi)
 
 
 def quantization_report(n_e: int, N: int, superconducting: bool) -> dict:
@@ -307,16 +309,224 @@ def quantization_report(n_e: int, N: int, superconducting: bool) -> dict:
     return {"phase_factor": complex(1.0, 0.0), "observable": False}
 
 
+# ---------------------------------------------------------------- CSV text
+#
+# `_csv` writes each value as `'%.15g' % value` does, a block of values at a
+# time. A finite value v with |v| in [1e-280, 1e280] has a decimal exponent
+# X and a 15-digit significand N = round(|v| 10^(14 - X)) in [1e14, 1e15),
+# rounded half to even. Each value fills a slot of _SLOT bytes:
+#
+#   bytes  0-5   the sign and the "0.000" of fixed notation below 1 (_LEAD)
+#   bytes  6-25  N's digits, five 3-digit chunks of 4 bytes (_CHUNK): the
+#                chunk at the decimal point carries it, the others a zero byte
+#   bytes 26-31  "e", the exponent's sign and digits, the separator (_TAIL)
+#
+# The lead and the tail are written as the 8-byte words 0 and 3, before the
+# digits, which overwrite their bytes 6-7 and 24-25. Bytes that the text
+# does not show are zero: the lead and tail tables hold zeros where a
+# notation shows nothing, and a mask (_KEEP) clears the digits past the last
+# one shown and a point with nothing after it. One pass deletes the zero
+# bytes of a block.
+
+_SLOT = 32
+_BLOCK = 4096                    # values formatted at a time
+_X_MAX = 283                     # tables cover exponents -_X_MAX .. _X_MAX
+_SPLIT = 134217729.0             # 2^27 + 1: Veltkamp's split into 26-bit halves
+
+
+def _powers_of_ten():
+    """(hi, hi's high and low halves, lo): hi + lo = 10^(14 - X) to 2^-106 of
+    it, for X in [-_X_MAX, _X_MAX], from Python's exact integers."""
+    hi, lo = [], []
+    for k in range(14 + _X_MAX, 13 - _X_MAX, -1):
+        if k >= 0:
+            h = float(10 ** k)
+            r = 10 ** k - int(h)
+            d = 1
+        else:
+            d = 10 ** -k
+            h = 1 / d
+            num, den = h.as_integer_ratio()
+            r, d = den - num * d, den * d
+        hi.append(h)
+        lo.append(r / d)
+    hi = np.array(hi)
+    t = hi * _SPLIT
+    high = t - (t - hi)
+    return hi, high, hi - high, np.array(lo)
+
+
+_TEN_HI, _TEN_HH, _TEN_HL, _TEN_LO = _powers_of_ten()
+
+
+def _significand(a, x):
+    """N = round(a 10^(14 - x)) per value, and where that rounding is not certified.
+
+    hi + lo is the power of ten to 2^-106 of it and a * hi is split
+    exactly into p + err (Dekker 1971), so the residual a 10^(14 - x) - N is
+    known to within 1e-15; a residual within 1e-9 of a half is not
+    certified. a in [1e-280, 1e280] keeps every partial product of the split
+    normal.
+    """
+    k = x + _X_MAX
+    hh, hl = _TEN_HH[k], _TEN_HL[k]
+    t = a * _SPLIT
+    ah = t - (t - a)
+    al = a - ah
+    p = a * _TEN_HI[k]
+    err = ah * hh - p
+    err += ah * hl
+    err += al * hh
+    err += al * hl
+    n = np.rint(p)
+    r = p - n
+    r += err
+    r += a * _TEN_LO[k]
+    n += r > 0.5
+    n -= r < -0.5
+    np.abs(r, out=r)
+    r -= 0.5
+    return n, np.abs(r) < 1e-9
+
+
+def _layouts():
+    """Per exponent X: its layout class, the lead words and the tail word;
+    per class: the chunk variants; per class and digit count: the mask.
+
+    Classes 0-18 are fixed notation, X = class - 4; 19 and 20 are
+    scientific with a 2- and a 3-digit exponent. A chunk's variant v < 3
+    puts the point after its digit v, v = 3 puts a zero byte after its
+    three digits.
+    """
+    xs = np.arange(-_X_MAX, _X_MAX + 1)
+    fixed_x = (xs >= -4) & (xs < 15)
+    cls = np.where(fixed_x, xs + 4, np.where(np.abs(xs) >= 100, 20, 19))
+    lead = np.zeros((xs.size, 2, 8), np.uint8)
+    lead[:, 1, 0] = ord("-")
+    zeros = (np.arange(5) < 1 - xs[:, None]) & fixed_x[:, None] & (xs[:, None] < 0)
+    lead[:, :, 1:6] = np.frombuffer(b"0.000", np.uint8) * zeros[:, None, :]
+    tail = np.zeros((xs.size, 8), np.uint8)
+    tail[:, 2] = ord("e")
+    tail[:, 3] = np.where(xs < 0, ord("-"), ord("+"))
+    for i, p in enumerate((100, 10, 1)):
+        tail[:, 4 + i] = ord("0") + np.abs(xs) // p % 10
+    tail[:, 4] *= np.abs(xs) >= 100
+    tail[:, 2:7] *= ~fixed_x[:, None]
+    tail[:, 7] = ord(",")
+    # the point follows digit X in fixed notation from 1 up, digit 0 in
+    # scientific; below 1 the lead carries it
+    c = np.arange(21)
+    x, fixed = c - 4, c < 19
+    point = np.where(fixed, np.where(x >= 0, x, -9), 0)
+    first = 3 * np.arange(5)
+    variant = np.where((point[:, None] >= first) & (point[:, None] < first + 3),
+                       point[:, None] - first, 3)
+    # byte b of the digit bytes is at chunk j, offset o; digit index i
+    b = np.arange(20)
+    j, o = b // 4, b % 4
+    v = variant[:, j][:, None, :]
+    is_point = o == v + 1
+    i = 3 * j + o - (o > v)
+    s = np.arange(16)[None, :, None]
+    xf = x[:, None, None]
+    shown = np.where(fixed[:, None, None] & (xf >= 0), np.maximum(s, xf + 1), s)
+    point_shown = np.where(fixed[:, None, None], s > xf + 1, s > 1)
+    keep = np.ones((21, 16, _SLOT), bool)
+    keep[:, :, 6:26] = np.where(is_point, point_shown, i < shown)
+    return (cls, lead.view(np.uint64).ravel(), tail.view(np.uint64).ravel(),
+            np.ascontiguousarray(1000 * variant.T),
+            (keep * np.uint8(255)).view(f"V{_SLOT}").ravel())
+
+
+_CLASS, _LEAD, _TAIL, _VARIANT, _KEEP = _layouts()
+
+
+def _chunks():
+    """The 4 bytes of each variant of each 3-digit chunk value c, at
+    1000 v + c, and 3 j + c's significant digits at 1000 j + c (0 for c = 0)."""
+    c = np.arange(1000)
+    digits = np.zeros((1000, 4), np.uint8)
+    digits[:, :3] = ord("0") + c[:, None] // np.array([100, 10, 1]) % 10
+    v, o = np.arange(4)[:, None, None], np.arange(4)
+    chunk = np.where(o == v + 1, ord("."), digits[c[:, None], o - (o > v)])
+    sig = 3 - (c % 10 == 0) - (c % 100 == 0)
+    sig = np.where(c > 0, 3 * np.arange(5)[:, None] + sig, 0)
+    return chunk.astype(np.uint8).view(np.uint32).ravel(), sig.astype(np.int8).ravel()
+
+
+_CHUNK, _SIG = _chunks()
+_CHUNK_SCALE = np.array([1e12, 1e9, 1e6, 1e3, 1.0])[:, None]
+_CHUNK_BASE = np.arange(0, 5000, 1000)[:, None]
+
+
+def _csv_block(values, rows, cols, prefix):
+    """The text of `rows` rows of `cols` values each, led by the prefix bytes."""
+    a = np.abs(values)
+    vector = (a >= 1e-280) & (a <= 1e280)
+    zero = a == 0.0
+    fallback = ~(vector | zero)
+    a[~vector] = 1.0
+    x = np.floor(np.log10(a)).astype(np.intp)
+    n, uncertain = _significand(a, x)
+    # log10 can miss the exponent by one next to a power of ten
+    off = np.flatnonzero((n >= 1e15) | (n < 1e14))
+    if off.size:
+        x[off] += np.where(n[off] >= 1e15, 1, -1)
+        n[off], uncertain[off] = _significand(a[off], x[off])
+        uncertain[off] |= (n[off] >= 1e15) | (n[off] < 1e14)
+    fallback |= uncertain
+    n[zero] = 0.0
+    x[zero] = 0
+    x += _X_MAX
+    q = n / _CHUNK_SCALE
+    np.floor(q, out=q)
+    chunk = q.copy()
+    chunk[1:] -= 1000.0 * q[:-1]
+    chunk = chunk.astype(np.intp)
+    cls = _CLASS[x]
+    # a zero has no significant digit: the layout of X = 0 still shows "0"
+    sig = _SIG[chunk + _CHUNK_BASE].max(axis=0)
+    for j in range(5):
+        chunk[j] += _VARIANT[j][cls]
+    buf = np.empty((rows, prefix.size + cols * _SLOT), np.uint8)
+    buf[:, :prefix.size] = prefix
+    slots = buf[:, prefix.size:].reshape(rows, cols, _SLOT)
+    words = slots.view(np.uint64)
+    words[..., 0] = _LEAD[2 * x + np.signbit(values)].reshape(rows, cols)
+    words[..., 3] = _TAIL[x].reshape(rows, cols)
+    digits = _CHUNK[np.ascontiguousarray(chunk.T)].view("V20")
+    slots[..., 6:26].view("V20")[...] = digits.reshape(rows, cols, 1)
+    words &= _KEEP[16 * cls + sig].view(np.uint64).reshape(rows, cols, 4)
+    slots[:, -1, -1] = ord("\n")
+    if fallback.any():
+        at = np.flatnonzero(fallback)
+        text = b"".join(("%.15g" % v).encode().ljust(_SLOT - 1, b"\0")
+                        for v in values[at].tolist())
+        slots[at // cols, at % cols, :-1] = np.frombuffer(text, np.uint8).reshape(-1, _SLOT - 1)
+    return buf.tobytes().translate(None, b"\0")
+
+
 def _csv(header, columns, prefix=""):
     """CSV text: the header line, then a line per row of the stacked
-    columns, led by prefix, each value at 15 significant digits.
+    columns, led by prefix, each value as `'%.15g' % value` writes it.
 
-    One `%` format over the whole table: the only CSV formatter of the
-    package's output files.
+    The only CSV formatter of the package's output files. It formats
+    blocks of values at once: each value's 15-digit significand is rounded
+    by a certified exact product (`_significand`), and its digits are laid
+    out per exponent in byte slots. A value whose rounding that cannot
+    certify is formatted on its own with `'%.15g' % value`: a non-finite
+    value, a subnormal, a magnitude outside [1e-280, 1e280], or a rounding
+    within 1e-9 of a tie. Zeros of either sign take the vector path.
     """
     table = np.column_stack(columns)
-    row = prefix + ",".join(["%.15g"] * table.shape[1]) + "\n"
-    return header + "\n" + (row * table.shape[0]) % tuple(table.ravel().tolist())
+    rows, cols = table.shape
+    prefix = np.frombuffer(prefix.encode(), np.uint8)
+    step = max(1, _BLOCK // cols)
+    text = [header.encode() + b"\n"]
+    for r in range(0, rows, step):
+        block = table[r:r + step]
+        text.append(_csv_block(block.ravel(), block.shape[0], cols, prefix))
+    return b"".join(text).decode()
 
 
 def write_pattern(pat: Pattern, csv_path):

@@ -581,7 +581,10 @@ def test_thread_count_does_not_change_results(capsys):
 
 
 def test_worker_and_blas_threads_do_not_change_output():
-    """Byte-identical stdout over FLUXLINE_THREADS and OpenBLAS threads, on 3 blocks.
+    """Byte-identical stdout over FLUXLINE_THREADS and OpenBLAS threads.
+
+    The linking sum runs over 3 blocks; the sweep's fringe correlations
+    are 16384-point sums.
 
     BLAS threads are fixed when numpy loads, so each setting is its own
     process. FLUXLINE_THREADS is set in the environment, as `--threads`
@@ -590,7 +593,8 @@ def test_worker_and_blas_threads_do_not_change_output():
     script = ("from fluxline.cli import main\n"
               "main(['link', '--preset', 'l2', '--samples', '600'])\n"
               "main(['phase', '--preset', 'hopf', '--samples', '600', '--invariance',"
-              " '--steps', '2'])\n")
+              " '--steps', '2'])\n"
+              "main(['sweep', '--grid', '16384'])\n")
     outs = []
     for threads, blas in (("1", "1"), ("2", "1"), ("1", "2")):
         env = dict(os.environ, FLUXLINE_THREADS=threads, OPENBLAS_NUM_THREADS=blas,

@@ -77,9 +77,11 @@ After the last runs come four more sets of library probes:
   x = 1, and `min_distance` to their copies 3e-200 above, where an extent
   far below the coordinates loses its bits.
 
-Last comes one more run: `phase --preset hopf --samples 128 --invariance
+Last come two more runs: `phase --preset hopf --samples 128 --invariance
 --clearance 1e-7 --steps 8`, whose clearance is under the guard, so that
-each deformed state decides on its own whether circulation's check runs.
+each deformed state decides on its own whether circulation's check runs;
+and `interfere --alpha 1.3 --grid 16384 --half-width 1000`, whose pattern
+CSVs hold exact zeros, subnormals and values below 1e-280.
 
 Each set gets a directory OUT/NNN-label holding `values`: per probe, its
 arguments (a point's hex bytes, or a name) and the hex bytes of the result,
@@ -281,6 +283,15 @@ def end_runs():
     yield ("phase-hopf-128-clearance-1e-7",
            ["phase", "--preset", "hopf", "--samples", "128", "--invariance",
             "--clearance", "1e-7", "--steps", "8"], [])
+    # a grid 50 times wider than the envelope: the density's tails hold exact
+    # zeros, subnormals and values below 1e-280, which the CSV formatter
+    # writes one at a time
+    out = WORK / "interfere-half-width-1000"
+    yield ("interfere-half-width-1000",
+           ["interfere", "--alpha", "1.3", "--grid", "16384", "--half-width", "1000",
+            "-o", str(out)],
+           [out / name for name in ("pattern_off.csv", "pattern_off.json", "pattern_on.csv",
+                                    "pattern_on.json", "report.json")])
 
 
 def scaled_hopf(tmp, scale):
