@@ -29,7 +29,7 @@ from .interference import (TwoSlitConfig, _csv, ab_shift_analytic, ab_shift_meas
                            beam_geometry, fringe_spacing, pattern, write_pattern)
 from .parallel import check_threads_env
 from .quadrature import MAX_COORDINATE
-from .topology import crossing_linking, gauss_linking, span_surface
+from .topology import DEFAULT_LINK_TOL, crossing_linking, gauss_linking, span_surface
 
 
 def _finite(val) -> bool:
@@ -116,7 +116,7 @@ PRESETS = ("hopf", "unlinked", "l2")
 SEED = Opt("seed", "int", 0, "rng seed for seeded subcommands")
 SAMPLES = Opt("samples", "int", 1024, "points per generated curve",
               at_least=8, at_most=MAX_POINTS, metavar="N")
-TOL = Opt("tol", "real", 1e-3, "residual tolerance for linking quadrature",
+TOL = Opt("tol", "real", DEFAULT_LINK_TOL, "residual tolerance for linking quadrature",
           above=0)
 THREADS = Opt("threads", "int", None,
               "checked and unused: every kernel runs on one thread",

@@ -402,15 +402,10 @@ def distance_to_curve(x, c: ClosedCurve, *, cutoff=np.inf):
     return float(out[0]) if x.ndim == 1 else out
 
 
-def _min_nonadjacent_self_distance(points, cutoff=np.inf) -> float:
-    pts = np.asarray(points, dtype=float)
-    u = np.roll(pts, -1, axis=0) - pts
-    return _min_segment_distance(pts, u, pts, u, skip_adjacent=True, cutoff=cutoff)
-
-
-def _check_self_avoiding(points, label):
-    tol = 1e-12 * (float(np.max(np.abs(points))) or 1.0)
-    if _min_nonadjacent_self_distance(points, cutoff=tol) < tol:
+def _check_self_avoiding(c: ClosedCurve, label):
+    tol = 1e-12 * c._size
+    p, u = c.segments()
+    if _min_segment_distance(p, u, p, u, skip_adjacent=True, cutoff=tol) < tol:
         raise GeometryError(f"{label}: non-adjacent segments intersect")
 
 
@@ -464,23 +459,23 @@ def make_torus_knot(p: int, q: int, R: float, r: float, n: int = DEFAULT_N) -> C
     pts = np.column_stack(
         [rho * np.cos(p * theta), rho * np.sin(p * theta), r * np.cos(q * theta)]
     )
-    _check_self_avoiding(pts, "torus knot")
-    return ClosedCurve(pts)
+    c = ClosedCurve(pts)
+    _check_self_avoiding(c, "torus knot")
+    return c
 
 
 def resample(c: ClosedCurve, n: int) -> ClosedCurve:
-    """Resample to n points at uniform arc length by linear interpolation."""
+    """Resample to n points at uniform arc length by linear interpolation, on the
+    segments `_scaled`, so that the points keep their bits at any scale."""
     if n < 3:
         raise GeometryError("resample target must be >= 3 points")
-    pts = c.points
-    closed = np.vstack([pts, pts[:1]])
-    seg = np.diff(closed, axis=0)
+    k, (pts, seg) = _scaled(*c.segments())
     seglen = np.linalg.norm(seg, axis=1)
     cum = np.concatenate([[0.0], np.cumsum(seglen)])
     s = np.arange(n) * (cum[-1] / n)
-    idx = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, pts.shape[0] - 1)
+    idx = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, c.n - 1)
     frac = (s - cum[idx]) / seglen[idx]
-    return ClosedCurve(closed[idx] + frac[:, None] * seg[idx])
+    return ClosedCurve(np.ldexp(pts[idx] + frac[:, None] * seg[idx], k))
 
 
 def fourier_displacement(rng, theta, n_modes: int):
@@ -592,7 +587,7 @@ def load_curve(path) -> ClosedCurve:
         # ValueError, TypeError, OverflowError: 'points' is not an array of floats
         raise SchemaError(f"{path}: {e}") from e
     try:
-        _check_self_avoiding(curve.points, path)
+        _check_self_avoiding(curve, path)
     except GeometryError as e:
         # the message already starts with the path
         raise SchemaError(str(e)) from e

@@ -35,10 +35,6 @@ def _guard_bound(curve: ClosedCurve, drift: float = 0.0) -> float:
     return GUARD_FACTOR * (curve.diameter() + drift)
 
 
-def _guard(f: FluxLine) -> float:
-    return _guard_bound(f.curve)
-
-
 def potential_at(f: FluxLine, xs):
     """Vector potential at many points, (m, 3); callers enforce the guard.
 
@@ -58,7 +54,7 @@ def _guarded_potential(f: FluxLine, xs):
     line or the line's coordinates pass `quadrature.MAX_COORDINATE`, where the
     pair sum's squared distances overflow."""
     _check_size(f.curve)
-    guard = _guard(f)
+    guard = _guard_bound(f.curve)
     if np.any(distance_to_curve(xs, f.curve, cutoff=guard) <= guard):
         raise GeometryError("evaluation point is too close to the flux line")
     return potential_at(f, xs)
@@ -66,7 +62,7 @@ def _guarded_potential(f: FluxLine, xs):
 
 def circulation(f: FluxLine, path: ClosedCurve, threads=None) -> float:
     """Closed line integral of A along path; equals flux times linking number."""
-    guard = _guard(f)
+    guard = _guard_bound(f.curve)
     if min_distance(path, f.curve, cutoff=guard) <= guard:
         raise GeometryError("path touches or nearly touches the flux line")
     return f.flux * linking_integral(path, f.curve)

@@ -4,9 +4,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import ClosedCurve, _min_segment_distance
+from .curves import ClosedCurve, _min_segment_distance, _scaled
 from .errors import GeometryError
-from .field import FluxLine, _guard, circulation, potential_at
+from .field import FluxLine, _guard_bound, circulation, potential_at
 from .topology import Surface, crossing_linking, solid_angle, span_surface
 
 
@@ -58,7 +58,7 @@ def open_path_gauge_shift(f: FluxLine, gamma, threads=None):
     the spanning surface, where Lambda jumps, raises through `solid_angle`.
     """
     pts, seg = _open_polyline(gamma)
-    guard = _guard(f)
+    guard = _guard_bound(f.curve)
     if _min_segment_distance(pts[:-1], seg, *f.curve.segments(), cutoff=guard) <= guard:
         raise GeometryError("open path touches or nearly touches the flux line")
     surf = span_surface(f.curve)
@@ -83,26 +83,6 @@ def solenoid_potential(s: SolenoidConfig, rho: float) -> float:
     return s.flux / (2.0 * np.pi * rho)
 
 
-def _demo_loop(s: SolenoidConfig, rho0: float, n_turns: int, n: int):
-    """Sampled loop, parameter midpoints and tangents dx/dt with dt = 1/n.
-
-    n_turns != 0: circle of radius rho0 about the axis traversed n_turns
-    times. n_turns == 0: circle centered at (rho0, 0, 0) of radius
-    (rho0 - R)/2, which stays outside the solenoid and does not enclose it.
-    """
-    tm = (np.arange(n) + 0.5) / n
-    tv = np.arange(n) / n
-    cx, r, turns = (rho0, 0.5 * (rho0 - s.R), 1) if n_turns == 0 else (0.0, rho0, n_turns)
-    phim = 2.0 * np.pi * turns * tm
-    phiv = 2.0 * np.pi * turns * tv
-    zero = np.zeros(n)
-    mids = np.column_stack([cx + r * np.cos(phim), r * np.sin(phim), zero])
-    tangents = (np.column_stack([-r * np.sin(phim), r * np.cos(phim), zero])
-                * (2.0 * np.pi * turns / n))
-    verts = np.column_stack([cx + r * np.cos(phiv), r * np.sin(phiv), zero])
-    return mids, tangents, verts
-
-
 def solenoid_singular_gauge_demo(s: SolenoidConfig, rho0: float, n_turns: int,
                                  n: int = 1024) -> dict:
     """Quantify how the 'gauge' that removes the outside potential pays for it.
@@ -113,20 +93,32 @@ def solenoid_singular_gauge_demo(s: SolenoidConfig, rho0: float, n_turns: int,
     is not a gauge symmetry. Returns circ_A (quadrature of the true outside
     potential around the loop), circ_Aprime (identically zero), string_flux
     (their difference), and the loop's winding number about the axis.
+
+    The loop is a `ClosedCurve` of n points. n_turns != 0: the circle of
+    radius rho0 about the axis traversed n_turns times. n_turns == 0: the
+    circle of radius rho0/2 about (rho0, 0, 0) in the plane x = rho0, whose
+    every point lies at least rho0 from the axis, outside the solenoid, and
+    which does not wind about it. The loop is built on rho0 `_scaled` by a
+    power of 2, and the circulation of the outside potential flux/(2 pi rho)
+    phi-hat, which does not depend on scale, is taken on its `nodes`, so
+    the record is the same at any size.
     """
     if not (rho0 > s.R and math.isfinite(rho0)):
         raise GeometryError("rho0 must exceed the solenoid radius")
     if n < 16:
         raise GeometryError("need at least 16 quadrature samples")
-    if n <= 2 * abs(int(n_turns)):
+    turns = int(n_turns)
+    if n <= 2 * abs(turns):
         raise GeometryError(f"{n} samples cannot count {n_turns} turns: the winding"
                             " needs more than 2 samples per turn")
-    mids, tangents, verts = _demo_loop(s, rho0, int(n_turns), n)
-    rho = np.hypot(mids[:, 0], mids[:, 1])
-    mag = np.array([solenoid_potential(s, float(v)) for v in rho])
-    phihat = np.column_stack([-mids[:, 1] / rho, mids[:, 0] / rho, np.zeros(n)])
-    circ_a = float(np.einsum("ij,ij->", mag[:, None] * phihat, tangents))
-    ang = np.angle(verts[:, 0] + 1j * verts[:, 1])
+    _, (rho,) = _scaled(rho0)
+    phi = 2.0 * np.pi * (turns or 1) * (np.arange(n) / n)
+    cos, sin = rho * np.cos(phi), rho * np.sin(phi)
+    loop = ClosedCurve(np.column_stack([cos, sin, np.zeros(n)] if turns else
+                                       [np.full(n, rho), 0.5 * cos, 0.5 * sin]))
+    (x, y, _), (wx, wy, _) = (a.T for a in loop.nodes)
+    circ_a = float(s.flux / (2.0 * np.pi) * np.sum((x * wy - y * wx) / (x * x + y * y)))
+    ang = np.angle(loop.points[:, 0] + 1j * loop.points[:, 1])
     dphi = np.diff(np.concatenate([ang, ang[:1]]))
     dphi = (dphi + np.pi) % (2.0 * np.pi) - np.pi
     # vertex angular spacing 2 pi |n_turns| / n stays below pi, so the

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -520,6 +521,19 @@ def test_gauge_demo_solenoid_too_many_turns_exits_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert "samples per turn" in err
+
+
+@pytest.mark.parametrize("argv", [["--radius", "1", "--rho0", "1.7e308"],
+                                  ["--radius", "1e-310", "--rho0", "2e-310"]])
+def test_gauge_demo_solenoid_at_the_ends_of_the_float_range(capsys, argv):
+    # these exited 0 with circ_A 0.0 and, with a RuntimeWarning, nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run(["gauge-demo", "--solenoid", *argv], capsys)
+    rep = json.loads(out)
+    assert code == 0
+    assert rep["winding"] == 1
+    assert abs(rep["circ_A"] - 1.0) < 1e-12
 
 
 def test_gauge_demo_closed_line(capsys):

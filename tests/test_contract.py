@@ -51,6 +51,7 @@ KINDS = {
     "pseudoscalar": (-1.0, -1.0, None),
     "pseudovector": ([-1.0, -1.0, 1.0], -1.0, [1, 2, 0]),
     "linking": ([-1.0, -1.0, 1.0], [-1.0, -1.0, 1.0], None),  # raw, rounded, residual
+    "points": ([1.0, 1.0, -1.0], None, None),  # (m, 3) coordinates
 }
 # name, result of (flux curve c, path p, point x, open path g), its degree
 # under scaling, and its kind
@@ -71,16 +72,19 @@ RESULTS = [
     ("open_path_gauge_shift",
      lambda c, p, x, g: fl.open_path_gauge_shift(_flux(c), g), 0, "pseudoscalar"),
 ]
+# results whose start point moves under reversal and a cyclic shift: under
+# the exact symmetries only
+POINTS = [("resample", lambda c, p, x, g: fl.resample(c, 97).points, 1, "points")]
 # the results of the pair alone, the same with the roles swapped
 PAIR = ("min_distance", "gauss_linking", "crossing_linking", "circulation")
 
 
 def _outcome(fn, config):
-    """fn(*config) as a flat float array, or the FluxlineError it raises."""
+    """fn(*config) as a float array, or the FluxlineError it raises."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            return np.asarray(fn(*config), dtype=float).ravel()
+            return np.asarray(fn(*config), dtype=float)
         except fl.FluxlineError as e:
             return e
 
@@ -160,7 +164,7 @@ def test_scaling_by_a_power_of_2_and_reflection_are_exact(config, k):
         return a * [1.0, 1.0, -1.0]
 
     scaled, reflected = _moved(config, lambda a: np.ldexp(a, k)), _moved(config, flip)
-    for name, fn, degree, kind in RESULTS:
+    for name, fn, degree, kind in RESULTS + POINTS:
         base = _outcome(fn, config)
         refused = isinstance(base, Exception)
         for where, moved, want in (

@@ -114,7 +114,7 @@ def test_torus_knot_degenerate_is_planar_circle():
 
 
 def test_self_distance_scan_matches_unchunked_minimum():
-    from fluxline.curves import _min_nonadjacent_self_distance, _segment_pair_distance
+    from fluxline.curves import _segment_pair_distance
 
     rng = np.random.default_rng(7)
     pts = np.cumsum(rng.normal(size=(600, 3)), axis=0)
@@ -123,7 +123,13 @@ def test_self_distance_scan_matches_unchunked_minimum():
     i = np.arange(600)
     for j in (i, (i + 1) % 600, (i - 1) % 600):
         dmat[i, j] = np.inf
-    assert _min_nonadjacent_self_distance(pts) == float(dmat.min())
+    assert _self_min(fl.ClosedCurve(pts)) == float(dmat.min())
+
+
+def _self_min(c, cutoff=np.inf):
+    """The self check's scan of c: its non-adjacent segment pairs, pruned."""
+    p, u = c.segments()
+    return curves._min_segment_distance(p, u, p, u, skip_adjacent=True, cutoff=cutoff)
 
 
 def _unpruned_min(p0, u, q0, v, skip_adjacent=False):
@@ -257,7 +263,7 @@ def test_pruned_scans_equal_the_full_scan(make, args):
     a, b = make(*args)
     assert fl.min_distance(a, b) == _unpruned_min(*a.segments(), *b.segments())
     for c in (a, b):
-        assert curves._min_nonadjacent_self_distance(c.points) == _unpruned_min(
+        assert _self_min(c) == _unpruned_min(
             *c.segments(), *c.segments(), skip_adjacent=True)
 
 
@@ -277,7 +283,7 @@ def test_pruned_scan_on_touching_curves_and_open_paths(tmp_path):
     # a figure-eight crosses itself at the origin; the pruned scan finds it
     eight = _eight(0.0, 0)
     u = np.roll(eight, -1, axis=0) - eight
-    assert curves._min_nonadjacent_self_distance(eight) == _unpruned_min(
+    assert _self_min(fl.ClosedCurve(eight)) == _unpruned_min(
         eight, u, eight, u, skip_adjacent=True) < 1e-12
     path = tmp_path / "eight.json"
     path.write_text(json.dumps({"points": eight.tolist()}))
@@ -291,7 +297,7 @@ def test_self_scan_skips_the_wrap_around_pair_at_a_block_border(n):
     # segment n - 1 meets segment 0 at vertex 0; they sit in different
     # blocks, so only the mod-n adjacency keeps the scan from reading 0
     c = circle((0, 0, 0), 1.0, Z, n)
-    found = curves._min_nonadjacent_self_distance(c.points)
+    found = _self_min(c)
     assert found == _unpruned_min(*c.segments(), *c.segments(), skip_adjacent=True)
     assert found > 0.01
 
@@ -333,7 +339,7 @@ def test_decision_scans_evaluate_few_pairs(monkeypatch):
     # (the exact self scan evaluates 0.05% here)
     evaluated = _count_pairs(monkeypatch)
     a, b = _circle_pair(0, 2048, True)
-    curves._check_self_avoiding(a.points, "a")
+    curves._check_self_avoiding(a, "a")
     assert sum(evaluated) < 0.005 * 2048 * 2048
     evaluated.clear()
     fl.gauss_linking(a, b)
@@ -358,18 +364,18 @@ def test_self_check_bounds_no_segment_box_of_smooth_curves(monkeypatch, tmp_path
         return gaps
 
     monkeypatch.setattr(curves, "_box_bound", recording)
-    points = [c.points for c in _circle_pair(0, 2048, True)]
+    loops = list(_circle_pair(0, 2048, True))
     for seed in range(4):
         # the square and its 64-point circle have fewer than three runs
         for op in workloads.build("link_files", seed, tmp_path)[1]:
             if op.kind != "link_square":
-                points += [np.array(json.loads(Path(f).read_text())["points"])
-                           for f in op.spec["argv"][2:5:2]]
-    assert len(points) == 2 + 4 * 20
-    for pts in points:
+                loops += [fl.ClosedCurve(json.loads(Path(f).read_text())["points"])
+                          for f in op.spec["argv"][2:5:2]]
+    assert len(loops) == 2 + 4 * 20
+    for c in loops:
         shapes.clear()
-        curves._check_self_avoiding(pts, "curve")
-        runs = -(-len(pts) // curves.SCAN_BLOCK)
+        curves._check_self_avoiding(c, "curve")
+        runs = -(-c.n // curves.SCAN_BLOCK)
         assert shapes == [(runs, runs)]
 
 
@@ -387,7 +393,7 @@ def test_self_check_decides_as_the_full_scan(tmp_path, make, args, crosses):
     if crosses is not None:
         assert (full < tol) == crosses
     # the cutoff scan is exact up to the tolerance and above it beyond
-    found = curves._min_nonadjacent_self_distance(pts, cutoff=tol)
+    found = _self_min(fl.ClosedCurve(pts), cutoff=tol)
     assert found == full if full <= tol else found > tol
     path = tmp_path / "curve.json"
     path.write_text(json.dumps({"points": pts.tolist()}))
@@ -408,7 +414,7 @@ def test_segment_scans_hold_at_any_scale(scale):
     with np.errstate(over="raise", invalid="raise"):
         for offset, roll in EIGHTS:
             with pytest.raises(fl.GeometryError, match="non-adjacent segments intersect"):
-                curves._check_self_avoiding(_eight(offset, roll) * scale, "eight")
+                curves._check_self_avoiding(fl.ClosedCurve(_eight(offset, roll) * scale), "eight")
         pair = hopf_pair(256)
         scaled = [fl.ClosedCurve(c.points * scale) for c in pair]
         got = [fl.min_distance(*scaled), scaled[0].diameter()]
@@ -434,7 +440,7 @@ def test_tiny_circle_far_from_the_origin():
                                                    "coordinates of size 1: its squared length"):
             fl.min_distance(shifted, above)
         with pytest.raises(fl.GeometryError, match="squared length underflows"):
-            curves._check_self_avoiding(shifted.points, "circle")
+            curves._check_self_avoiding(shifted, "circle")
         assert fl.min_distance(origin, fl.ClosedCurve(origin.points + [0.0, 0.0, 3e-200])) \
             == pytest.approx(1e-200, rel=1e-12)
 
@@ -542,7 +548,7 @@ def test_self_distance_scan_thread_independent(monkeypatch, started_threads):
     monkeypatch.setenv("FLUXLINE_THREADS", "2")
     pts = np.cumsum(np.random.default_rng(7).normal(size=(600, 3)), axis=0)
     u = np.roll(pts, -1, axis=0) - pts
-    assert curves._min_nonadjacent_self_distance(pts) == _unpruned_min(
+    assert _self_min(fl.ClosedCurve(pts)) == _unpruned_min(
         pts, u, pts, u, skip_adjacent=True)
     assert started_threads == []
 
@@ -603,6 +609,19 @@ def test_resample_to_triangle():
     assert np.all(rad > 0.99) and np.all(rad < 1.0 + 1e-12)
     sides = np.linalg.norm(np.roll(r.points, -1, axis=0) - r.points, axis=1)
     assert np.ptp(sides) < 1e-2
+
+
+def test_resample_keeps_its_bits_at_any_scale():
+    # on the raw points the segment norms squared: at 2^-540 and below, and at
+    # 2^600 and above, finite input was refused as "curve points must be
+    # finite" with a RuntimeWarning, and at 2^-510 to 2^-520 the points lost bits
+    c = circle((0, 0, 0), 1.0, Z, 64)
+    want = fl.resample(c, 97).points
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in range(-600, 1001):
+            got = fl.resample(fl.ClosedCurve(np.ldexp(c.points, k)), 97).points
+            assert np.array_equal(got, np.ldexp(want, k)), k
 
 
 def test_resample_rejects_too_few():

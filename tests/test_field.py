@@ -101,7 +101,7 @@ def guard_sweep(c, rng, count=240):
 def test_potential_refuses_exactly_inside_the_guard(make):
     c = make()
     f = fl.FluxLine(c, 1.3)
-    guard = fl.field._guard(f)
+    guard = fl.field._guard_bound(c)
     refused = 0
     for x in guard_sweep(c, np.random.default_rng(c.n)):
         if fl.curves.distance_to_curve(x, c) <= guard:

@@ -1,4 +1,6 @@
 """Surface gauge, open-path gauge dependence, singular-gauge demos."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -174,6 +176,42 @@ def test_solenoid_demo_inside_rejected():
         solenoid_singular_gauge_demo(s, 0.5, 1)
     with pytest.raises(fl.GeometryError, match="at least 16 quadrature samples"):
         solenoid_singular_gauge_demo(s, 2.0, 1, n=15)
+
+
+@pytest.mark.parametrize("R, rho0, turns", [(1.0, 1.7e308, 1), (1e-310, 2e-310, 1),
+                                            (1e-320, 2e-310, 3), (1e-300, 1e300, 0),
+                                            (1e-300, 1e300, 2)])
+def test_solenoid_demo_at_the_ends_of_the_float_range(R, rho0, turns):
+    # built in raw units, the loop's potential underflowed to 0 at rho0 =
+    # 1.7e308 (circ_A 0.0), and its squared radius flushed to 0 at rho0 =
+    # 2e-310 (circ_A nan, with a RuntimeWarning); at unit scale neither can
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rec = solenoid_singular_gauge_demo(SolenoidConfig(R=R, flux=0.7), rho0, turns)
+    assert rec["winding"] == turns
+    assert abs(rec["circ_A"] - 0.7 * turns) < 1e-12
+    assert rec["string_flux"] == -rec["circ_A"]
+
+
+@pytest.mark.parametrize("n", [18, 1024, 1026])
+def test_solenoid_demo_non_enclosing_loop_next_to_the_solenoid(n):
+    # rho0 one ulp above R: a loop of radius (rho0 - R)/2 about (rho0, 0, 0)
+    # in the plane z = 0 has its points round onto rho0 in x, and when n/2
+    # is odd the two about y = r coincide, which a ClosedCurve refuses
+    rec = solenoid_singular_gauge_demo(SolenoidConfig(R=1.0, flux=1.0),
+                                       float(np.nextafter(1.0, 2.0)), 0, n=n)
+    assert rec["winding"] == 0
+    assert abs(rec["circ_A"]) < 1e-12
+
+
+@pytest.mark.parametrize("turns, n", [(1, 1024), (0, 1024), (-3, 64), (7, 16)])
+def test_solenoid_demo_record_is_the_same_at_any_scale(turns, n):
+    # the loop is built on rho0 scaled by a power of 2, so scaling R and
+    # rho0 by 2^k, while they stay normal, keeps every bit of the record
+    want = solenoid_singular_gauge_demo(SolenoidConfig(R=0.7, flux=1.3), 1.9, turns, n=n)
+    for k in (-1020, -600, -1, 1, 600, 1022):
+        s = SolenoidConfig(R=np.ldexp(0.7, k), flux=1.3)
+        assert solenoid_singular_gauge_demo(s, np.ldexp(1.9, k), turns, n=n) == want, k
 
 
 def test_closed_line_demo_hopf(unit_flux_line):

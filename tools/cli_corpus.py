@@ -77,11 +77,16 @@ After the last runs come four more sets of library probes:
   x = 1, and `min_distance` to their copies 3e-200 above, where an extent
   far below the coordinates loses its bits.
 
-Last come two more runs: `phase --preset hopf --samples 128 --invariance
+Then come two more runs: `phase --preset hopf --samples 128 --invariance
 --clearance 1e-7 --steps 8`, whose clearance is under the guard, so that
 each deformed state decides on its own whether circulation's check runs;
 and `interfere --alpha 1.3 --grid 16384 --half-width 1000`, whose pattern
 CSVs hold exact zeros, subnormals and values below 1e-280.
+
+Last come six runs of `gauge-demo --solenoid`: the default, `--turns 3
+--flux 0.5`, `--turns 0`, `--samples 16 --turns 7`, and `--radius 1 --rho0
+1.7e308` and `--radius 1e-310 --rho0 2e-310`, at the ends of the float
+range.
 
 Each set gets a directory OUT/NNN-label holding `values`: per probe, its
 arguments (a point's hex bytes, or a name) and the hex bytes of the result,
@@ -292,6 +297,11 @@ def end_runs():
             "-o", str(out)],
            [out / name for name in ("pattern_off.csv", "pattern_off.json", "pattern_on.csv",
                                     "pattern_on.json", "report.json")])
+    for argv in ([], ["--turns", "3", "--flux", "0.5"], ["--turns", "0"],
+                 ["--samples", "16", "--turns", "7"], ["--radius", "1", "--rho0", "1.7e308"],
+                 ["--radius", "1e-310", "--rho0", "2e-310"]):
+        yield ("-".join(["gauge-demo-solenoid", *(a.lstrip("-") for a in argv)]),
+               ["gauge-demo", "--solenoid", *argv], [])
 
 
 def scaled_hopf(tmp, scale):
