@@ -307,14 +307,16 @@ def cmd_field(o, config) -> int:
     # per value, not over the array: numpy's vectorised power rounds
     # otherwise than the C library's in the last bit
     analytic = [flux * radius ** 2 / (2.0 * (radius ** 2 + z ** 2) ** 1.5) for z in zs.tolist()]
-    _emit(_csv("z,A_x,A_y,A_z,A_axial_analytic", (zs, potential, analytic)), o["output"], config)
+    _emit(_csv("z,A_x,A_y,A_z,A_axial_analytic", (zs, potential, analytic)).decode(),
+          o["output"], config)
     return 0
 
 
-def _pattern(o, alpha: float):
+def _flux_off_pattern(o):
+    """The command's flux-off pattern; its other patterns are built from its terms."""
     cfg = TwoSlitConfig(x0=o["x0"], b=o["b"], t_a=o["t_a"], t_b=o["t_b"],
                         m=o["m"], v=o["v"])
-    return pattern(cfg, alpha, half_width=o["half_width"], n_grid=o["n_grid"])
+    return pattern(cfg, 0.0, half_width=o["half_width"], n_grid=o["n_grid"])
 
 
 def _shift_report(off, on) -> dict:
@@ -350,7 +352,8 @@ def _shift_report(off, on) -> dict:
 
 
 def cmd_interfere(o, config) -> int:
-    off, on = _pattern(o, 0.0), _pattern(o, o["alpha"])
+    off = _flux_off_pattern(o)
+    on = off._with_alpha(o["alpha"])
     report = _shift_report(off, on)
     report["config"] = config
     out = Path(o["output"])
@@ -375,12 +378,12 @@ def cmd_gauge_demo(o, config) -> int:
 
 
 def cmd_sweep(o, config) -> int:
-    off = _pattern(o, 0.0)
+    off = _flux_off_pattern(o)
     alphas = np.linspace(o["start"], o["stop"], o["steps"])
-    reports = [_shift_report(off, _pattern(o, float(val))) for val in alphas]
+    reports = [_shift_report(off, off._with_alpha(float(val))) for val in alphas]
     keys = ("shift_measured", "shift_analytic", "rel_err")
     _emit(_csv("param,value," + ",".join(keys),
-               (alphas, *([rep[k] for rep in reports] for k in keys)), prefix="alpha,"),
+               (alphas, *([rep[k] for rep in reports] for k in keys)), prefix="alpha,").decode(),
           o["output"], config)
     return 0
 

@@ -136,25 +136,40 @@ def density(cfg: TwoSlitConfig, x_b, alpha_AB: float):
     whose cosine argument carries -alpha_AB. alpha_AB = 0 is the flux-off
     density; the value is non-negative for every x_b.
     """
-    x_b = np.asarray(x_b, dtype=float)
+    val = _combine(_terms(cfg, np.asarray(x_b, dtype=float)), alpha_AB)
+    return float(val) if val.ndim == 0 else val
+
+
+def _terms(cfg: TwoSlitConfig, x_b):
+    """The parts of `density` that do not depend on alpha_AB: (pref, env,
+    cross, arg), the prefactor, the sum of the two single-slit envelopes,
+    twice the interference envelope and the flux-off cosine argument."""
     tb, ta, h = cfg.t_b, cfg.t_a, cfg.hbar
     u1 = x_b - cfg.v0 * tb
     u2 = x_b + cfg.v0 * tb
+    # products, not `** 2`: a numpy scalar's `** 2` can differ from an
+    # array's in the last bit, and a point must get the bits it gets in a grid
+    s1 = x_b - cfg.x0
+    s2 = x_b + cfg.x0
     pref = cfg.m / (
         4.0 * np.pi ** 2 * h * h
         * (tb * tb + cfg.alpha_broad ** 2 * ta * ta * (tb - ta) ** 2)
     )
-    cos_arg = (
+    arg = (
         cfg.chi_broad * (u1 * u1 - u2 * u2) / (2.0 * cfg.dx2)
-        + cfg.beta * ((x_b - cfg.x0) ** 2 - (x_b + cfg.x0) ** 2) / (tb - ta)
-        - alpha_AB
+        + cfg.beta * (s1 * s1 - s2 * s2) / (tb - ta)
     )
-    val = pref * (
-        np.exp(-u1 * u1 / cfg.dx2)
-        + np.exp(-u2 * u2 / cfg.dx2)
-        + 2.0 * np.exp(-(u1 * u1 + u2 * u2) / (2.0 * cfg.dx2)) * np.cos(cos_arg)
-    )
-    return float(val) if val.ndim == 0 else val
+    env = np.exp(-u1 * u1 / cfg.dx2) + np.exp(-u2 * u2 / cfg.dx2)
+    cross = 2.0 * np.exp(-(u1 * u1 + u2 * u2) / (2.0 * cfg.dx2))
+    return pref, env, cross, arg
+
+
+def _combine(terms, alpha_AB: float):
+    """The density of alpha_AB from its `_terms`, evaluated as one expression
+    of the three-term form, so that it keeps its bits however the terms
+    were shared."""
+    pref, env, cross, arg = terms
+    return pref * (env + cross * np.cos(arg - alpha_AB))
 
 
 def reduced_density(cfg: TwoSlitConfig, x_b, alpha_AB: float):
@@ -190,6 +205,9 @@ class Pattern:
         v = np.array(self.values, dtype=float)
         if x.ndim != 1 or v.shape != x.shape or x.size < 2:
             raise GeometryError("pattern needs matching 1-d grids")
+        # a NaN passes the order check below, and demodulates to a NaN shift
+        if not (np.isfinite(x).all() and np.isfinite(v).all()):
+            raise GeometryError("pattern grid and values must be finite")
         if np.any(np.diff(x) <= 0.0):
             raise GeometryError("pattern grid must be strictly increasing")
         x.flags.writeable = False
@@ -207,6 +225,27 @@ class Pattern:
         z.flags.writeable = False
         return z
 
+    @cached_property
+    def _terms(self):
+        """`_terms` of the config on the grid; `pattern` sets them as it
+        builds the pattern."""
+        return _terms(self.config, self.x)
+
+    def _with_alpha(self, alpha_AB: float) -> "Pattern":
+        """The pattern of alpha_AB on this grid and config, sharing this
+        pattern's terms: the density's alpha-free work, done once for
+        every pattern of a command."""
+        return _from_terms(self.x, self._terms, self.config, alpha_AB)
+
+
+def _from_terms(x, terms, cfg: TwoSlitConfig, alpha_AB: float) -> Pattern:
+    """The Pattern of alpha_AB on grid x, whose `_terms` are terms."""
+    pat = Pattern(x=x, values=_combine(terms, alpha_AB), config=cfg, alpha=float(alpha_AB))
+    # a cached_property lives in the instance's dict, which a frozen
+    # dataclass guards only against plain assignment
+    object.__setattr__(pat, "_terms", terms)
+    return pat
+
 
 def default_half_width(cfg: TwoSlitConfig) -> float:
     """20 total broadenings: wide enough to hold the envelope and fringes."""
@@ -223,8 +262,7 @@ def pattern(cfg: TwoSlitConfig, alpha_AB: float, half_width: float = None,
     if not (half_width > 0.0 and math.isfinite(half_width)):
         raise GeometryError("half_width must be finite and positive")
     x = np.linspace(-half_width, half_width, n_grid)
-    return Pattern(x=x, values=density(cfg, x, alpha_AB), config=cfg,
-                   alpha=float(alpha_AB))
+    return _from_terms(x, _terms(cfg, x), cfg, alpha_AB)
 
 
 def ab_shift_analytic(L: float, lambda_bar: float, d: float,
@@ -239,18 +277,20 @@ def ab_shift_analytic(L: float, lambda_bar: float, d: float,
 
 
 def _fringe_signal(values, dx, fringe):
-    """One-sided complex fringe signal of a pattern.
+    """Banded one-sided spectrum of a pattern's fringe.
 
-    Gaussian bandpass of width 0.2 * f0 around the fringe frequency f0 in
-    the FFT domain, negative frequencies removed. A wider band passes part
-    of the non-oscillating envelope at f = 0 (1% at 0.33 * f0), which
-    biases the phase.
+    The real FFT of the values times a Gaussian bandpass of width 0.2 * f0
+    around the fringe frequency f0, zero at f <= 0. A wider band passes
+    part of the non-oscillating envelope at f = 0 (1% at 0.33 * f0), which
+    biases the phase. An even length's last bin, the Nyquist frequency,
+    has no sign of its own; `fftfreq` labels it negative, so it is zeroed.
     """
-    freq = np.fft.fftfreq(values.size, d=dx)
+    n = values.size
+    freq = np.fft.fftfreq(n, d=dx)[:n // 2 + 1]
     f0 = 1.0 / fringe
     mask = np.exp(-0.5 * ((freq - f0) / (0.2 * f0)) ** 2)
     mask[freq <= 0.0] = 0.0
-    return np.fft.ifft(np.fft.fft(values) * mask)
+    return np.fft.rfft(values) * mask
 
 
 def ab_shift_measured(off: Pattern, on: Pattern) -> float:
@@ -260,9 +300,11 @@ def ab_shift_measured(off: Pattern, on: Pattern) -> float:
     equal to off(x + t): positive when the flux-on pattern matches the
     flux-off pattern sampled further toward +x_b. Complex demodulation
     (Takeda, Ina & Kobayashi 1982): the phase of the flux-on fringe signal
-    against the flux-off one, times fringe / 2 pi. Raises GeometryError
-    unless the shared grid is evenly spaced, spans more than 1.1 fringes
-    and has at least 3 points per fringe.
+    against the flux-off one, times fringe / 2 pi. By Parseval the two
+    signals' correlation over the grid is 1/n times that of their banded
+    one-sided spectra, so it is taken on the spectra, with no inverse FFT.
+    Raises GeometryError unless the shared grid is evenly spaced, spans
+    more than 1.1 fringes and has at least 3 points per fringe.
     """
     if off.x.shape != on.x.shape or not np.array_equal(off.x, on.x):
         raise GeometryError("patterns must share one grid")
@@ -507,8 +549,8 @@ def _csv_block(values, rows, cols, prefix):
 
 
 def _csv(header, columns, prefix=""):
-    """CSV text: the header line, then a line per row of the stacked
-    columns, led by prefix, each value as `'%.15g' % value` writes it.
+    """CSV text as ASCII bytes: the header line, then a line per row of the
+    stacked columns, led by prefix, each value as `'%.15g' % value` writes it.
 
     The only CSV formatter of the package's output files. It formats
     blocks of values at once: each value's 15-digit significand is rounded
@@ -526,13 +568,13 @@ def _csv(header, columns, prefix=""):
     for r in range(0, rows, step):
         block = table[r:r + step]
         text.append(_csv_block(block.ravel(), block.shape[0], cols, prefix))
-    return b"".join(text).decode()
+    return b"".join(text)
 
 
 def write_pattern(pat: Pattern, csv_path):
     """CSV 'x_b,density' at 15 significant digits plus a JSON sidecar."""
     csv_path = _Path(csv_path)
-    csv_path.write_text(_csv("x_b,density", (pat.x, pat.values)))
+    csv_path.write_bytes(_csv("x_b,density", (pat.x, pat.values)))
     meta = {"alpha": pat.alpha, "config": pat.config.as_dict(),
             "n_grid": int(pat.x.size), "half_width": float(pat.x[-1])}
     csv_path.with_suffix(".json").write_text(json_text(meta))

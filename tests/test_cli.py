@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: reports, artifacts, exit codes."""
 import argparse
+import collections
 import functools
 import json
 import os
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 import fluxline as fl
 from conftest import random_pair
-from fluxline import cli
+from fluxline import cli, interference
 from fluxline.cli import main
 
 
@@ -465,17 +466,30 @@ def test_interfere_under_three_points_per_fringe_exits_2(tmp_path, capsys):
 
 
 def test_sweep_builds_the_flux_off_pattern_once(monkeypatch, capsys):
-    calls = []
+    # the flux-off pattern's alpha-free density terms serve all 9 patterns
+    # (it and the 8 steps), and its spectrum is taken once: each pattern is
+    # demodulated once, by one real FFT
+    counts, demodulated = collections.Counter(), []
 
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return fl.pattern(*args, **kwargs)
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(cli, "pattern", counted)
+    def fringe_signal(values, *args):
+        demodulated.append(values)
+        return signal(values, *args)
+
+    signal = interference._fringe_signal
+    monkeypatch.setattr(interference, "_fringe_signal", fringe_signal)
+    for module, name in ((interference, "_terms"), (interference, "_combine"),
+                         (np.fft, "rfft"), (np.fft, "fft"), (np.fft, "ifft")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     code, _, _ = run(["sweep", "--steps", "8", "--grid", "256"], capsys)
     assert code == 0
-    assert len(calls) == 9
-    assert calls.count(0.0) == 2
+    assert counts == {"_terms": 1, "_combine": 9, "rfft": 9}
+    assert len(demodulated) == len({id(values) for values in demodulated}) == 9
 
 
 def test_interfere_overflowing_shift_exits_2(tmp_path, capsys):
@@ -553,6 +567,8 @@ def test_sweep_alpha_periodic(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "param,value,shift_measured,shift_analytic,rel_err"
     assert len(lines) == 9
+    # the alpha = 0 pattern correlates with the flux-off one as a sum of |z|^2
+    assert lines[1] == "alpha,0,0,0,0"
     off = fl.pattern(fl.TwoSlitConfig(), 0.0, n_grid=1024)
     for alpha, line in zip(np.linspace(0.0, 6.283185307179586, 8), lines[1:]):
         rep = cli._shift_report(off, fl.pattern(fl.TwoSlitConfig(), float(alpha), n_grid=1024))

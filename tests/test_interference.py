@@ -294,6 +294,68 @@ def test_shifts_against_one_flux_off_pattern_keep_their_bits():
         off._signal[0] = 0.0
 
 
+def time_domain_shift(off, on):
+    """The reference demodulation: each fringe signal back on the grid, by a
+    complex FFT, the bandpass and an inverse FFT, correlated there."""
+    x = off.x
+    dx = float(x[-1] - x[0]) / (x.size - 1)
+    fringe = fringe_spacing(off.config)
+
+    def signal(values):
+        freq = np.fft.fftfreq(values.size, d=dx)
+        f0 = 1.0 / fringe
+        mask = np.exp(-0.5 * ((freq - f0) / (0.2 * f0)) ** 2)
+        mask[freq <= 0.0] = 0.0
+        return np.fft.ifft(np.fft.fft(values) * mask)
+
+    correlation = np.einsum("i,i->", signal(off.values).conj(), signal(on.values))
+    return float(np.angle(correlation)) * fringe / (2.0 * np.pi)
+
+
+@pytest.mark.parametrize("n_grid", [200, 256, 1024, 4096, 4097, 16384])
+def test_spectral_shift_matches_the_time_domain_reference(n_grid):
+    off = pattern(CFG, 0.0, n_grid=n_grid)
+    fringe = fringe_spacing(CFG)
+    for alpha in np.linspace(-2.0 * np.pi, 2.0 * np.pi, 19):
+        on = off._with_alpha(alpha)
+        d = ab_shift_measured(off, on) - time_domain_shift(off, on)
+        # a shift near half a fringe may wrap to either end
+        assert abs(d - round(d / fringe) * fringe) <= 1e-14 * fringe
+    # an even grid's last bin is the Nyquist frequency, which fftfreq labels
+    # negative, so it is cut with the negative half. At 200 points, 3.1 per
+    # fringe, the bandpass there is 0.019, yet the pattern holds too little
+    # at that frequency for the shift to show it: this pins it instead
+    spectrum = off._signal
+    assert spectrum.size == n_grid // 2 + 1
+    assert spectrum[0] == 0.0
+    if n_grid % 2 == 0:
+        assert spectrum[-1] == 0.0
+
+
+@pytest.mark.parametrize("n_grid", [4097, 16384])
+def test_shared_terms_keep_every_density_bit(n_grid):
+    off = pattern(CFG, 0.0, n_grid=n_grid)
+    # one point at a time (a 0-d x) too, in the far tails as well, where the
+    # fringe minima cancel and a last-bit change in the cosine argument shows
+    at = np.r_[np.linspace(0, n_grid - 1, 41).astype(int), 300:400]
+    for alpha in (0.0, -2.0, 0.4, np.pi, 7.5, -40.0):
+        values = pattern(CFG, alpha, n_grid=n_grid).values
+        assert np.array_equal(values, density(CFG, off.x, alpha))
+        assert np.array_equal(values, off._with_alpha(alpha).values)
+        assert [density(CFG, x, alpha) for x in off.x[at].tolist()] == values[at].tolist()
+    assert off._with_alpha(0.0).values.tobytes() == off.values.tobytes()
+
+
+@pytest.mark.parametrize("where", ["x", "values"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pattern_refuses_non_finite_input(where, bad):
+    # a NaN passes the grid's order check, and any of these demodulates to a NaN shift
+    arrays = {"x": np.linspace(-1.0, 1.0, 64), "values": np.ones(64)}
+    arrays[where][5] = bad
+    with pytest.raises(fl.GeometryError, match="must be finite"):
+        fl.Pattern(config=CFG, alpha=0.0, **arrays)
+
+
 def test_write_pattern_round_trip(tmp_path):
     pat = pattern(CFG, np.pi, n_grid=64)
     csv_path = tmp_path / "pat.csv"
@@ -355,7 +417,7 @@ def test_csv_matches_percent_format(cols, rows, seed, prefix, special):
     flat[pick == 3] = rng.choice(decimal_edges(), flat.size)[pick == 3]
     flat[rng.integers(0, flat.size, len(special))] = special
     columns = tuple(table.T)
-    assert_same_text(_csv("h", columns, prefix), percent_csv("h", columns, prefix))
+    assert_same_text(_csv("h", columns, prefix).decode(), percent_csv("h", columns, prefix))
 
 
 def test_csv_edge_values():
@@ -367,7 +429,7 @@ def test_csv_edge_values():
              1.5e-300, -1.2345e123, 9.99e-100, 1e100, 5e-324, -5e-324, 2.2250738585072014e-308,
              1.7976931348623157e308, 1e-280, 1e280, 0.0, -0.0, np.inf, -np.inf, np.nan]
     column = np.concatenate([edges, decimal_edges()])
-    text = _csv("v", (column,))
+    text = _csv("v", (column,)).decode()
     assert_same_text(text, percent_csv("v", (column,)))
     lines = text.splitlines()[1:len(edges) + 1]
     assert lines[:12] == ["1e-05", "0.0001", "100000000000000", "1e+15", "-1e-05", "-0.0001",
@@ -380,4 +442,4 @@ def test_csv_edge_values():
 def test_csv_of_a_pattern_matches_percent_format():
     pat = pattern(CFG, 1.3, half_width=1000.0, n_grid=16384)
     columns = (pat.x, pat.values)
-    assert_same_text(_csv("x_b,density", columns), percent_csv("x_b,density", columns))
+    assert_same_text(_csv("x_b,density", columns).decode(), percent_csv("x_b,density", columns))

@@ -1,6 +1,13 @@
 """Write the outputs of a fixed set of CLI runs, for a byte-identity check.
 
     python3 tools/cli_corpus.py OUT
+    python3 tools/cli_corpus.py --pin
+
+The second form writes the corpus into a temporary directory and pins its
+digests in tools/cli_corpus.sha256.json (`digests`), with numpy's version;
+tests/test_cli_corpus.py regenerates the corpus and names every file whose
+digest moved. A change that means to move outputs pins again and explains
+the file's diff.
 
 Runs through `fluxline.cli.main`, in-process, with fluxline imported from
 this checkout's `src/`:
@@ -97,6 +104,7 @@ two checkouts give the same corpus exactly when `diff -r OUT_A OUT_B` is
 empty.
 """
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -114,17 +122,26 @@ import fluxline  # noqa: E402
 from fluxline import cli  # noqa: E402
 
 WORK = Path(tempfile.gettempdir()) / "fluxline-cli-corpus"
+DIGESTS = ROOT / "tools" / "cli_corpus.sha256.json"
 SEEDS = (0, 1, 2)
 SAMPLES = (128, 1024)
 
 
-def runs():
+def rounds(name, seed, built):
+    """The operations of a benchmark round, built once into built per corpus:
+    building runs the benchmark's oracles, most of the corpus's time."""
+    if (name, seed) not in built:
+        tmp = WORK / f"{name}-{seed}"
+        tmp.mkdir(parents=True)
+        built[name, seed] = workloads.build(name, seed, tmp)[1]
+    return built[name, seed]
+
+
+def runs(built):
     """(label, argv, files written) of every run, in order."""
     for name in workloads.NAMES:
         for seed in SEEDS:
-            tmp = WORK / f"{name}-{seed}"
-            tmp.mkdir(parents=True)
-            for op in workloads.build(name, seed, tmp)[1]:
+            for op in rounds(name, seed, built):
                 if "argv" in op.spec:
                     yield (f"{name}-{seed}-{op.kind}", op.spec["argv"],
                            [path for path, _ in op.spec.get("files", [])])
@@ -169,11 +186,11 @@ def runs():
                                        "--curve-b", str(tmp / "circle.json")], [])
 
 
-def probe_sets():
+def probe_sets(built):
     """(label, lines of `values`) of every set of library probes, in order."""
     line = probe_line()
     for seed in SEEDS:
-        ops = workloads.build("field_fringe", seed, WORK / f"field_fringe-{seed}")[1]
+        ops = rounds("field_fringe", seed, built)
         yield (f"field_fringe-{seed}-probes",
                [probe(line, op.spec["point"]) for op in ops if op.kind in ("probe", "near_probe")])
     mid = 0.5 * (line.curve.points[0] + line.curve.points[1])
@@ -181,7 +198,7 @@ def probe_sets():
     yield "guard-probes", [probe(line, p) for p in ends]
     link_pairs = {}
     for seed in SEEDS:
-        ops = workloads.build("link_files", seed, WORK / f"link_files-{seed}")[1]
+        ops = rounds("link_files", seed, built)
         link_pairs[seed] = [(f"{k}-{op.kind}", *map(fluxline.load_curve, op.spec["argv"][2:5:2]))
                             for k, op in enumerate(ops)]
         yield f"link_files-{seed}-min_distance", distance_probes(link_pairs[seed])
@@ -415,15 +432,38 @@ def run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def digests(out):
+    """{entry: {file: SHA-256}} of the corpus written to out.
+
+    Reports and messages embed WORK, which follows the system's temporary
+    directory; it is hashed as the placeholder `$WORK`.
+    """
+    work = str(WORK).encode()
+    return {d.name: {f.name: hashlib.sha256(f.read_bytes().replace(work, b"$WORK")).hexdigest()
+                     for f in sorted(d.iterdir())}
+            for d in sorted(out.iterdir())}
+
+
 def main(argv):
-    if len(argv) != 1:
+    if argv == ["--pin"]:
+        with tempfile.TemporaryDirectory() as tmp:
+            write(Path(tmp))
+            pinned = {"numpy": np.__version__, "entries": digests(Path(tmp))}
+        DIGESTS.write_text(json.dumps(pinned, indent=1, sort_keys=True) + "\n")
+    elif len(argv) == 1 and not argv[0].startswith("-"):
+        write(Path(argv[0]))
+    else:
         sys.exit(__doc__)
-    out = Path(argv[0])
+
+
+def write(out):
+    """Write the corpus to out."""
     out.mkdir(parents=True, exist_ok=True)
     shutil.rmtree(WORK, ignore_errors=True)
-    for k, (label, args, files) in enumerate(runs()):
+    built = {}
+    for k, (label, args, files) in enumerate(runs(built)):
         write_run(out / f"{k:03d}-{label}", args, files)
-    for k, (label, lines) in enumerate(probe_sets(), start=k + 1):
+    for k, (label, lines) in enumerate(probe_sets(built), start=k + 1):
         write_values(out / f"{k:03d}-{label}", lines)
     for k, (label, args, files) in enumerate(last_runs(), start=k + 1):
         write_run(out / f"{k:03d}-{label}", args, files)
