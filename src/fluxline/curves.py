@@ -2,13 +2,14 @@
 
 A `ClosedCurve` caches what depends on it alone: its curve model (the
 `rfft` spectrum, the quadrature nodes and the Biot-Savart kernel factor
-that `quadrature` reads), its centroid and diameter, and the boxes of its
-SCAN_BLOCK-segment runs. `_boxes` builds the boxes of every pruned scan,
-`topology`'s crossing count included, and `_box_bound` bounds pairs by
-their gaps before any is evaluated. A scan given a cutoff evaluates only
-what lies within it: `min_distance` and the self check for segment pairs,
-`distance_to_curve` for points, so the potential's guard at a point far
-from the line evaluates no segment.
+that `quadrature` reads, and the reach of the polyline from those nodes),
+its centroid and diameter, and the boxes of its SCAN_BLOCK-segment runs.
+`_boxes` builds the boxes of every pruned scan, `topology`'s crossing
+count included, and `_box_bound` bounds pairs by their gaps before any is
+evaluated. A scan given a cutoff evaluates only what lies within it:
+`min_distance` and the self check for segment pairs, `distance_to_curve`
+for points. The potential's guard needs neither at a point far from the
+line: the pair sum's node distances less the reach bound it there.
 """
 import json
 import math
@@ -38,9 +39,9 @@ class ClosedCurve:
     are uniform samples of a smooth periodic curve. `spectrum` holds its
     `rfft` coefficients and `nodes` the quadrature nodes at the native n
     built from them (`quadrature._nodes`), so every line integral over the
-    curve reads one model, computed once per curve. They, the centroid, the
-    diameter and the largest coordinate are cached on first use; every
-    array is read-only.
+    curve reads one model, computed once per curve. They, the nodes' reach,
+    the centroid, the diameter and the largest coordinate are cached on
+    first use; every array is read-only.
     Instances are immutable and safe to share across threads: two threads
     that fill a cache at once compute the same values.
     """
@@ -79,6 +80,26 @@ class ClosedCurve:
     def kernel_factor(self):
         """(o, rel, rows6): `quadrature._factor` of `nodes`, what `biot_savart` builds per call."""
         return tuple(_read_only(a) for a in _factor(*self.nodes))
+
+    @cached_property
+    def _node_reach(self) -> float:
+        """rho: every point of segment j lies within rho of node j of `nodes`.
+
+        Through the chord's midpoint, |mid_j - (p_j + u_j / 2)| + |u_j| / 2
+        bounds it, so a point r from its nearest node is at least r - rho
+        from the polyline. Taken `_scaled`, where a difference that
+        underflows loses less than the 1e-12 of the coordinates a caller's
+        slack holds. inf when a segment spans under 2^-200 of them, one the
+        exact scan may refuse as too short (`point_segment_distance`).
+        """
+        with np.errstate(under="ignore"):
+            k, (mids, p, u) = _scaled(self.nodes[0], *self.segments())
+            if np.abs(u).max(axis=1).min() < 2.0 ** -200:
+                return math.inf
+            off = mids - (p + 0.5 * u)
+            reach = (np.sqrt(np.einsum("ij,ij->i", off, off))
+                     + 0.5 * np.sqrt(np.einsum("ij,ij->i", u, u))).max()
+            return float(np.ldexp(reach, k))
 
     @cached_property
     def _run_box(self):

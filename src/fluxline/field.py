@@ -1,5 +1,6 @@
 """Vector potential of a closed flux line, circulations, counted fluxes."""
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -7,7 +8,7 @@ import numpy as np
 
 from .curves import ClosedCurve, distance_to_curve, min_distance
 from .errors import GeometryError
-from .quadrature import _check_size, _factored_sum, linking_integral
+from .quadrature import _check_size, _factored_sum, _finite, _pair_sums, linking_integral
 from .topology import Surface, crossing_linking, grad_solid_angle
 
 GUARD_FACTOR = 1e-6
@@ -52,12 +53,34 @@ def vector_potential(f: FluxLine, x, threads=None):
 def _guarded_potential(f: FluxLine, xs):
     """`potential_at`, or GeometryError if a point lies within the guard of the
     line or the line's coordinates pass `quadrature.MAX_COORDINATE`, where the
-    pair sum's squared distances overflow."""
-    _check_size(f.curve)
-    guard = _guard_bound(f.curve)
-    if np.any(distance_to_curve(xs, f.curve, cutoff=guard) <= guard):
+    pair sum's squared distances overflow.
+
+    The pair sum runs first and leaves each point's least squared distance
+    r^2 to a node. The polyline lies within rho (`ClosedCurve._node_reach`)
+    of the nodes, so a point with r - rho above the guard, less a slack of
+    1e-12 times the coordinates for rounding, clears it with no segment
+    evaluated; r^2 must be normal and finite, so no underflowed distance
+    passes a point. Every other point takes the exact `distance_to_curve`.
+    The decisions and the order of the refusals are those of the exact
+    check alone: the size, the guard, then a sum that is not finite. A sum
+    that raises under np.errstate(all="raise") is run again after the guard.
+    """
+    c = f.curve
+    _check_size(c)
+    guard = _guard_bound(c)
+    xs = np.atleast_2d(xs)
+    r2 = np.empty(xs.shape[0])
+    try:
+        out = _pair_sums(c.kernel_factor, xs, r2)
+    except FloatingPointError:
+        out, r2[:] = None, np.nan
+    clear = ((c._node_reach + guard + 1e-12 * c._size) * (1.0 + 1e-11)) ** 2
+    near = ~((r2 > max(clear, sys.float_info.min)) & (r2 < np.inf))
+    if near.any() and np.any(distance_to_curve(xs[near], c, cutoff=guard) <= guard):
         raise GeometryError("evaluation point is too close to the flux line")
-    return potential_at(f, xs)
+    if out is None:
+        return potential_at(f, xs)
+    return _finite(out, c.kernel_factor) * (f.flux / (4.0 * np.pi))
 
 
 def circulation(f: FluxLine, path: ClosedCurve, threads=None) -> float:

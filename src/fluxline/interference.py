@@ -234,17 +234,20 @@ class Pattern:
     def _with_alpha(self, alpha_AB: float) -> "Pattern":
         """The pattern of alpha_AB on this grid and config, sharing this
         pattern's terms: the density's alpha-free work, done once for
-        every pattern of a command."""
-        return _from_terms(self.x, self._terms, self.config, alpha_AB)
-
-
-def _from_terms(x, terms, cfg: TwoSlitConfig, alpha_AB: float) -> Pattern:
-    """The Pattern of alpha_AB on grid x, whose `_terms` are terms."""
-    pat = Pattern(x=x, values=_combine(terms, alpha_AB), config=cfg, alpha=float(alpha_AB))
-    # a cached_property lives in the instance's dict, which a frozen
-    # dataclass guards only against plain assignment
-    object.__setattr__(pat, "_terms", terms)
-    return pat
+        every pattern of a command. The grid is read-only and checked
+        already, so it is shared, not copied and checked again; only the
+        values are checked."""
+        values = _combine(self._terms, alpha_AB)
+        if not np.isfinite(values).all():
+            raise GeometryError("pattern grid and values must be finite")
+        values.flags.writeable = False
+        pat = object.__new__(Pattern)
+        # a cached_property lives in the instance's dict, which a frozen
+        # dataclass guards only against plain assignment
+        for name, value in (("x", self.x), ("values", values), ("config", self.config),
+                            ("alpha", float(alpha_AB)), ("_terms", self._terms)):
+            object.__setattr__(pat, name, value)
+        return pat
 
 
 def default_half_width(cfg: TwoSlitConfig) -> float:
@@ -262,7 +265,10 @@ def pattern(cfg: TwoSlitConfig, alpha_AB: float, half_width: float = None,
     if not (half_width > 0.0 and math.isfinite(half_width)):
         raise GeometryError("half_width must be finite and positive")
     x = np.linspace(-half_width, half_width, n_grid)
-    return _from_terms(x, _terms(cfg, x), cfg, alpha_AB)
+    terms = _terms(cfg, x)
+    pat = Pattern(x=x, values=_combine(terms, alpha_AB), config=cfg, alpha=float(alpha_AB))
+    object.__setattr__(pat, "_terms", terms)
+    return pat
 
 
 def ab_shift_analytic(L: float, lambda_bar: float, d: float,

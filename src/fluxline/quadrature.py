@@ -16,7 +16,10 @@ That interpolant is the curve model. It depends on the curve alone, so
 alone. The cached arrays are read-only, so threads may share them. The
 sums below take curves and read those caches, so a curve that enters many
 sums, as the fixed curve of a deformation family does, is transformed
-once, and a potential at one point costs its n pairs and nothing else.
+once, and a potential at one point costs its n pairs and little else: the
+sum hands back each point's least squared node distance
+(`_pair_sums`), from which `field` decides the potential's guard at a
+point far from the line without a scan of its segments.
 `periodic_midpoints` gives the same nodes for a bare point array.
 
 `biot_savart` is the one pair sum behind the vector potential, the
@@ -24,12 +27,13 @@ solid-angle gradient, the circulation and the Gauss linking integral. It
 factors the sum about one node o of the curve, B(x) = S(x) x (x - o) - T(x),
 so each block is one contraction of the (rows, n) inverse cubed distances
 with six rows of node data. `_factor` builds o, the nodes less o and those
-six rows; `_factored_sum` runs the blocks. `biot_savart(mids, weights, xs)`
-does both, for the truncated node sets of `linking_integral`; a sum at a
-curve's own nodes reads its cached factor instead, with the same bits. Its
-rounding grows like the curve's diameter over the distance from x to the
-line. The blocks run serially on the calling
-thread, so a sum that is not truncated below costs its pairs on one core:
+six rows; `_pair_sums` runs the blocks and `_factored_sum` checks them.
+`biot_savart(mids, weights, xs)` does both, for the truncated node sets of
+`linking_integral`; a sum at a curve's own nodes reads its cached factor
+instead, with the same bits. Its rounding grows like the curve's diameter
+over the distance from x to the line. The blocks run serially on the
+calling thread, so a sum that is not truncated below costs its pairs on
+one core:
 on a 2-core host the native sum of a square and a circle of 1024 points
 each took 20-29 ms, against 12-13 ms on a pool of two threads (2048
 points: 71-109 ms against 46-48 ms). Fewer pairs, not more threads, is the
@@ -131,44 +135,68 @@ def _factor(mids, weights):
     return o, rel, np.concatenate([w, _cross(w, rel)])
 
 
-@np.errstate(divide="ignore", over="ignore", invalid="ignore")  # the sum's check covers these
 def _factored_sum(factor, xs):
     """`biot_savart` at xs on the curve whose `_factor` is factor; (m, 3).
+
+    The blocks of `_pair_sums`, checked by `_finite`. The two terms of the
+    factored sum cancel as x nears the curve: rounding grows like
+    |x - o| / r_j, about diameter / d at a distance d from the line. On a
+    unit circle of 1024 nodes, at points across the circle from o, it is
+    1e-14 relative at d = diameter and 3.1e-11 at d = 1e-4 diameters,
+    where the quadrature error is already near 1 (far larger than the
+    rounding).
+    """
+    return _finite(_pair_sums(factor, xs), factor)
+
+
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")  # `_finite` covers these
+def _pair_sums(factor, xs, nearest=None):
+    """The factored sum at xs, unchecked and transposed; (3, m).
 
     xs is taken in blocks of min(CHUNK_ROWS, BLOCK_PAIRS // n) rows, at
     least one. A block forms r^-3 as one (rows, n) array, in two buffers
     allocated once per call, and contracts it with rows6, so no (rows, n, 3)
-    array is built. The two terms of the factored sum cancel as x nears the
-    curve: rounding grows like |x - o| / r_j, about diameter / d at a
-    distance d from the line. On a unit circle of 1024 nodes, at points
-    across the circle from o, it is 1e-14 relative at d = diameter and
-    3.1e-11 at d = 1e-4 diameters, where the quadrature error is already
-    near 1 (far larger than the rounding). A sum that is not finite, on a
-    curve so small that r^-3 overflows or at a point that is not finite,
-    raises GeometryError naming the curve's extent.
+    array is built. nearest: an (m,) array that receives each row's least
+    r^2, a node distance the caller may bound the line's distance with.
     """
     o, rel, rows6 = factor
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    n = rel.shape[1]
-    rows = max(1, min(CHUNK_ROWS, BLOCK_PAIRS // n, xs.shape[0]))
+    m, n = xs.shape[0], rel.shape[1]
+    rows = max(1, min(CHUNK_ROWS, BLOCK_PAIRS // n, m))
     r2_buf, sq_buf = np.empty((2, rows, n))
-    # (3, m) and returned transposed: the layout the callers' contractions
-    # have always summed in, so their rounding does not change
-    out = np.empty((3, xs.shape[0]))
-    for i0 in range(0, xs.shape[0], rows):
+    # (3, m): the layout the callers' contractions have always summed in,
+    # so their rounding does not change
+    out = np.empty((3, m))
+    for i0 in range(0, m, rows):
         x = xs[i0:i0 + rows] - o
         r2, sq = r2_buf[:x.shape[0]], sq_buf[:x.shape[0]]
         # (x0 - rel0)^2 + (x1 - rel1)^2 + (x2 - rel2)^2, summed in that order
         np.square(np.subtract.outer(x[:, 0], rel[0], out=r2), out=r2)
         for k in (1, 2):
             r2 += np.square(np.subtract.outer(x[:, k], rel[k], out=sq), out=sq)
+        if nearest is not None:
+            np.minimum.reduce(r2, axis=1, out=nearest[i0:i0 + rows])
         # numpy's own loop, not BLAS: a BLAS product's summation order
         # changes with its thread count, and so would the result's last bits
         st = np.einsum("ij,kj->ik", np.power(r2, -1.5, out=r2), rows6).T
-        out[:, i0:i0 + rows] = _cross(st[:3], x.T) - st[3:]
+        if x.shape[0] == 1:
+            # `_cross` in floats, the same operations and bits: its gathers
+            # and ufuncs on (3, 1) arrays took 5 of a one-point sum's 29 us
+            # at n = 1024
+            (s0, s1, s2, t0, t1, t2), (x0, x1, x2) = st[:, 0].tolist(), x[0].tolist()
+            out[:, i0] = s1 * x2 - s2 * x1 - t0, s2 * x0 - s0 * x2 - t1, s0 * x1 - s1 * x0 - t2
+        else:
+            out[:, i0:i0 + rows] = _cross(st[:3], x.T) - st[3:]
+    return out
+
+
+def _finite(out, factor):
+    """out.T, or GeometryError naming the curve's extent if the sum is not
+    finite: on a curve so small that r^-3 overflows, or at a point that is
+    not finite."""
     if not np.isfinite(out).all():
         raise GeometryError(
-            f"the pair sum is not finite on a curve {np.ptp(rel, axis=1).max():.3g} across")
+            f"the pair sum is not finite on a curve {np.ptp(factor[1], axis=1).max():.3g} across")
     return out.T
 
 

@@ -57,6 +57,25 @@ def test_kernel_factor_is_read_only_and_that_of_fresh_nodes():
     assert c.kernel_factor is c.kernel_factor
 
 
+@pytest.mark.parametrize("make", [
+    lambda: perturbed(circle((0.3, -1, 2), 1.5, Y, 200), np.random.default_rng(3), 0.1),
+    lambda: fl.make_torus_knot(2, 3, 1.0, 0.4, 256),
+    # corners: the interpolant overshoots, so its nodes stand off the polyline
+    lambda: fl.ClosedCurve([[x, 0.0, 0.0] for x in np.linspace(0, 1, 8, endpoint=False)]
+                           + [[1.0, y, 0.0] for y in np.linspace(0, 1, 8, endpoint=False)]
+                           + [[1.0 - x, 1.0, 0.0] for x in np.linspace(0, 1, 8, endpoint=False)]
+                           + [[0.0, 1.0 - y, 0.0] for y in np.linspace(0, 1, 8, endpoint=False)]),
+])
+def test_node_reach_bounds_every_segment_from_its_node(make):
+    c = make()
+    p0, u = c.segments()
+    mids = c.nodes[0]
+    t = np.linspace(0.0, 1.0, 33)[:, None, None]
+    reach = np.linalg.norm(p0 + t * u - mids, axis=2).max()
+    # the bound through the chord's midpoint is within a sagitta of the farthest point
+    assert reach <= c._node_reach < reach + 0.02 * np.linalg.norm(u, axis=1).max()
+
+
 @pytest.mark.parametrize("cutoff", [0.0, 1e-3, 0.05, 0.3, np.inf])
 def test_distance_with_a_cutoff_is_exact_within_it(cutoff):
     c = perturbed(circle((0, 0, 0), 1.0, Z, 1024), np.random.default_rng(4), 0.05)

@@ -93,6 +93,37 @@ def guard_sweep(c, rng, count=240):
     return on_line + dist[:, None] * v / np.linalg.norm(v, axis=1)[:, None]
 
 
+def beside_the_nodes(c, rng, count=40):
+    """Points next to vertices, chord midpoints and nodes of c, 0.5 to 10 guards
+    from them and rho (`_node_reach`) from the nodes, either side of the line."""
+    guard = fl.field._guard_bound(c)
+    p0, u = c.segments()
+    k = rng.integers(c.n, size=count)
+    bases = [p0[k], p0[k] + 0.5 * u[k], c.nodes[0][k]]
+    dist = [guard * rng.uniform(0.5, 10.0, size=count),
+            c._node_reach + guard * rng.uniform(-3.0, 3.0, size=count)]
+    v = rng.normal(size=(count, 3))
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    return np.vstack([b + d[:, None] * v for b in bases for d in dist])
+
+
+def outcome(fn):
+    """The hex bytes of fn's value, or the type and message of what it raised."""
+    try:
+        return np.asarray(fn()).tobytes().hex()
+    except Exception as e:
+        return type(e).__name__, str(e)
+
+
+def exact_guard(f, x):
+    """`vector_potential` with the exact distance as its only guard."""
+    fl.quadrature._check_size(f.curve)
+    guard = fl.field._guard_bound(f.curve)
+    if fl.curves.distance_to_curve(x, f.curve, cutoff=guard) <= guard:
+        raise fl.GeometryError("evaluation point is too close to the flux line")
+    return biot_savart(*f.curve.nodes, x)[0] * (f.flux / (4.0 * np.pi))
+
+
 @pytest.mark.parametrize("make", [
     lambda: circle((0, 0, 0), 1.0, Z, 1024),
     lambda: circle((3, -2, 1), 0.7, Y, 333),
@@ -113,6 +144,70 @@ def test_potential_refuses_exactly_inside_the_guard(make):
             assert np.array_equal(fl.vector_potential(f, x), want)
     # both sides of the guard are exercised
     assert 40 < refused < 200
+    # beside the nodes, where the node bound and the exact distance meet
+    for x in beside_the_nodes(c, np.random.default_rng(c.n + 1)):
+        assert outcome(lambda: fl.vector_potential(f, x)) == outcome(lambda: exact_guard(f, x))
+
+
+def test_square_overshoot_widens_the_node_reach():
+    # the interpolant of a square overshoots at the corners (Gibbs), so its
+    # nodes stand off the polyline and points nearer than rho take the scan
+    c = square_loop_xz((0.5, 0.2, -0.1), 2.0)
+    half = 0.5 * np.linalg.norm(c.segments()[1], axis=1).max()
+    assert c._node_reach > 1.2 * half
+    circ = circle((0, 0, 0), 1.0, Z, 1024)
+    assert circ._node_reach < 1.002 * 0.5 * np.linalg.norm(circ.segments()[1], axis=1).max()
+
+
+@pytest.mark.parametrize("mode", ["raise", "ignore"])
+@pytest.mark.parametrize("k", [-550, -520, -300, 100])
+def test_scaled_guard_agrees_with_the_exact_one(k, mode, monkeypatch):
+    # at 2^-520 the guard's square is subnormal, at 2^-550 the squared
+    # distances are subnormal or 0, and no point may pass by them; under
+    # "raise" the kernel factor underflows at both
+    unit = circle((0, 0, 0), 1.0, Z, 1024)
+    c = fl.ClosedCurve(np.ldexp(unit.points, k))
+    f = fl.FluxLine(c, 1.0)
+    points = np.vstack([beside_the_nodes(unit, np.random.default_rng(5)),
+                        [[0.1, 0.2, 0.5], [1.1, 0.0, 0.0], [1.003, 0.0, 0.0]]])
+    scans = []
+    distance = fl.field.distance_to_curve
+    monkeypatch.setattr(fl.field, "distance_to_curve",
+                        lambda x, c, **kw: scans.append(1) or distance(x, c, **kw))
+    got, want = [], []
+    with np.errstate(all=mode):
+        for x in np.ldexp(points, k):
+            got.append(outcome(lambda: fl.vector_potential(f, x)))
+            want.append(outcome(lambda: exact_guard(f, x)))
+    assert got == want
+    # every squared distance is subnormal below 2^-500, so every point is scanned
+    assert (len(scans) == len(points)) == (k < -500)
+    refusals = {w for w in want if isinstance(w, tuple)}
+    assert ("GeometryError", "evaluation point is too close to the flux line") in refusals
+    assert ("FloatingPointError" in {w[0] for w in refusals}) == (k < -500 and mode == "raise")
+
+
+@pytest.mark.parametrize("mode", ["raise", "ignore"])
+def test_guard_of_points_that_are_not_finite_or_overflow(mode):
+    f = fl.FluxLine(circle((0, 0, 0), 1.0, Z, 1024), 1.0)
+    for x in ([np.inf, 0, 0], [np.nan, 0, 0], [-np.inf, 1, 1], [1e160, 0, 0], [1e300, 1e300, 0]):
+        x = np.array(x)
+        with np.errstate(all=mode):
+            assert outcome(lambda: fl.vector_potential(f, x)) == outcome(lambda: exact_guard(f, x))
+
+
+def test_guard_near_a_segment_too_short_to_scan():
+    # a vertex 1e-170 after vertex 0: the exact scan refuses that segment
+    # for points in its run's box, so no point of the curve passes by rho
+    unit = circle((0, 0, 0), 1.0, Z, 1024).points
+    c = fl.ClosedCurve(np.insert(unit, 1, unit[0] + [0.0, 1e-170, 0.0], axis=0))
+    assert c._node_reach == np.inf
+    f = fl.FluxLine(c, 1.0)
+    for x in ([0.985, 0.1, 0.0], [0.3, 0.2, 0.1], [2.0, 0.0, 0.0]):
+        x = np.array(x)
+        assert outcome(lambda: fl.vector_potential(f, x)) == outcome(lambda: exact_guard(f, x))
+    with pytest.raises(fl.GeometryError, match="too short"):
+        fl.vector_potential(f, np.array([0.985, 0.1, 0.0]))
 
 
 def test_probes_beyond_the_guard_evaluate_no_segment(monkeypatch):
@@ -137,6 +232,44 @@ def test_probes_beyond_the_guard_evaluate_no_segment(monkeypatch):
     # the exact distance, which the finite-difference warning takes, scans them all
     fl.curves.distance_to_curve(np.array(points[0]), f.curve)
     assert rows == [1024]
+
+
+def test_far_probes_take_the_node_bound(monkeypatch):
+    calls = {"distance_to_curve": [], "_box_bound": 0}
+    distance, box = fl.field.distance_to_curve, fl.curves._box_bound
+
+    def counted_distance(x, c, **kw):
+        calls["distance_to_curve"].append(np.atleast_2d(x).shape[0])
+        return distance(x, c, **kw)
+
+    def counted_box(*args):
+        calls["_box_bound"] += 1
+        return box(*args)
+
+    monkeypatch.setattr(fl.field, "distance_to_curve", counted_distance)
+    monkeypatch.setattr(fl.curves, "_box_bound", counted_box)
+    f = fl.FluxLine(circle((0, 0, 0), 1.0, Z, 1024), 1.0)
+    rng = np.random.default_rng(7)
+    phi, psi = rng.uniform(0.0, 2.0 * np.pi, size=(2, 50))
+    # 0.1 from the line in any direction, the benchmark's near probes 1e-3
+    # and 3e-3 outside it, and the axis points of the field command: all
+    # beyond rho = 3.07e-3 from the nodes by more than the guard
+    rho = 1.0 + 0.1 * np.cos(psi)
+    points = [*np.column_stack([rho * np.cos(phi), rho * np.sin(phi), 0.1 * np.sin(psi)]),
+              (1.001, 0.0, 0.0), (1.003, 0.0, 0.0)]
+    for x in points:
+        want = biot_savart(*f.curve.nodes, x)[0] * (f.flux / (4.0 * np.pi))
+        assert np.array_equal(fl.vector_potential(f, np.array(x)), want)
+    axis = np.zeros((64, 3))
+    axis[:, 2] = np.linspace(-2.0, 3.0, 64)
+    fl.field._guarded_potential(f, axis)
+    assert calls == {"distance_to_curve": [], "_box_bound": 0}
+    # 1e-5 outside the line, 5 guards: nearer than rho, so the exact scan
+    # decides, for the near rows only
+    near = np.array([[1.00001, 0.0, 0.0], [0.0, -1.00001, 0.0]])
+    fl.vector_potential(f, near[0])
+    fl.field._guarded_potential(f, np.vstack([axis, near]))
+    assert calls["distance_to_curve"] == [1, 2] and calls["_box_bound"] == 2
 
 
 def test_tiny_dipole_far_field():

@@ -346,6 +346,15 @@ def test_shared_terms_keep_every_density_bit(n_grid):
     assert off._with_alpha(0.0).values.tobytes() == off.values.tobytes()
 
 
+def test_patterns_of_one_grid_share_it_and_check_their_values():
+    off = pattern(CFG, 0.0, n_grid=256)
+    on = off._with_alpha(1.3)
+    assert on.x is off.x and not on.values.flags.writeable
+    assert (on.config, on.alpha) == (CFG, 1.3)
+    with np.errstate(invalid="ignore"), pytest.raises(fl.GeometryError, match="must be finite"):
+        off._with_alpha(np.inf)
+
+
 @pytest.mark.parametrize("where", ["x", "values"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_pattern_refuses_non_finite_input(where, bad):

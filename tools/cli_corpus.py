@@ -128,12 +128,21 @@ SAMPLES = (128, 1024)
 
 
 def rounds(name, seed, built):
-    """The operations of a benchmark round, built once into built per corpus:
-    building runs the benchmark's oracles, most of the corpus's time."""
+    """The operations of a benchmark round, built once into built per corpus.
+
+    The corpus reads their argv, curve files and points, never their checks,
+    so the exact polygon linking numbers the `link_files` checks hold are
+    not computed: that oracle took 7.5 s of a 9.8 s corpus.
+    """
     if (name, seed) not in built:
         tmp = WORK / f"{name}-{seed}"
         tmp.mkdir(parents=True)
-        built[name, seed] = workloads.build(name, seed, tmp)[1]
+        exact = workloads.oracles.polygon_linking
+        workloads.oracles.polygon_linking = lambda a, b: 0
+        try:
+            built[name, seed] = workloads.build(name, seed, tmp)[1]
+        finally:
+            workloads.oracles.polygon_linking = exact
     return built[name, seed]
 
 
