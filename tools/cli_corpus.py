@@ -90,10 +90,12 @@ each deformed state decides on its own whether circulation's check runs;
 and `interfere --alpha 1.3 --grid 16384 --half-width 1000`, whose pattern
 CSVs hold exact zeros, subnormals and values below 1e-280.
 
-Last come six runs of `gauge-demo --solenoid`: the default, `--turns 3
+Then come six runs of `gauge-demo --solenoid`: the default, `--turns 3
 --flux 0.5`, `--turns 0`, `--samples 16 --turns 7`, and `--radius 1 --rho0
 1.7e308` and `--radius 1e-310 --rho0 2e-310`, at the ends of the float
-range.
+range. Last comes `phase --preset l2 --samples 127 --invariance --steps
+17`: an odd node count, and one deformed state past the suite's batch
+of 16 states at that count.
 
 Each set gets a directory OUT/NNN-label holding `values`: per probe, its
 arguments (a point's hex bytes, or a name) and the hex bytes of the result,
@@ -328,6 +330,8 @@ def end_runs():
                  ["--radius", "1e-310", "--rho0", "2e-310"]):
         yield ("-".join(["gauge-demo-solenoid", *(a.lstrip("-") for a in argv)]),
                ["gauge-demo", "--solenoid", *argv], [])
+    yield ("phase-l2-127-steps-17",
+           ["phase", "--preset", "l2", "--samples", "127", "--invariance", "--steps", "17"], [])
 
 
 def scaled_hopf(tmp, scale):
