@@ -3,17 +3,25 @@
 All forms expose the physics through the single dimensionless coupling
 alpha = (charge) x (flux) / (hbar c); the flux line's own flux value only
 sets the shape-independent scale and cancels out of every phase.
+
+`invariance_suite` measures the start pair once, and builds the curve
+models of its deformed states a batch at a time (`curves._build_models`);
+its phases are those of states taken one at a time.
 """
 import math
 from dataclasses import dataclass, replace
 
-from .curves import ClosedCurve, DeformationSpec, _deform, min_distance
+from .curves import ClosedCurve, DeformationSpec, _build_models, _deform, min_distance
 from .errors import GeometryError
-from .field import FluxLine, _guard_bound, circulation
-from .quadrature import linking_integral
+from .field import FluxLine, _circulate, _guard_bound, circulation
+from .quadrature import TRUNCATE_FROM, linking_integral
 from .topology import crossing_linking, span_surface
 
 DEFAULT_SUITE_TOL = 1e-3
+# the deformed states of a batch hold about this many points, and their curve
+# models are built together (`curves._build_models`): 16 states at n = 128,
+# 2 at n = 1024 and 1 from n = 2048 up, where a larger stack took longer
+STACK_POINTS = 2048
 
 
 @dataclass(frozen=True)
@@ -84,6 +92,25 @@ def _suite_entry(phases, base, tol):
     }
 
 
+def _batches(states, size):
+    """The states in lists of size, the last one shorter. An error of a draw
+    is raised after the list of the states drawn before it, so that their
+    phases are taken first, as they were when each was taken as it came."""
+    batch = []
+    try:
+        for state in states:
+            batch.append(state)
+            if len(batch) == size:
+                yield batch
+                batch = []
+    except Exception:
+        if batch:
+            yield batch
+        raise
+    if batch:
+        yield batch
+
+
 def invariance_suite(p: PhaseParams, f: FluxLine, path: ClosedCurve,
                      spec: DeformationSpec, tol: float = DEFAULT_SUITE_TOL,
                      threads=None) -> dict:
@@ -93,9 +120,24 @@ def invariance_suite(p: PhaseParams, f: FluxLine, path: ClosedCurve,
     and swap the two roles along the simultaneous family. Each records the
     circulation-form phase at every step; a step whose phase strays from the
     initial value by tol or more is flagged with its index.
+
+    Each family's states are drawn STACK_POINTS // n at a time, and the
+    curve models of a batch are built together before its phases are
+    taken; the phases are those of states taken one at a time.
     """
-    base = ab_phase_circulation(p, f, path)
-    lb = min_distance(path, f.curve)
+    # one scan of the start pair decides circulation's guard and gives every
+    # family's loop its start. A state's vertices lie within amplitude of the
+    # start's, so a start more than clearance + 2 amplitudes apart, plus room
+    # for the rounding slack `_deform` takes per step (1e-12 of at most size)
+    # and for its roundings, has every state accepted unscanned: past that
+    # cutoff the loop needs only a lower bound
+    size = max(path._size, f.curve._size) + spec.amplitude + spec.clearance
+    cutoff = max(_guard_bound(f.curve),
+                 spec.clearance + 2.0 * spec.amplitude + 1e-12 * (spec.steps + 1) * size)
+    dist = min_distance(path, f.curve, cutoff=cutoff)
+    # `ab_phase_circulation`'s bits
+    base = p.alpha * _circulate(FluxLine(curve=f.curve, flux=1.0), path, dist)
+    lb = min(dist, cutoff)
 
     def clear(start):
         """Whether the clearance exceeds circulation's guard on every curve
@@ -117,22 +159,35 @@ def invariance_suite(p: PhaseParams, f: FluxLine, path: ClosedCurve,
             return p.alpha * linking_integral(c, flux_curve)
         return ab_phase_circulation(p, FluxLine(curve=flux_curve, flux=f.flux), c)
 
+    # below 4 * TRUNCATE_FROM nodes every sum is native: it reads the path's
+    # nodes and the flux curve's kernel factor. Above, a truncated sum reads
+    # the spectra alone, and a native one builds the rest of its curves' models
+    native = 4 * TRUNCATE_FROM > min(path.n, f.curve.n)
+    batch = max(1, STACK_POINTS // max(path.n, f.curve.n))
+
+    def family(seed, a, b, move_b, upto, take):
+        """take(*state) of each state of _deform(a, b, ...), a batch at a time."""
+        out = []
+        for drawn in _batches(_deform(a, b, replace(spec, seed=seed), move_b, lb), batch):
+            _build_models([c for state in drawn for c in state], upto if native else "spectrum")
+            out += [take(*state) for state in drawn]
+        return out
+
     far_flux, far_path = clear(f.curve), clear(path)
     # each family starts from (path, f.curve), whose phase is base
     suites = {}
-    states = _deform(path, f.curve, spec, False, lb)
-    suites["path"] = _suite_entry(
-        [base] + [phase(f.curve, c, far_flux) for c, _ in states], base, tol)
-
-    states = _deform(f.curve, path, replace(spec, seed=spec.seed + 1), False, lb)
-    suites["flux_curve"] = _suite_entry(
-        [base] + [phase(c, path, far_flux) for c, _ in states], base, tol)
+    suites["path"] = _suite_entry([base] + family(
+        spec.seed, path, f.curve, False, "nodes",
+        lambda c, _: phase(f.curve, c, far_flux)), base, tol)
+    suites["flux_curve"] = _suite_entry([base] + family(
+        spec.seed + 1, f.curve, path, False, "kernel_factor",
+        lambda c, _: phase(c, path, far_flux)), base, tol)
 
     # role swap: the linking integrand is symmetric under exchanging the
     # curves, so using the path as the flux line must reproduce the phase
-    states = _deform(path, f.curve, replace(spec, seed=spec.seed + 2), True, lb)
-    both = [(base, phase(path, f.curve, far_path))] + [
-        (phase(fc, pc, far_flux), phase(pc, fc, far_path)) for pc, fc in states]
+    both = [(base, phase(path, f.curve, far_path))] + family(
+        spec.seed + 2, path, f.curve, True, "kernel_factor",
+        lambda pc, fc: (phase(fc, pc, far_flux), phase(pc, fc, far_path)))
     suites["simultaneous"] = _suite_entry([sim for sim, _ in both], base, tol)
     suites["swap"] = _suite_entry([swap for _, swap in both], base, tol)
 

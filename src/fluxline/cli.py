@@ -148,8 +148,9 @@ PHASE = (
     FLUX, SAMPLES, TOL, SEED, THREADS,
     Opt("invariance", "bool", False,
         "also run the four deformation-invariance suites"),
-    # the suite takes each state's phases as it is drawn and holds one state,
-    # so memory does not grow with steps; the bound caps the suite's time
+    # the suite takes its states' phases a batch of about 2048 points at a
+    # time (abphase.STACK_POINTS) and holds one batch, so memory does not
+    # grow with steps; the bound caps the suite's time
     Opt("steps", "int", 20, "deformation steps", at_least=1, at_most=1024),
     Opt("amplitude", "real", 0.2, "deformation amplitude", at_least=0),
     Opt("clearance", "real", 0.05, "minimum curve separation", above=0),

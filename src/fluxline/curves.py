@@ -10,6 +10,11 @@ evaluated. A scan given a cutoff evaluates only what lies within it:
 `min_distance` and the self check for segment pairs, `distance_to_curve`
 for points. The potential's guard needs neither at a point far from the
 line: the pair sum's node distances less the reach bound it there.
+
+`_build_models` is the one builder of curve models. It fills the caches of
+many curves of one node count with one stacked transform each, as the
+invariance suite does for a batch of deformed states; the cached
+properties build a single curve's through it.
 """
 import json
 import math
@@ -69,17 +74,17 @@ class ClosedCurve:
     @cached_property
     def spectrum(self):
         """The (n // 2 + 1, 3) `rfft` coefficients of the points along the curve."""
-        return _read_only(np.fft.rfft(self.points, axis=0))
+        return _build_models([self], "spectrum")
 
     @cached_property
     def nodes(self):
         """(mids, weights) of the periodic midpoint rule, as `quadrature.periodic_midpoints`."""
-        return tuple(_read_only(a) for a in _nodes(self.spectrum, self.n))
+        return _build_models([self], "nodes")
 
     @cached_property
     def kernel_factor(self):
         """(o, rel, rows6): `quadrature._factor` of `nodes`, what `biot_savart` builds per call."""
-        return tuple(_read_only(a) for a in _factor(*self.nodes))
+        return _build_models([self], "kernel_factor")
 
     @cached_property
     def _node_reach(self) -> float:
@@ -144,6 +149,50 @@ class ClosedCurve:
 def _read_only(a):
     a.flags.writeable = False
     return a
+
+
+# the curve model's caches, each built from the one before it
+_MODEL = ("spectrum", "nodes", "kernel_factor")
+
+
+def _build_models(curves, upto):
+    """Fill the curve-model caches of curves, `_MODEL` up to upto, stacked;
+    return the last curve's upto.
+
+    The curves of one node count that lack the same caches take one `rfft`,
+    one `quadrature._nodes` and one `quadrature._factor` call together, and
+    each curve's arrays are read-only views of the stacked ones. The
+    transforms run line by line and the rest is elementwise, and a view of
+    a stack has the strides of a stack of one, so a curve's arrays have the
+    same bits and layout whatever it is stacked with. Stacking saves the
+    fixed cost of each call: at n = 128 a model took 59.7 us alone and 9.5
+    us a curve 16 at a time; at n = 1024, 144 us alone, 91 us two at a
+    time and 116 us sixteen at a time.
+    """
+    last = _MODEL.index(upto)
+    groups = {}
+    # a curve listed twice, as the fixed curve of a family's states is, is built once
+    for c in {id(c): c for c in curves}.values():
+        first = next((i for i in range(last + 1) if _MODEL[i] not in c.__dict__), None)
+        if first is not None:
+            groups.setdefault((c.n, first), []).append(c)
+    for (n, first), group in groups.items():
+        if first == 0:
+            stacked = (np.fft.rfft(np.stack([c.points for c in group]), axis=1),)
+        elif first == 1:
+            stacked = (np.stack([c.spectrum for c in group]),)
+        else:
+            stacked = tuple(map(np.stack, zip(*(c.nodes for c in group))))
+        for stage in range(first, last + 1):
+            if stage == 1:
+                stacked = _nodes(stacked[0], n)
+            elif stage == 2:
+                stacked = _factor(*stacked)
+            stacked = tuple(_read_only(a) for a in stacked)
+            for i, c in enumerate(group):
+                views = tuple(a[i] for a in stacked)
+                c.__dict__[_MODEL[stage]] = views[0] if stage == 0 else views
+    return curves[-1].__dict__[upto]
 
 
 def _exponent(size):
@@ -399,27 +448,30 @@ def distance_to_curve(x, c: ClosedCurve, *, cutoff=np.inf):
     and only the runs bounded within cutoff are evaluated, so a caller that
     only compares the distance with a tolerance passes the tolerance; the
     default inf evaluates every segment. The points go in blocks of
-    BLOCK_PAIRS // n rows, at least one.
+    BLOCK_PAIRS // n rows, at least one. A point with a coordinate that is
+    not finite is evaluated against no segment: its distance is nan if a
+    coordinate is nan, and inf otherwise.
     """
     x = np.asarray(x, dtype=float)
     pts = np.atleast_2d(x)
     lo, hi, seg_run = c._run_box
     n = c.n
-    out = np.full(pts.shape[0], np.inf)
+    out = np.where(np.isnan(pts).any(axis=1), np.nan, np.inf)
+    finite = np.flatnonzero(np.isfinite(pts).all(axis=1))
     rows = max(1, BLOCK_PAIRS // n)
-    for i0 in range(0, pts.shape[0], rows):
-        p = pts[i0:i0 + rows]
+    for i0 in range(0, finite.shape[0], rows):
+        at = finite[i0:i0 + rows]
+        p = pts[at]
         corners = np.ascontiguousarray(p.T)
         slack = 1e-12 * max(c._size, float(np.abs(p).max()))
-        # not "bound <= cutoff": a point with a nan coordinate is evaluated
-        near = ~(_box_bound(corners, corners, lo, hi, slack) > cutoff)
+        near = _box_bound(corners, corners, lo, hi, slack) <= cutoff
         if near.any():
             r = near.any(axis=1)
             seg = np.flatnonzero(near.any(axis=0)[seg_run])
             p0 = c.points[seg]
             dist = point_segment_distance(p[r], p0, c.points[(seg + 1) % n] - p0)
             dist[~near[r][:, seg_run[seg]]] = np.inf
-            out[i0 + np.flatnonzero(r)] = dist.min(axis=1)
+            out[at[r]] = dist.min(axis=1)
     return float(out[0]) if x.ndim == 1 else out
 
 
@@ -523,9 +575,10 @@ def _displacement(rng, cos, sin):
 def _deform(a: ClosedCurve, b: ClosedCurve, spec: DeformationSpec, move_b: bool, lb: float):
     """Seeded rejection loop: deform a, and b too when move_b, keeping clearance.
 
-    lb is min_distance(a, b), which the caller measured; a start not above
-    spec.clearance is refused. Yields the spec.steps drawn pairs (a_i, b_i),
-    not (a, b), each more than spec.clearance apart. Every attempt draws
+    lb is min_distance(a, b), which the caller measured, or a lower bound on
+    it; a start with lb not above spec.clearance is refused. Yields the
+    spec.steps drawn pairs (a_i, b_i), not (a, b), each more than
+    spec.clearance apart. Every attempt draws
     one displacement per moving curve, a first. Each moving curve steps at
     most half the clearance split among the moving curves, so the relative
     motion between accepted states stays below half the clearance and the

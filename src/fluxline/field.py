@@ -86,7 +86,13 @@ def _guarded_potential(f: FluxLine, xs):
 def circulation(f: FluxLine, path: ClosedCurve, threads=None) -> float:
     """Closed line integral of A along path; equals flux times linking number."""
     guard = _guard_bound(f.curve)
-    if min_distance(path, f.curve, cutoff=guard) <= guard:
+    return _circulate(f, path, min_distance(path, f.curve, cutoff=guard))
+
+
+def _circulate(f: FluxLine, path: ClosedCurve, distance: float) -> float:
+    """`circulation`, given the path's `min_distance` to the line, exact at
+    least up to the guard."""
+    if distance <= _guard_bound(f.curve):
         raise GeometryError("path touches or nearly touches the flux line")
     return f.flux * linking_integral(path, f.curve)
 

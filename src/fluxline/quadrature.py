@@ -97,12 +97,13 @@ def periodic_midpoints(points):
 
 def _nodes(coef, n):
     """`periodic_midpoints` of the n-node trigonometric interpolant whose
-    leading `rfft` coefficients are coef; the missing ones are 0."""
-    k = np.arange(coef.shape[0])
+    leading `rfft` coefficients are coef, (k, 3); the missing ones are 0.
+    A stack of them, (..., k, 3), gives stacked nodes, (..., n, 3)."""
+    k = np.arange(coef.shape[-2])
     # evaluate the trigonometric interpolant half a cell to the right
     half = np.exp(1j * np.pi * k / n)[:, None]
-    mids = np.fft.irfft(coef * half, n, axis=0)
-    tangents = np.fft.irfft(coef * (1j * k)[:, None] * half, n, axis=0)
+    mids = np.fft.irfft(coef * half, n, axis=-2)
+    tangents = np.fft.irfft(coef * (1j * k)[:, None] * half, n, axis=-2)
     return mids, tangents * (2.0 * np.pi / n)
 
 
@@ -127,12 +128,14 @@ def _factor(mids, weights):
 
     with r_j = |x - mids[j]|. rel is the (3, n) array mids - o and rows6
     the six (n,) rows [w | w x (mids - o)] that r^-3 is contracted with.
+    Stacked nodes, (..., n, 3), give stacked factors.
     """
-    o = mids[0]
+    o = mids[..., 0, :]
     # C-ordered, so that a block's outer differences read it contiguously
-    rel = np.ascontiguousarray(mids.T - o[:, None])
-    w = weights.T
-    return o, rel, np.concatenate([w, _cross(w, rel)])
+    rel = np.ascontiguousarray(np.swapaxes(mids, -1, -2) - o[..., None])
+    w = np.swapaxes(weights, -1, -2)
+    cross = np.moveaxis(_cross(np.moveaxis(w, -2, 0), np.moveaxis(rel, -2, 0)), 0, -2)
+    return o, rel, np.concatenate([w, cross], axis=-2)
 
 
 def _factored_sum(factor, xs):

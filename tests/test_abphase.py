@@ -167,6 +167,51 @@ def test_invariance_suite_holds_one_state_at_a_time():
     assert growth < (many - few) * n * 3 * 8
 
 
+@pytest.mark.parametrize("preset", ["hopf", "l2", "unlinked"])
+@pytest.mark.parametrize("steps", [1, 15, 16, 17, 40])
+def test_invariance_suite_in_batches_is_that_of_one_state_at_a_time(monkeypatch, preset, steps):
+    from fluxline import abphase
+    from fluxline.cli import _preset_curves
+
+    def suite():
+        flux_curve, path = _preset_curves(preset, 128)
+        return invariance_suite(PhaseParams(0.9), fl.FluxLine(flux_curve, 1.0), path,
+                                suite_spec(steps=steps, n_modes=3))
+
+    got = suite()
+    monkeypatch.setattr(abphase, "STACK_POINTS", 1)
+    assert got == suite()
+
+
+@pytest.mark.parametrize("refused", [2, None])
+def test_invariance_suite_takes_the_drawn_phases_before_a_refused_draw(monkeypatch, refused):
+    # the path family's 4 states are drawn, the 5th draw runs out of tries,
+    # and the phase of state `refused` is refused: that refusal comes first,
+    # as it did when each state's phase was taken as it was drawn
+    from fluxline import abphase, curves
+
+    draws, phases = [0], [0]
+
+    def displacement(rng, cos, sin, _fn=curves._displacement):
+        draws[0] += 1
+        return _fn(rng, cos, sin) * (draws[0] <= 4)
+
+    def integral(*args, _fn=abphase.linking_integral):
+        phases[0] += 1
+        if phases[0] == refused:
+            raise fl.GeometryError("refused phase")
+        return _fn(*args)
+
+    monkeypatch.setattr(curves, "_displacement", displacement)
+    monkeypatch.setattr(abphase, "linking_integral", integral)
+    flux_curve, path = hopf_pair(128)
+    with pytest.raises(fl.GeometryError if refused else fl.ClearanceError,
+                       match="refused phase" if refused else "no clearance-respecting step"):
+        invariance_suite(PhaseParams(1.0), fl.FluxLine(flux_curve, 1.0), path,
+                         suite_spec(steps=8))
+    assert phases[0] == (refused or 4)
+
+
 def test_invariance_suite_hopf():
     f = fl.FluxLine(circle((0, 0, 0), 1.0, Z, 512), 1.0)
     path = circle((1, 0, 0), 1.0, Y, 512)
@@ -189,7 +234,7 @@ def test_invariance_requires_clearance():
         invariance_suite(PhaseParams(1.0), f, path, suite_spec(clearance=2.0))
 
 
-@pytest.mark.parametrize("clearance,calls", [(0.05, 2), (1e-9, 11)])
+@pytest.mark.parametrize("clearance,calls", [(0.05, 1), (1e-9, 10)])
 def test_invariance_suite_measures_each_pair_once(monkeypatch, clearance, calls):
     from fluxline import abphase, curves, field
 
@@ -205,7 +250,7 @@ def test_invariance_suite_measures_each_pair_once(monkeypatch, clearance, calls)
     flux_curve, path = hopf_pair(64)
     invariance_suite(PhaseParams(1.0), fl.FluxLine(flux_curve, 1.0), path,
                      suite_spec(amplitude=0.0, steps=2, clearance=clearance))
-    # 1 for the base phase and 1 for the initial clearance of all three
+    # 1 for the base phase's guard and the initial clearance of all three
     # deformed families: the displacement bound accepts every step unscanned;
     # below the guard (2e-6 here) each of the 9 phases evaluated past base,
     # the swap family's first one included, is measured again

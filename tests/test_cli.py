@@ -267,8 +267,8 @@ def test_phase_invariance_measures_the_start_once(monkeypatch, capsys):
         return tuple(start)
 
     def scanned(a, b, *args, _fn=curves.min_distance, **kw):
-        # distance is symmetric: the start pair either way round
-        if {id(a), id(b)} == set(map(id, start)) and kw.get("cutoff", np.inf) == np.inf:
+        # distance is symmetric: the start pair either way round, at any cutoff
+        if {id(a), id(b)} == set(map(id, start)):
             scans[0] += 1
         return _fn(a, b, *args, **kw)
 
@@ -285,9 +285,26 @@ def test_phase_invariance_measures_the_start_once(monkeypatch, capsys):
         monkeypatch.setattr(mod, "linking_integral", summed)
     code, _, _ = run(["phase", "--preset", "hopf", "--samples", "128", "--invariance"], capsys)
     assert code == 0
-    # one exact scan serves all three deformed families, and every family's
-    # first phase is the suite's base: one sum in gauss_linking, one in base
-    assert (scans[0], sums[0]) == (1, 2)
+    # gauss_linking's touch check, and one scan that serves the base phase's
+    # guard and all three deformed families; every family's first phase is
+    # the suite's base: one sum in gauss_linking, one in base
+    assert (scans[0], sums[0]) == (2, 2)
+
+
+def test_phase_invariance_transforms_in_stacks(monkeypatch, capsys):
+    count = [0]
+
+    def counted(*args, _fn=np.fft.rfft, **kw):
+        count[0] += 1
+        return _fn(*args, **kw)
+
+    monkeypatch.setattr(np.fft, "rfft", counted)
+    code, _, _ = run(["phase", "--preset", "hopf", "--samples", "128", "--invariance"], capsys)
+    assert code == 0
+    # the two start curves', and the 20 states of each family in a batch of 16
+    # and one of 4, the simultaneous family's two curves in one stack: 82 one
+    # curve at a time
+    assert count[0] == 2 + 3 * 2
 
 
 @pytest.mark.parametrize("preset", ["hopf", "l2", "unlinked"])

@@ -57,6 +57,33 @@ def test_kernel_factor_is_read_only_and_that_of_fresh_nodes():
     assert c.kernel_factor is c.kernel_factor
 
 
+def unstacked_model(c):
+    """spectrum, nodes and kernel factor of c, built from its points alone."""
+    spectrum = np.fft.rfft(c.points, axis=0)
+    nodes = quadrature._nodes(spectrum, c.n)
+    return spectrum, nodes, quadrature._factor(*nodes)
+
+
+@pytest.mark.parametrize("n", [3, 4, 127, 128, 160, 1024])
+@pytest.mark.parametrize("count", [1, 2, 16, 17])
+def test_stacked_models_are_those_of_one_curve(n, count):
+    rng = np.random.default_rng(1000 * count + n)
+    stack = [fl.ClosedCurve(rng.normal(size=(n, 3))) for _ in range(count)]
+    # a stack may start part-built, and list a curve twice
+    if count > 2:
+        stack[1].spectrum, stack[2].nodes
+    curves._build_models(stack + stack[:1], "kernel_factor")
+    for c in stack:
+        fresh = fl.ClosedCurve(c.points)
+        spectrum, nodes, factor = unstacked_model(c)
+        for got, one, want in zip((c.spectrum, *c.nodes, *c.kernel_factor),
+                                  (fresh.spectrum, *fresh.nodes, *fresh.kernel_factor),
+                                  (spectrum, *nodes, *factor)):
+            assert np.array_equal(got, one) and np.array_equal(got, want)
+            assert got.strides == one.strides == want.strides
+            assert not got.flags.writeable
+
+
 @pytest.mark.parametrize("make", [
     lambda: perturbed(circle((0.3, -1, 2), 1.5, Y, 200), np.random.default_rng(3), 0.1),
     lambda: fl.make_torus_knot(2, 3, 1.0, 0.4, 256),

@@ -1,4 +1,6 @@
 """Vector potential, circulation, counted flux, and differential identities."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -194,6 +196,18 @@ def test_guard_of_points_that_are_not_finite_or_overflow(mode):
         x = np.array(x)
         with np.errstate(all=mode):
             assert outcome(lambda: fl.vector_potential(f, x)) == outcome(lambda: exact_guard(f, x))
+
+
+@pytest.mark.parametrize("mode", ["warn", "raise"])
+@pytest.mark.parametrize("x", [[np.inf, 0.0, 0.0], [-np.inf, 1.0, 1.0]])
+def test_potential_at_an_infinite_point_refuses_without_a_warning(mode, x):
+    f = fl.FluxLine(circle((0, 0, 0), 1.0, Z, 1024), 1.0)
+    with warnings.catch_warnings(), np.errstate(all=mode):
+        warnings.simplefilter("error")
+        # no segment is evaluated at the point: its distance is inf
+        assert fl.curves.distance_to_curve(x, f.curve) == np.inf
+        with pytest.raises(fl.GeometryError, match="not finite"):
+            fl.vector_potential(f, x)
 
 
 def test_guard_near_a_segment_too_short_to_scan():
