@@ -4,17 +4,19 @@ All forms expose the physics through the single dimensionless coupling
 alpha = (charge) x (flux) / (hbar c); the flux line's own flux value only
 sets the shape-independent scale and cancels out of every phase.
 
-`invariance_suite` measures the start pair once, and builds the curve
-models of its deformed states a batch at a time (`curves._build_models`);
-its phases are those of states taken one at a time.
+`invariance_suite` measures the start pair once, and takes the phases of
+its deformed states in the batches `curves._deform` hands out, their models
+built to the stage `quadrature._model_stage` names; `field._clears_guard`
+decides whether a phase needs its distance. The phases are those of states
+taken one at a time.
 """
 import math
 from dataclasses import dataclass, replace
 
 from .curves import ClosedCurve, DeformationSpec, _build_models, _deform, min_distance
 from .errors import GeometryError
-from .field import FluxLine, _circulate, _guard_bound, circulation
-from .quadrature import TRUNCATE_FROM, linking_integral
+from .field import FluxLine, _circulate, _clears_guard, _guard_bound, circulation
+from .quadrature import _model_stage, linking_integral
 from .topology import crossing_linking, span_surface
 
 DEFAULT_SUITE_TOL = 1e-3
@@ -92,25 +94,6 @@ def _suite_entry(phases, base, tol):
     }
 
 
-def _batches(states, size):
-    """The states in lists of size, the last one shorter. An error of a draw
-    is raised after the list of the states drawn before it, so that their
-    phases are taken first, as they were when each was taken as it came."""
-    batch = []
-    try:
-        for state in states:
-            batch.append(state)
-            if len(batch) == size:
-                yield batch
-                batch = []
-    except Exception:
-        if batch:
-            yield batch
-        raise
-    if batch:
-        yield batch
-
-
 def invariance_suite(p: PhaseParams, f: FluxLine, path: ClosedCurve,
                      spec: DeformationSpec, tol: float = DEFAULT_SUITE_TOL,
                      threads=None) -> dict:
@@ -139,55 +122,36 @@ def invariance_suite(p: PhaseParams, f: FluxLine, path: ClosedCurve,
     base = p.alpha * _circulate(FluxLine(curve=f.curve, flux=1.0), path, dist)
     lb = min(dist, cutoff)
 
-    def clear(start):
-        """Whether the clearance exceeds circulation's guard on every curve
-        deformed from start, by a bound: False when the bound cannot tell."""
-        # a state's vertices lie within steps * step <= amplitude of the
-        # start's, and so does its centroid, so its diameter is at most the
-        # start's plus 4 amplitudes. In rounding, each step's sum moves a
-        # coordinate by at most 1.2e-16 of the largest one, size + amplitude,
-        # and the centroids and diameters are a few 1e-15 of it off: a slack
-        # of 1e-12 of it per step, and once more, covers both with room
-        slack = 1e-12 * (spec.steps + 1) * (start._size + spec.amplitude)
-        return spec.clearance > _guard_bound(start, 4.0 * spec.amplitude + slack)
-
-    def phase(flux_curve, c, far):
+    def phase(flux_curve, c):
         # every deformed state is more than spec.clearance apart, so when the
-        # clearance exceeds circulation's guard, its distance check cannot fire;
-        # far is clear(start) of the family's flux-role curves, decided once
-        if far or spec.clearance > _guard_bound(flux_curve):
+        # clearance clears circulation's guard, its distance check cannot fire
+        if _clears_guard(flux_curve, spec.clearance):
             return p.alpha * linking_integral(c, flux_curve)
         return ab_phase_circulation(p, FluxLine(curve=flux_curve, flux=f.flux), c)
 
-    # below 4 * TRUNCATE_FROM nodes every sum is native: it reads the path's
-    # nodes and the flux curve's kernel factor. Above, a truncated sum reads
-    # the spectra alone, and a native one builds the rest of its curves' models
-    native = 4 * TRUNCATE_FROM > min(path.n, f.curve.n)
+    stage = _model_stage(path, f.curve)
     batch = max(1, STACK_POINTS // max(path.n, f.curve.n))
 
-    def family(seed, a, b, move_b, upto, take):
+    def family(seed, a, b, move_b, take):
         """take(*state) of each state of _deform(a, b, ...), a batch at a time."""
         out = []
-        for drawn in _batches(_deform(a, b, replace(spec, seed=seed), move_b, lb), batch):
-            _build_models([c for state in drawn for c in state], upto if native else "spectrum")
+        for drawn in _deform(a, b, replace(spec, seed=seed), move_b, lb, batch):
+            _build_models([c for state in drawn for c in state], stage)
             out += [take(*state) for state in drawn]
         return out
 
-    far_flux, far_path = clear(f.curve), clear(path)
     # each family starts from (path, f.curve), whose phase is base
     suites = {}
     suites["path"] = _suite_entry([base] + family(
-        spec.seed, path, f.curve, False, "nodes",
-        lambda c, _: phase(f.curve, c, far_flux)), base, tol)
+        spec.seed, path, f.curve, False, lambda c, _: phase(f.curve, c)), base, tol)
     suites["flux_curve"] = _suite_entry([base] + family(
-        spec.seed + 1, f.curve, path, False, "kernel_factor",
-        lambda c, _: phase(c, path, far_flux)), base, tol)
+        spec.seed + 1, f.curve, path, False, lambda c, _: phase(c, path)), base, tol)
 
     # role swap: the linking integrand is symmetric under exchanging the
     # curves, so using the path as the flux line must reproduce the phase
-    both = [(base, phase(path, f.curve, far_path))] + family(
-        spec.seed + 2, path, f.curve, True, "kernel_factor",
-        lambda pc, fc: (phase(fc, pc, far_flux), phase(pc, fc, far_path)))
+    both = [(base, phase(path, f.curve))] + family(
+        spec.seed + 2, path, f.curve, True,
+        lambda pc, fc: (phase(fc, pc), phase(pc, fc)))
     suites["simultaneous"] = _suite_entry([sim for sim, _ in both], base, tol)
     suites["swap"] = _suite_entry([swap for _, swap in both], base, tol)
 

@@ -12,9 +12,9 @@ for points. The potential's guard needs neither at a point far from the
 line: the pair sum's node distances less the reach bound it there.
 
 `_build_models` is the one builder of curve models. It fills the caches of
-many curves of one node count with one stacked transform each, as the
-invariance suite does for a batch of deformed states; the cached
-properties build a single curve's through it.
+many curves with one stacked call per stage and node count, as the
+invariance suite does for each list of deformed states that `_deform`
+hands out; the cached properties build a single curve's through it.
 """
 import json
 import math
@@ -159,39 +159,35 @@ def _build_models(curves, upto):
     """Fill the curve-model caches of curves, `_MODEL` up to upto, stacked;
     return the last curve's upto.
 
-    The curves of one node count that lack the same caches take one `rfft`,
-    one `quadrature._nodes` and one `quadrature._factor` call together, and
-    each curve's arrays are read-only views of the stacked ones. The
-    transforms run line by line and the rest is elementwise, and a view of
-    a stack has the strides of a stack of one, so a curve's arrays have the
-    same bits and layout whatever it is stacked with. Stacking saves the
-    fixed cost of each call: at n = 128 a model took 59.7 us alone and 9.5
-    us a curve 16 at a time; at n = 1024, 144 us alone, 91 us two at a
-    time and 116 us sixteen at a time.
+    Stage by stage, the curves of one node count that lack it take one
+    call together (`rfft`, `quadrature._nodes`, `quadrature._factor`) on
+    the stacked cache of the stage before, and each curve's arrays are
+    read-only views of the stacked result. The transforms run line by line
+    and the rest is elementwise, and a view of a stack has the strides of a
+    stack of one, so a curve's arrays have the same bits and layout
+    whatever it is stacked with. Stacking saves the fixed cost of each
+    call: at n = 128 a model took 59.7 us alone and 9.5 us a curve 16 at a
+    time; at n = 1024, 144 us alone, 91 us two at a time and 116 us
+    sixteen at a time.
     """
-    last = _MODEL.index(upto)
-    groups = {}
     # a curve listed twice, as the fixed curve of a family's states is, is built once
-    for c in {id(c): c for c in curves}.values():
-        first = next((i for i in range(last + 1) if _MODEL[i] not in c.__dict__), None)
-        if first is not None:
-            groups.setdefault((c.n, first), []).append(c)
-    for (n, first), group in groups.items():
-        if first == 0:
-            stacked = (np.fft.rfft(np.stack([c.points for c in group]), axis=1),)
-        elif first == 1:
-            stacked = (np.stack([c.spectrum for c in group]),)
-        else:
-            stacked = tuple(map(np.stack, zip(*(c.nodes for c in group))))
-        for stage in range(first, last + 1):
-            if stage == 1:
-                stacked = _nodes(stacked[0], n)
-            elif stage == 2:
-                stacked = _factor(*stacked)
-            stacked = tuple(_read_only(a) for a in stacked)
+    unique = {id(c): c for c in curves}.values()
+    for stage, name in enumerate(_MODEL[:_MODEL.index(upto) + 1]):
+        groups = {}
+        for c in unique:
+            if name not in c.__dict__:
+                groups.setdefault(c.n, []).append(c)
+        for n, group in groups.items():
+            if stage == 0:
+                built = (np.fft.rfft(np.stack([c.points for c in group]), axis=1),)
+            elif stage == 1:
+                built = _nodes(np.stack([c.spectrum for c in group]), n)
+            else:
+                built = _factor(*map(np.stack, zip(*(c.nodes for c in group))))
+            built = [_read_only(a) for a in built]
             for i, c in enumerate(group):
-                views = tuple(a[i] for a in stacked)
-                c.__dict__[_MODEL[stage]] = views[0] if stage == 0 else views
+                views = tuple(a[i] for a in built)
+                c.__dict__[name] = views[0] if stage == 0 else views
     return curves[-1].__dict__[upto]
 
 
@@ -551,11 +547,6 @@ def resample(c: ClosedCurve, n: int) -> ClosedCurve:
     return ClosedCurve(np.ldexp(pts[idx] + frac[:, None] * seg[idx], k))
 
 
-def fourier_displacement(rng, theta, n_modes: int):
-    """Band-limited random vector field over the curve parameter; (n, 3)."""
-    return _displacement(rng, *_mode_columns(theta, n_modes))
-
-
 def _mode_columns(theta, n_modes):
     """The (n, 1) columns cos((m + 1) theta) and sin((m + 1) theta), m < n_modes."""
     return ([np.cos((m + 1) * theta)[:, None] for m in range(n_modes)],
@@ -563,7 +554,8 @@ def _mode_columns(theta, n_modes):
 
 
 def _displacement(rng, cos, sin):
-    """`fourier_displacement` on its mode columns; a column times a row is np.outer's bits."""
+    """A band-limited random vector field over the curve parameter, (n, 3), on
+    its `_mode_columns`; a column times a row is np.outer's bits."""
     coef = rng.normal(size=(len(cos), 2, 3))
     disp = np.zeros((cos[0].shape[0], 3))
     for m, (c, s) in enumerate(zip(cos, sin)):
@@ -572,17 +564,19 @@ def _displacement(rng, cos, sin):
     return disp
 
 
-def _deform(a: ClosedCurve, b: ClosedCurve, spec: DeformationSpec, move_b: bool, lb: float):
+def _deform(a: ClosedCurve, b: ClosedCurve, spec: DeformationSpec, move_b: bool, lb: float,
+            batch: int = 1):
     """Seeded rejection loop: deform a, and b too when move_b, keeping clearance.
 
     lb is min_distance(a, b), which the caller measured, or a lower bound on
     it; a start with lb not above spec.clearance is refused. Yields the
     spec.steps drawn pairs (a_i, b_i), not (a, b), each more than
-    spec.clearance apart. Every attempt draws
-    one displacement per moving curve, a first. Each moving curve steps at
-    most half the clearance split among the moving curves, so the relative
-    motion between accepted states stays below half the clearance and the
-    pair cannot pass through each other between steps.
+    spec.clearance apart, in lists of batch pairs, the last one shorter; a
+    draw that raises first yields the pairs drawn before it. Every attempt
+    draws one displacement per moving curve, a first. Each moving curve
+    steps at most half the clearance split among the moving curves, so the
+    relative motion between accepted states stays below half the clearance
+    and the pair cannot pass through each other between steps.
 
     The pair's distance is carried as a lower bound lb (conservative
     advancement, Mirtich 1996). A step moves every vertex of a moving curve,
@@ -603,12 +597,10 @@ def _deform(a: ClosedCurve, b: ClosedCurve, spec: DeformationSpec, move_b: bool,
     moving = [a, b] if move_b else [a]
     modes = [_mode_columns(2.0 * np.pi * np.arange(c.n) / c.n, spec.n_modes) for c in moving]
     step = min(spec.amplitude / spec.steps, 0.5 * spec.clearance / len(moving))
-    for _ in range(spec.steps):
-        for attempt in range(spec.max_tries + 1):
-            if attempt == spec.max_tries:
-                raise ClearanceError(
-                    f"no clearance-respecting step found in {spec.max_tries} tries"
-                )
+
+    def draw():
+        nonlocal moving, lb
+        for _ in range(spec.max_tries):
             disps = [_displacement(rng, *cs) for cs in modes]
             peaks = [float(np.sqrt(np.max(np.einsum("ij,ij->i", d, d)))) for d in disps]
             if 0.0 in peaks:
@@ -620,10 +612,21 @@ def _deform(a: ClosedCurve, b: ClosedCurve, spec: DeformationSpec, move_b: bool,
             moved = lb - step * len(moving) - slack
             dist = moved if moved > spec.clearance else min_distance(*pair)
             if dist > spec.clearance:
-                lb = dist
-                break
-        yield pair
-        moving = cand
+                moving, lb = cand, dist
+                return pair
+        raise ClearanceError(f"no clearance-respecting step found in {spec.max_tries} tries")
+
+    drawn = []
+    for i in range(spec.steps):
+        try:
+            drawn.append(draw())
+        except Exception:
+            if drawn:
+                yield drawn
+            raise
+        if len(drawn) == batch or i == spec.steps - 1:
+            yield drawn
+            drawn = []
 
 
 def deform_homotopy(c: ClosedCurve, obstacle: ClosedCurve, spec: DeformationSpec, threads=None):
@@ -636,7 +639,7 @@ def deform_homotopy(c: ClosedCurve, obstacle: ClosedCurve, spec: DeformationSpec
     cannot jump across the obstacle, so the homotopy class relative to the
     obstacle is preserved, not just sampled.
     """
-    return [c] + [a for a, _ in _deform(c, obstacle, spec, False, min_distance(c, obstacle))]
+    return [c] + [a for [(a, _)] in _deform(c, obstacle, spec, False, min_distance(c, obstacle))]
 
 
 def save_curve(c: ClosedCurve, path):

@@ -1,4 +1,7 @@
-"""Vector potential of a closed flux line, circulations, counted fluxes."""
+"""Vector potential of a closed flux line, circulations, counted fluxes.
+
+`_clears_guard` is the one decision of whether a path clears a line's guard.
+"""
 import math
 import sys
 import warnings
@@ -29,11 +32,22 @@ class FluxLine:
             raise GeometryError("flux must be finite")
 
 
-def _guard_bound(curve: ClosedCurve, drift: float = 0.0) -> float:
-    """The guard of a line on curve, GUARD_FACTOR times its diameter; with a
-    drift, a bound on the guard of any curve whose diameter is at most curve's
-    plus drift."""
-    return GUARD_FACTOR * (curve.diameter() + drift)
+def _guard_bound(curve: ClosedCurve) -> float:
+    """The guard of a line on curve, GUARD_FACTOR times its diameter."""
+    return GUARD_FACTOR * curve.diameter()
+
+
+def _clears_guard(curve: ClosedCurve, distance: float) -> bool:
+    """Whether distance lies past the guard of a line on curve.
+
+    The diameter is at most 4 sqrt(3) (n - 1) / n times the largest
+    coordinate, so a distance past GUARD_FACTOR * 4 sqrt(3) times it clears
+    the guard, by a margin of 1 / n, far above rounding, with no diameter
+    computed. Where that bound is not a normal number, or the distance lies
+    within it, the diameter decides.
+    """
+    bound = GUARD_FACTOR * 4.0 * math.sqrt(3.0) * curve._size
+    return (bound >= sys.float_info.min and distance > bound) or distance > _guard_bound(curve)
 
 
 def potential_at(f: FluxLine, xs):
@@ -92,7 +106,7 @@ def circulation(f: FluxLine, path: ClosedCurve, threads=None) -> float:
 def _circulate(f: FluxLine, path: ClosedCurve, distance: float) -> float:
     """`circulation`, given the path's `min_distance` to the line, exact at
     least up to the guard."""
-    if distance <= _guard_bound(f.curve):
+    if not _clears_guard(f.curve, distance):
         raise GeometryError("path touches or nearly touches the flux line")
     return f.flux * linking_integral(path, f.curve)
 

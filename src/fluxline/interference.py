@@ -193,7 +193,9 @@ def reduced_density(cfg: TwoSlitConfig, x_b, alpha_AB: float):
 
 @dataclass(frozen=True)
 class Pattern:
-    """Density samples over a uniform symmetric grid, with provenance."""
+    """Density samples over a uniform symmetric grid, with provenance.
+
+    `pattern` and `_with_alpha` also set `_terms`: the config's on the grid."""
 
     x: np.ndarray
     values: np.ndarray
@@ -225,12 +227,6 @@ class Pattern:
         z.flags.writeable = False
         return z
 
-    @cached_property
-    def _terms(self):
-        """`_terms` of the config on the grid; `pattern` sets them as it
-        builds the pattern."""
-        return _terms(self.config, self.x)
-
     def _with_alpha(self, alpha_AB: float) -> "Pattern":
         """The pattern of alpha_AB on this grid and config, sharing this
         pattern's terms: the density's alpha-free work, done once for
@@ -242,8 +238,7 @@ class Pattern:
             raise GeometryError("pattern grid and values must be finite")
         values.flags.writeable = False
         pat = object.__new__(Pattern)
-        # a cached_property lives in the instance's dict, which a frozen
-        # dataclass guards only against plain assignment
+        # a frozen dataclass guards its attributes only against plain assignment
         for name, value in (("x", self.x), ("values", values), ("config", self.config),
                             ("alpha", float(alpha_AB)), ("_terms", self._terms)):
             object.__setattr__(pat, name, value)

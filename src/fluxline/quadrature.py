@@ -260,6 +260,14 @@ def linking_integral(path, curve) -> float:
     return total()
 
 
+def _model_stage(*curves):
+    """The curve-model stage (`curves._MODEL`) that `linking_integral` reads
+    first on a pair of these curves, in either role: "kernel_factor" below
+    4 * TRUNCATE_FROM nodes, where the sum is native, and "spectrum" from
+    there up, where the spectra's tails decide a truncation."""
+    return "kernel_factor" if 4 * TRUNCATE_FROM > min(c.n for c in curves) else "spectrum"
+
+
 def _check_size(*curves):
     """GeometryError naming the size if the curves' coordinates pass MAX_COORDINATE."""
     size = max(c._size for c in curves)

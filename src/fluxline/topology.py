@@ -1,5 +1,6 @@
 """Linking numbers, spanning surfaces, crossing counts, signed solid angles."""
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -271,8 +272,12 @@ def crossing_linking(path: ClosedCurve, surf: Surface, threads=None) -> int:
 
 
 def surface_point_distance(x, surf: Surface) -> float:
-    """Euclidean distance from a point to a triangle mesh, on the corners relative to x."""
-    k, (a, b, c) = _scaled(*(p - np.asarray(x, dtype=float) for p in surf.corners()))
+    """Euclidean distance from a point to a triangle mesh, on the corners relative to x;
+    at a point that is not finite, nan or inf as `curves.distance_to_curve`."""
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        return math.nan if np.isnan(x).any() else math.inf
+    k, (a, b, c) = _scaled(*(p - x for p in surf.corners()))
     nrm = np.cross(b - a, c - a)
     areas = np.linalg.norm(nrm, axis=1)
     good = areas > 0.0
@@ -294,8 +299,12 @@ def solid_angle(x, surf: Surface, threads=None) -> float:
     Sum of per-triangle signed angles; positive when the face normals point
     away from x. Follows the convention of accumulating (x' - x) . dS' /
     |x' - x|^3, so a viewer on the side the normals point toward sees a
-    negative value. One vectorised pass over the corners relative to x, `_scaled`.
+    negative value. One vectorised pass over the corners relative to x,
+    `_scaled`; a point that is not finite is refused.
     """
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise GeometryError("the point must be finite")
     if surface_point_distance(x, surf) <= TOUCH_GUARD * surf._diameter:
         raise GeometryError("point lies on the surface; the solid angle jumps there")
     _, (r1, r2, r3) = _scaled(*(p - x for p in surf.corners()))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import fluxline as fl
-from fluxline.curves import fourier_displacement
+from fluxline.curves import _displacement, _mode_columns
 
 Z = np.array([0.0, 0.0, 1.0])
 Y = np.array([0.0, 1.0, 0.0])
@@ -48,7 +48,7 @@ def unit_disk():
 def perturbed(c, rng, amp, modes=4):
     """Fourier-displaced copy of c with peak displacement amp, or None."""
     theta = np.linspace(0.0, 2.0 * np.pi, c.n, endpoint=False)
-    disp = fourier_displacement(rng, theta, modes)
+    disp = _displacement(rng, *_mode_columns(theta, modes))
     disp = disp * (amp / max(np.linalg.norm(disp, axis=1).max(), 1e-30))
     try:
         return fl.ClosedCurve(c.points + disp)

@@ -257,19 +257,26 @@ def test_invariance_suite_measures_each_pair_once(monkeypatch, clearance, calls)
     assert count[0] == calls
 
 
-@pytest.mark.parametrize("near, offset", [("start", -1e-12), ("start", 1e-12),
-                                          ("bound", -1e-15), ("bound", 1e-15), ("bound", 1e-9)])
+@pytest.mark.parametrize("near, offset", [("start", -1e-12), ("start", 1e-12), ("size", -1e-12),
+                                          ("size", 1e-12), ("far", 1e-12)])
 def test_family_guard_decides_as_each_state(monkeypatch, near, offset):
     # clearances a hair from the start's own guard, GUARD_FACTOR * diameter,
     # where the deformed states' guards fall either side of the clearance, and
-    # from the family bound, GUARD_FACTOR * (diameter + 4 amplitudes): against
-    # a run whose bound never settles, so that every state decides on its own
-    from fluxline import abphase, curves
+    # from the pair's size bound, GUARD_FACTOR * 4 sqrt(3) * the largest
+    # coordinate, which `field._clears_guard` tries before any diameter: against
+    # a run where every state decides by its own diameter. far: the start's
+    # guard, with the pair 1e4 diameters from the origin, where the size bound
+    # never decides
+    from fluxline import abphase, curves, field
 
     flux_curve, path = hopf_pair(64)
     amplitude = 1e-6
-    diameter = flux_curve.diameter()
-    clearance = GUARD_FACTOR * (diameter + (4.0 * amplitude if near == "bound" else 0.0))
+    shift = np.array([1e4 * flux_curve.diameter() if near == "far" else 0.0, 0.0, 0.0])
+    flux_curve, path = (fl.ClosedCurve(c.points + shift) for c in (flux_curve, path))
+    if near == "size":
+        clearance = GUARD_FACTOR * 4.0 * np.sqrt(3.0) * max(flux_curve._size, path._size)
+    else:
+        clearance = GUARD_FACTOR * flux_curve.diameter()
     clearance *= 1.0 + offset
 
     def suite():
@@ -292,19 +299,22 @@ def test_family_guard_decides_as_each_state(monkeypatch, near, offset):
                                    suite_spec(amplitude=amplitude, steps=4, clearance=clearance))
         return rep, count
 
-    got, (diameters, circulations) = suite()
+    got, (measured, circulations) = suite()
 
-    def unsettled(curve, drift=0.0, _fn=abphase._guard_bound):
-        return np.inf if drift else _fn(curve)
+    def unsettled(curve, distance):
+        return distance > field._guard_bound(curve)
 
     with monkeypatch.context() as m:
-        m.setattr(abphase, "_guard_bound", unsettled)
-        want, (each_diameters, each_circulations) = suite()
+        for module in (abphase, field):
+            m.setattr(module, "_clears_guard", unsettled)
+        want, (each_measured, each_circulations) = suite()
     assert got == want and circulations == each_circulations
-    # the two starts', and then each flux-role state's; the bound's rounding
-    # slack, 5e-18 here, leaves a clearance 1e-15 above it to the states
-    assert each_diameters == 2 + 3 * 4
-    assert diameters == (2 if offset == 1e-9 else each_diameters)
+    # the two starts', and then each flux-role state's
+    assert each_measured == 2 + 3 * 4
+    # a hair within the size bound of the path, the larger one, the path
+    # measures its own diameter (its deformed states came out smaller); past
+    # it, only the flux curve's is measured, for the start scan's cutoff
+    assert measured == ((2 if offset < 0 else 1) if near == "size" else each_measured)
 
 
 def test_shift_recomputed_from_suite_phases_is_stable():

@@ -11,7 +11,7 @@ import pytest
 import fluxline as fl
 from conftest import X, Y, Z, brute_min_distance, circle, hopf_pair, perturbed, random_pair
 from fluxline import curves, quadrature
-from fluxline.curves import fourier_displacement
+from fluxline.curves import _displacement, _mode_columns
 from fluxline.quadrature import periodic_midpoints
 
 
@@ -262,7 +262,7 @@ def _blob(seed, scale, offset, n=256):
     scaled and moved by offset along (1, 1, 1)."""
     rng = np.random.default_rng(seed)
     theta = 2.0 * np.pi * np.arange(n) / n
-    disp = fourier_displacement(rng, theta, 3)
+    disp = _displacement(rng, *_mode_columns(theta, 3))
     disp *= 0.5 / np.sqrt(np.einsum("ij,ij->i", disp, disp)).max()
     return scale * (_circle_points(n) + disp) + offset
 
@@ -810,7 +810,7 @@ def test_simultaneous_deform_moves_each_curve_a_quarter_clearance():
     path, flux_curve = hopf_pair(128)
     spec = fl.DeformationSpec(amplitude=5.0, n_modes=3, seed=4, steps=6,
                               clearance=0.05)
-    states = list(_deform(path, flux_curve, spec, True, fl.min_distance(path, flux_curve)))
+    states = [s for [s] in _deform(path, flux_curve, spec, True, fl.min_distance(path, flux_curve))]
     assert len(states) == 6
     for curves in zip(*[(path, flux_curve)] + states):
         for move in _largest_moves(curves):
@@ -863,7 +863,7 @@ def _deform_scanning_every_attempt(a, b, spec, move_b=False):
             cand = []
             for c in moving:
                 theta = 2.0 * np.pi * np.arange(c.n) / c.n
-                d = curves.fourier_displacement(rng, theta, spec.n_modes)
+                d = curves._displacement(rng, *curves._mode_columns(theta, spec.n_modes))
                 peak = float(np.sqrt(np.max(np.einsum("ij,ij->i", d, d))))
                 cand.append(fl.ClosedCurve(c.points + (step / peak) * d))
             pair = (cand[0], cand[1] if move_b else b)
@@ -900,7 +900,7 @@ def test_deform_scans_every_attempt_near_the_clearance(monkeypatch):
     lb = fl.min_distance(knot, obstacle)
     scans = _counted(monkeypatch, "min_distance")
     draws = _counted(monkeypatch, "_displacement")
-    _assert_same_states(list(curves._deform(knot, obstacle, spec, False, lb)), expected)
+    _assert_same_states([s for [s] in curves._deform(knot, obstacle, spec, False, lb)], expected)
     assert draws[0] > spec.steps
     assert scans[0] == draws[0]
 
@@ -916,7 +916,8 @@ def test_deform_scans_again_once_the_bound_runs_out(monkeypatch, move_b, scans_m
     expected = _deform_scanning_every_attempt(knot, obstacle, spec, move_b)
     lb = fl.min_distance(knot, obstacle)
     scans = _counted(monkeypatch, "min_distance")
-    _assert_same_states(list(curves._deform(knot, obstacle, spec, move_b, lb)), expected)
+    _assert_same_states([s for [s] in curves._deform(knot, obstacle, spec, move_b, lb)],
+                        expected)
     assert scans[0] == scans_made
 
 
@@ -925,7 +926,8 @@ def test_deform_far_from_the_origin_keeps_clearance():
     obstacle, path = (fl.ClosedCurve(c.points + shift) for c in hopf_pair(128))
     spec = fl.DeformationSpec(amplitude=0.2, n_modes=3, seed=2, steps=20,
                               clearance=0.05)
-    states = list(curves._deform(path, obstacle, spec, False, fl.min_distance(path, obstacle)))
+    states = [s for [s] in curves._deform(path, obstacle, spec, False,
+                                          fl.min_distance(path, obstacle))]
     _assert_same_states(states, _deform_scanning_every_attempt(path, obstacle, spec))
     for s, _ in states:
         assert _unpruned_min(*s.segments(), *obstacle.segments()) > 0.05

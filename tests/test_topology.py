@@ -1,5 +1,6 @@
 """Linking integrals, spanning fans, crossing counts, and solid angles."""
 import json
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -751,6 +752,18 @@ def test_surface_point_distance_values(unit_disk):
     assert abs(fl.surface_point_distance(np.array([3.0, 0.0, 0.0]), unit_disk)
                - 2.0) < 1e-4
     assert fl.surface_point_distance(np.array([0.2, 0.1, 0.0]), unit_disk) < 1e-12
+
+
+@pytest.mark.parametrize("x", [[np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0], [0.0, 0.0, -np.inf]])
+def test_solid_angle_refuses_a_point_that_is_not_finite(x):
+    # no arithmetic on the point: no warning, and no nan passed off as an angle
+    surf = fl.span_surface(circle((0, 0, 0), 1.0, Z, 64))
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        with pytest.raises(fl.GeometryError, match="the point must be finite"):
+            fl.solid_angle(x, surf)
+        distance = fl.surface_point_distance(x, surf)
+    assert np.isnan(distance) if np.isnan(x).any() else distance == np.inf
 
 
 def test_surface_io_roundtrip(tmp_path):
